@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -24,9 +23,10 @@ from .temporal_graph import (
     Journey,
     TemporalEdge,
     TemporalGraph,
-    find_journey,
     sorted_edges,
+    sweep,
     _check_semantics,
+    _journey_tree,
 )
 
 COST_EDGE = "edge"  # every temporal edge costs 1
@@ -168,19 +168,26 @@ def verify_solution(problem: AugmentationProblem, selected: Iterable[TemporalEdg
             f"not in the candidate set: {', '.join(map(str, sorted_edges(stray)))}"
         )
     augmented = problem.base.augment(chosen)
-    return _requirement_holds(augmented, problem.requirement, problem.semantics)
+    return _requirement_holds(
+        problem.requirement,
+        augmented.n,
+        augmented._layers(problem.semantics),
+        problem.semantics == STRICT,
+    )
 
 
-def _requirement_holds(g: TemporalGraph, req: Requirement, semantics: str) -> bool:
+def _requirement_holds(req: Requirement, n: int, layers: Sequence[tuple], strict: bool) -> bool:
+    """Whether :func:`sweep` over ``layers`` meets ``req`` on vertices 0..n-1."""
+    full = (1 << n) - 1
     if isinstance(req, All):
-        return g.is_temporally_connected(semantics)
+        return all(sweep(layers, strict, 1 << s) == full for s in range(n))
     if isinstance(req, Source):
-        return g._reach_mask(req.vertex, semantics) == g._full_mask
+        return sweep(layers, strict, 1 << req.vertex) == full
     reach: dict[int, int] = {}
     satisfied = 0
     for u, v in req.pairs:
         if u not in reach:
-            reach[u] = g._reach_mask(u, semantics)
+            reach[u] = sweep(layers, strict, 1 << u)
         if reach[u] >> v & 1:
             satisfied += 1
     return satisfied >= req.effective_demand
@@ -205,39 +212,25 @@ def unrestricted_candidates(g: TemporalGraph, lifespan: int | None = None) -> fr
 class _SubsetEvaluator:
     """Fast feasibility checks for candidate subsets of one problem.
 
-    Precomputes the base graph's per-time structure once; each call then
-    only replays the selected edges.  Non-strict runs work at the snapshot
-    component level (non-strict reachability is a function of the per-time
-    component partitions), strict runs sweep earliest arrivals edge by edge.
+    Builds the base graph's sweep layers over the base and candidate times
+    once; each call copies that list and patches only the slots of the
+    selected edges' times.  A strict slot gets the extra edge bit pairs
+    appended; a non-strict slot gets its component masks merged by the
+    extra edges (non-strict reachability is a function of the per-time
+    component partitions).
     """
 
     def __init__(self, problem: AugmentationProblem):
-        self.problem = problem
         base = problem.base
+        self.requirement = problem.requirement
         self.n = base.n
-        self.full = (1 << base.n) - 1
         self.strict = problem.semantics == STRICT
-        times = set(base._edge_times) | {e.t for e in problem.candidates}
-        self.times: tuple[int, ...] = tuple(sorted(times))
-        req = problem.requirement
-        if isinstance(req, All):
-            self.sources: tuple[int, ...] = tuple(range(base.n))
-        elif isinstance(req, Source):
-            self.sources = (req.vertex,)
-        else:
-            self.sources = tuple(sorted({u for u, _ in req.pairs}))
-        if self.strict:
-            self.base_bits = {
-                t: tuple((1 << e.u, 1 << e.v) for e in base._edges_by_time.get(t, ()))
-                for t in self.times
-            }
-        else:
-            self.comp_masks = {}
+        times = sorted(set(base._edge_times) | {e.t for e in problem.candidates})
+        self.slot = {t: i for i, t in enumerate(times)}
+        self.layers = tuple(base._layer(t, self.strict) for t in times)
+        if not self.strict:
             self.comp_index = {}
-            for t in self.times:
-                # valid for any t >= 1; times without base edges are all-singleton
-                masks = base._component_masks(t)
-                self.comp_masks[t] = masks
+            for t, masks in zip(times, self.layers):
                 index = [0] * base.n
                 for i, m in enumerate(masks):
                     mm = m
@@ -255,83 +248,34 @@ class _SubsetEvaluator:
             return None
         return (e.t, a, b) if a < b else (e.t, b, a)
 
-    def _feasible_masks(self, reach_of) -> bool:
-        req = self.problem.requirement
-        if isinstance(req, All):
-            return all(reach_of(s) == self.full for s in range(self.n))
-        if isinstance(req, Source):
-            return reach_of(req.vertex) == self.full
-        cache = {}
-        satisfied = 0
-        for u, v in req.pairs:
-            if u not in cache:
-                cache[u] = reach_of(u)
-            if cache[u] >> v & 1:
-                satisfied += 1
-        return satisfied >= req.effective_demand
-
     def feasible(self, selected: Sequence[TemporalEdge]) -> bool:
+        layers = list(self.layers)
         if self.strict:
-            extra: dict[int, list[tuple[int, int]]] = defaultdict(list)
             for e in selected:
-                extra[e.t].append((1 << e.u, 1 << e.v))
-            times, base_bits = self.times, self.base_bits
-
-            def reach_of(src: int) -> int:
-                before = 1 << src
-                for t in times:
-                    new = 0
-                    for bu, bv in base_bits[t]:
-                        if before & bu:
-                            new |= bv
-                        if before & bv:
-                            new |= bu
-                    for bu, bv in extra.get(t, ()):
-                        if before & bu:
-                            new |= bv
-                        if before & bv:
-                            new |= bu
-                    before |= new
-                return before
-
-            return self._feasible_masks(reach_of)
-
-        # non-strict: merge component masks per time, then close per source
-        merged: dict[int, tuple[int, ...]] = {}
-        by_time: dict[int, list[TemporalEdge]] = defaultdict(list)
-        for e in selected:
-            by_time[e.t].append(e)
-        for t in self.times:
-            masks = self.comp_masks[t]
-            if t in by_time:
-                parts = list(masks)
+                layers[self.slot[e.t]] += ((1 << e.u, 1 << e.v),)
+        else:
+            by_time: dict[int, list[TemporalEdge]] = defaultdict(list)
+            for e in selected:
+                by_time[e.t].append(e)
+            for t, edges in by_time.items():
+                i = self.slot[t]
+                parts = list(layers[i])
                 parent = list(range(len(parts)))
 
-                def find(i: int) -> int:
-                    while parent[i] != i:
-                        parent[i] = parent[parent[i]]
-                        i = parent[i]
-                    return i
+                def find(k: int) -> int:
+                    while parent[k] != k:
+                        parent[k] = parent[parent[k]]
+                        k = parent[k]
+                    return k
 
                 index = self.comp_index[t]
-                for e in by_time[t]:
+                for e in edges:
                     ra, rb = find(index[e.u]), find(index[e.v])
                     if ra != rb:
                         parent[rb] = ra
                         parts[ra] |= parts[rb]
-                masks = tuple(parts[i] for i in range(len(parts)) if find(i) == i)
-            merged[t] = masks
-        times = self.times
-
-        def reach_of(src: int) -> int:
-            reach = 1 << src
-            for t in times:
-                for m in merged[t]:
-                    if m & reach:
-                        reach |= m
-            return reach
-
-        return self._feasible_masks(reach_of)
+                layers[i] = tuple(parts[k] for k in range(len(parts)) if find(k) == k)
+        return _requirement_holds(self.requirement, self.n, layers, self.strict)
 
 
 def _group_items(problem: AugmentationProblem):
@@ -345,7 +289,6 @@ def solve_exact(
     problem: AugmentationProblem,
     *,
     with_certificate: bool = True,
-    threads: int = 1,
 ) -> SolveOutcome:
     """Minimum-cost selection by subset search, or an infeasibility report.
 
@@ -359,6 +302,12 @@ def solve_exact(
     component-merge effects are collapsed to their least representative.
     A given budget caps the search; "budget_exceeded" is reported distinctly
     from true infeasibility.
+
+    Each subset is tested by :func:`~tgaug.temporal_graph.sweep` over the
+    base layers patched at the selected edges' times only.  The optional
+    certificate takes one traced sweep per distinct source and reads every
+    witness journey off that source's foremost-journey tree, with the tie
+    breaks :func:`~tgaug.temporal_graph.find_journey` documents.
     """
     evaluator = _SubsetEvaluator(problem)
     items = _group_items(problem)
@@ -382,26 +331,10 @@ def solve_exact(
         items = kept
 
     max_cost = len(items) if problem.budget is None else min(problem.budget, len(items))
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for cost in range(max_cost + 1):
-            combos = itertools.combinations(items, cost)
-            if pool is None:
-                for combo in combos:
-                    if evaluator.feasible([e for unit in combo for e in unit]):
-                        return _make_solution(problem, combo, cost, with_certificate)
-            else:
-                while True:
-                    batch = list(itertools.islice(combos, 4096))
-                    if not batch:
-                        break
-                    flat = [[e for unit in combo for e in unit] for combo in batch]
-                    for combo, ok in zip(batch, pool.map(evaluator.feasible, flat)):
-                        if ok:
-                            return _make_solution(problem, combo, cost, with_certificate)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for cost in range(max_cost + 1):
+        for combo in itertools.combinations(items, cost):
+            if evaluator.feasible([e for unit in combo for e in unit]):
+                return _make_solution(problem, combo, cost, with_certificate)
     if problem.budget is not None:
         return Infeasible("budget_exceeded")
     raise RuntimeError("search space exhausted although the full candidate set is feasible")
@@ -430,11 +363,14 @@ def build_certificate(
         pairs = [(req.vertex, v) for v in range(augmented.n) if v != req.vertex]
     else:
         pairs = list(req.pairs)
+    trees: dict[int, dict[int, tuple]] = {}
     witnesses = []
     for u, v in pairs:
-        j = find_journey(augmented, u, v, semantics)
-        if j is not None:
-            witnesses.append((u, v, j))
+        if u not in trees:
+            trees[u] = _journey_tree(augmented, u, semantics)
+        hops = trees[u].get(v)
+        if hops is not None:
+            witnesses.append((u, v, Journey(hops, semantics)))
     return tuple(witnesses)
 
 

@@ -45,27 +45,67 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_JSON_TYPES = {str: "a string", int: "an integer", dict: "an object", list: "a list"}
+
+
+def _field(data: dict, key: str, kind: type, required: bool = False):
+    """``data[key]``, checked to have JSON type ``kind``; None if optional and absent or null."""
+    value = data.get(key)
+    if value is None:
+        if required:
+            raise ParseError(f"manifest field {key!r} is required")
+        return None
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
+        raise ParseError(f"manifest field {key!r} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 def _load_manifest(path: str) -> dict:
+    """The manifest at ``path``, with every field the CLI reads type-checked."""
     try:
         data = json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("manifest must be a JSON object")
+    kind = data.get("kind", "tca")
+    _field(data, "budget", int)
+    if kind == "octo":
+        _field(data, "matrix", str, required=True)
+        return data
+    if kind != "tca":
+        raise ParseError(f"unknown manifest kind {kind!r}")
+    _field(data, "graph", str, required=True)
+    for key in ("candidates", "semantics", "cost_model"):
+        _field(data, key, str)
+    _field(data, "lifespan", int)
+    req = _field(data, "requirement", dict) or {"type": "all"}
+    kind = req.get("type")
+    if kind == "source":
+        _field(req, "vertex", int, required=True)
+    elif kind == "pairs":
+        pairs = _field(req, "pairs", list, required=True)
+        if not all(isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in pairs):
+            raise ParseError(
+                f"manifest field 'pairs' must hold [u, v] integer pairs, got {pairs!r}"
+            )
+        _field(req, "demand", int)
+    elif kind != "all":
+        raise ParseError(f"unknown requirement type {kind!r}")
     return data
 
 
 def _requirement_from_manifest(spec: dict) -> aug.Requirement:
-    kind = spec.get("type")
+    kind = spec["type"]
     if kind == "all":
         return aug.All()
     if kind == "source":
-        return aug.Source(int(spec["vertex"]))
-    if kind == "pairs":
-        pairs = tuple((int(u), int(v)) for u, v in spec["pairs"])
-        demand = spec.get("demand")
-        return aug.Pairs(pairs, None if demand is None else int(demand))
-    raise ParseError(f"unknown requirement type {kind!r}")
+        return aug.Source(spec["vertex"])
+    return aug.Pairs(tuple(map(tuple, spec["pairs"])), spec.get("demand"))
 
 
 def _requirement_to_manifest(req: aug.Requirement) -> dict:
@@ -98,7 +138,7 @@ def _problem_from_manifest(manifest: dict, manifest_path: str, args) -> aug.Augm
     return aug.AugmentationProblem(
         base,
         frozenset(candidates),
-        _requirement_from_manifest(manifest.get("requirement", {"type": "all"})),
+        _requirement_from_manifest(manifest.get("requirement") or {"type": "all"}),
         semantics,
         cost,
         budget,
@@ -162,30 +202,30 @@ def _solve_tca(problem: aug.AugmentationProblem, args) -> tuple[dict, int]:
                 )
             engine_used = "one-plus-one"
         else:
-            outcome = aug.solve_exact(problem, threads=args.threads)
+            outcome = aug.solve_exact(problem, with_certificate=False)
             engine_used = "subset"
     elif engine == "expansion":
-        outcome = exp_mod.solve_tpca_via_expansion(problem)
+        outcome = exp_mod.solve_tpca_via_expansion(problem, with_certificate=False)
         engine_used = "expansion"
     else:
-        outcome = aug.solve_exact(problem, threads=args.threads)
+        outcome = aug.solve_exact(problem, with_certificate=False)
         engine_used = "subset"
 
     if args.cross_check and isinstance(problem.requirement, aug.Pairs):
         gates = len(problem.candidates)
         if gates <= 12 and len(problem.requirement.pairs) <= 3:
             other = (
-                aug.solve_exact(problem)
+                aug.solve_exact(problem, with_certificate=False)
                 if engine_used == "expansion"
-                else exp_mod.solve_tpca_via_expansion(problem)
+                else exp_mod.solve_tpca_via_expansion(problem, with_certificate=False)
             )
             mine = outcome.cost if isinstance(outcome, aug.Solution) else None
             theirs = other.cost if isinstance(other, aug.Solution) else None
             if mine != theirs:
                 raise RuntimeError(f"engine disagreement: {mine} != {theirs}")
 
-    if isinstance(outcome, aug.Solution):
-        assert aug.verify_solution(problem, outcome.selected)
+    if isinstance(outcome, aug.Solution) and not aug.verify_solution(problem, outcome.selected):
+        raise RuntimeError(f"{engine_used} selection does not meet the requirement")
     data = aug.solution_to_json(outcome, problem)
     data["engine"] = engine_used
     return data, 0 if outcome.feasible else 1
@@ -193,8 +233,7 @@ def _solve_tca(problem: aug.AugmentationProblem, args) -> tuple[dict, int]:
 
 def cmd_solve(args) -> int:
     manifest = _load_manifest(args.manifest)
-    kind = manifest.get("kind", "tca")
-    if kind == "octo":
+    if manifest.get("kind", "tca") == "octo":
         root = Path(args.manifest).parent
         matrix = octo_mod.parse_matrix(_read(str(root / manifest["matrix"])))
         budget = manifest.get("budget")
@@ -204,8 +243,6 @@ def cmd_solve(args) -> int:
         data = octo_mod.octo_result_to_json(result)
         print(_dump(data))
         return 0 if result.solved else 1
-    if kind != "tca":
-        raise ParseError(f"unknown manifest kind {kind!r}")
     problem = _problem_from_manifest(manifest, args.manifest, args)
     data, code = _solve_tca(problem, args)
     if args.format == "json":
@@ -281,12 +318,7 @@ def cmd_expand(args) -> int:
     problem = _problem_from_manifest(manifest, args.manifest, args)
     if not isinstance(problem.requirement, aug.Pairs):
         raise ParseError("expansion needs a pairs requirement")
-    full = problem.base.augment(problem.candidates)
-    weights = {e: (1 if e in problem.candidates else 0) for e in full.edges}
-    inst = exp_mod.TGSteinerInstance.from_weights(
-        full, weights, problem.requirement.pairs, problem.requirement.effective_demand
-    )
-    exp, _ = exp_mod.build_expansion(inst, problem.semantics)
+    exp, _ = exp_mod.build_expansion(exp_mod.problem_instance(problem), problem.semantics)
     if args.format == "dot":
         sys.stdout.write(exp_mod.expansion_to_dot(exp))
     else:
@@ -310,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--semantics", choices=sorted(_SEMANTICS_FLAG))
     p_solve.add_argument("--cost", choices=["edge", "group"])
     p_solve.add_argument("--budget", type=int)
-    p_solve.add_argument("--threads", type=int, default=1)
     p_solve.add_argument("--format", choices=["json", "text"], default="json")
     p_solve.add_argument("--cross-check", action="store_true", dest="cross_check")
     p_solve.set_defaults(func=cmd_solve)

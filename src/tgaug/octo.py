@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .temporal_graph import ParseError, TemporalEdge, TemporalGraph
+from .temporal_graph import ParseError, TemporalEdge, TemporalGraph, _parse_int, _records
 
 ROWS = "rows"
 COLS = "cols"
@@ -67,21 +67,15 @@ class BinaryMatrix:
 
 def parse_matrix(text: str) -> BinaryMatrix:
     """Matrix file format: first line ``<rows> <cols>``, then 0/1 rows."""
-    lines = [
-        (lineno, line.split("#", 1)[0].strip())
-        for lineno, line in enumerate(text.splitlines(), start=1)
-    ]
-    lines = [(no, line) for no, line in lines if line]
+    lines = list(_records(text))
     if not lines:
         raise ParseError("empty matrix file")
     no, header = lines[0]
     parts = header.split()
     if len(parts) != 2:
         raise ParseError("expected '<rows> <cols>' header", no)
-    try:
-        n_rows, n_cols = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError("expected '<rows> <cols>' header", no) from None
+    n_rows = _parse_int(parts, 0, no, "row count")
+    n_cols = _parse_int(parts, 1, no, "column count")
     if len(lines) - 1 != n_rows:
         raise ParseError(f"expected {n_rows} rows, found {len(lines) - 1}", no)
     rows = []

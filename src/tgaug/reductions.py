@@ -21,6 +21,7 @@ from .augmentation import (
     AugmentationProblem,
     Pairs,
     Source,
+    unrestricted_candidates,
     verify_solution,
 )
 from .octo import COLS, ROWS, BinaryMatrix, MergeStep, apply_sequence
@@ -30,7 +31,10 @@ from .temporal_graph import (
     ParseError,
     TemporalEdge,
     TemporalGraph,
+    _parse_int,
+    _records,
     sorted_edges,
+    sweep,
 )
 
 MODE_SIMPLE = "simple"
@@ -142,13 +146,7 @@ def reduce_dominating_set(
     if mode == MODE_SIMPLE:
         candidates = frozenset(TemporalEdge(x, v, 1) for v in range(n))
     else:
-        candidates = frozenset(
-            TemporalEdge(u, v, t)
-            for u in range(n + 2)
-            for v in range(u + 1, n + 2)
-            for t in (1, 2)
-            if TemporalEdge(u, v, t) not in base.edges
-        )
+        candidates = unrestricted_candidates(base)
     problem = AugmentationProblem(base, candidates, All(), STRICT, COST_EDGE, inst.budget)
     return DominatingSetReduction(problem, x, y)
 
@@ -247,13 +245,7 @@ def reduce_hitting_set(
     if mode == MODE_SIMPLE:
         candidates = frozenset(TemporalEdge(x, member_id[p], 1) for p in memberships)
     else:
-        candidates = frozenset(
-            TemporalEdge(u, v, t)
-            for u in range(n)
-            for v in range(u + 1, n)
-            for t in (1, 2)
-            if TemporalEdge(u, v, t) not in base.edges
-        )
+        candidates = unrestricted_candidates(base)
     problem = AugmentationProblem(
         base, candidates, Source(x), NON_STRICT, COST_EDGE, inst.budget
     )
@@ -291,17 +283,6 @@ def hs_edges_to_witness(
     set_of = {v: j for j, v in enumerate(red.set_vertices)}
     current = set(selected)
 
-    def reach_at(edges: set[TemporalEdge], horizon: int) -> int:
-        g = base.augment(edges)
-        reach = 1 << x
-        for t in (1, 2):
-            if t > horizon:
-                break
-            for m in g._component_masks(t):
-                if m & reach:
-                    reach |= m
-        return reach
-
     # each round removes one nonconforming edge and adds at most one
     # conforming one, so the initial size bounds the rounds
     for _ in range(len(current) + 1):
@@ -323,7 +304,8 @@ def hs_edges_to_witness(
                 elem = min(inst_elem for inst_elem, jj in red.membership_vertices if jj == j)
                 current.add(TemporalEdge(x, red.membership_id(elem, j), 1))
             continue
-        without = reach_at(current, e.t)
+        g = base.augment(current)
+        without = sweep([g._component_masks(t) for t in range(1, e.t + 1)], False, 1 << x)
         u_ok = without >> e.u & 1
         v_ok = without >> e.v & 1
         if not u_ok and not v_ok:
@@ -600,22 +582,17 @@ def parse_static_graph(text: str, budget: int) -> StaticGraphInstance:
     """Edge-list format: ``V <n>`` then one ``E <u> <v>`` per line, '#' comments."""
     n: int | None = None
     edges = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _records(text):
         parts = line.split()
         if parts[0] == "V" and len(parts) == 2:
             if n is not None:
                 raise ParseError("duplicate V record", lineno)
-            n = int(parts[1])
+            n = _parse_int(parts, 1, lineno, "vertex count")
         elif parts[0] == "E" and len(parts) == 3:
             if n is None:
                 raise ParseError("edge before V record", lineno)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError("endpoints must be integers", lineno) from None
+            u = _parse_int(parts, 1, lineno, "endpoint")
+            v = _parse_int(parts, 2, lineno, "endpoint")
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise ParseError("invalid edge", lineno)
             edges.add((min(u, v), max(u, v)))
@@ -630,15 +607,12 @@ def parse_set_system(text: str, budget: int) -> SetSystemInstance:
     """Set-list format: ``U <n>`` then one ``S <i>: <e> <e> ...`` per line."""
     n: int | None = None
     subsets: list[frozenset[int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _records(text):
         if line.startswith("U"):
             parts = line.split()
             if n is not None or len(parts) != 2:
                 raise ParseError("expected a single 'U <n>' record", lineno)
-            n = int(parts[1])
+            n = _parse_int(parts, 1, lineno, "universe size")
         elif line.startswith("S"):
             if n is None:
                 raise ParseError("set before U record", lineno)
@@ -678,7 +652,7 @@ def parse_dimacs(text: str) -> CnfInstance:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError("expected 'p cnf <vars> <clauses>'", lineno)
-            n_vars = int(parts[2])
+            n_vars = _parse_int(parts, 2, lineno, "variable count")
             continue
         if n_vars is None:
             raise ParseError("clause before the problem line", lineno)

@@ -329,6 +329,16 @@ def min_weight_connection(
     raise RuntimeError("exhausted subsets although the full set is feasible")
 
 
+def problem_instance(problem: AugmentationProblem) -> TGSteinerInstance:
+    """The pair-demand instance of ``problem``: base edges weigh 0, candidates 1."""
+    req = problem.requirement
+    full = problem.base.augment(problem.candidates)
+    weights = {e: (1 if e in problem.candidates else 0) for e in full.edges}
+    return TGSteinerInstance.from_weights(
+        full, weights, req.pairs, demand=req.effective_demand, budget=problem.budget
+    )
+
+
 def solve_tpca_via_expansion(
     problem: AugmentationProblem, *, with_certificate: bool = True
 ) -> SolveOutcome:
@@ -343,17 +353,14 @@ def solve_tpca_via_expansion(
         raise ValueError("expansion solving requires a Pairs requirement")
     if problem.cost_model != COST_EDGE:
         raise ValueError("expansion solving supports the per-edge cost model only")
-    full = problem.base.augment(problem.candidates)
-    weights = {e: (1 if e in problem.candidates else 0) for e in full.edges}
-    inst = TGSteinerInstance.from_weights(
-        full, weights, req.pairs, demand=req.effective_demand, budget=problem.budget
-    )
+    inst = problem_instance(problem)
     exp, pair_map = build_expansion(inst, problem.semantics)
     outcome = min_weight_connection(exp, pair_map, inst.demand, budget=problem.budget)
     if isinstance(outcome, Infeasible):
         return outcome
     selected = sorted_edges(outcome.selected)
-    assert verify_solution(problem, selected)
+    if not verify_solution(problem, selected):
+        raise RuntimeError("expansion selection does not meet the requirement")
     certificate = build_certificate(problem, selected) if with_certificate else ()
     return Solution(selected, outcome.weight, None, certificate)
 

@@ -5,13 +5,20 @@ edges that each exist at a single integer time step.  Journeys traverse
 edges in non-decreasing ("non-strict") or strictly increasing ("strict")
 time order; most connectivity notions here come in both flavours.
 
+Every reachability question in the package goes through one kernel,
+:func:`sweep`: a single pass over per-time layers in increasing time order.
+A non-strict layer is the tuple of snapshot component masks, a strict
+layer the tuple of edge bit pairs.  Traced, one sweep per source yields
+the whole foremost-journey tree, from which :func:`find_journey` and the
+certificates of the solvers read their journeys.
+
 Everything in this module is immutable after construction and safe to
 share between threads; all operations are pure functions of their inputs.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -227,7 +234,20 @@ class TemporalGraph:
         return (1 << self.n) - 1
 
     @cached_property
+    def _adjacency(self) -> dict[int, dict[int, tuple[int, ...]]]:
+        """Per edge time: each non-isolated vertex's snapshot neighbours, sorted."""
+        adj: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
+        for e in self.edges_sorted:
+            adj[e.t][e.u].append(e.v)
+            adj[e.t][e.v].append(e.u)
+        return {t: {x: tuple(sorted(ys)) for x, ys in nbrs.items()} for t, nbrs in adj.items()}
+
+    @cached_property
     def _comp_cache(self) -> dict[int, tuple[int, ...]]:
+        return {}
+
+    @cached_property
+    def _layer_cache(self) -> dict[bool, tuple]:
         return {}
 
     def with_lifespan(self, lifespan: int) -> "TemporalGraph":
@@ -254,10 +274,7 @@ class TemporalGraph:
         cached = self._comp_cache.get(t)
         if cached is not None:
             return cached
-        adj: dict[int, list[int]] = defaultdict(list)
-        for e in self._edges_by_time.get(t, ()):
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
+        adj = self._adjacency.get(t, {})
         masks: list[int] = []
         seen = 0
         for start in range(self.n):
@@ -285,27 +302,23 @@ class TemporalGraph:
 
     # -- reachability ----------------------------------------------------
 
+    def _layer(self, t: int, strict: bool) -> tuple:
+        """The :func:`sweep` layer of time t, valid for any t >= 1."""
+        if strict:
+            return tuple((1 << e.u, 1 << e.v) for e in self._edges_by_time.get(t, ()))
+        return self._component_masks(t)
+
+    def _layers(self, semantics: str) -> tuple[tuple, ...]:
+        """Sweep layers of every edge time, in time order; cached per semantics."""
+        strict = semantics == STRICT
+        layers = self._layer_cache.get(strict)
+        if layers is None:
+            layers = tuple(self._layer(t, strict) for t in self._edge_times)
+            self._layer_cache[strict] = layers
+        return layers
+
     def _reach_mask(self, source: int, semantics: str) -> int:
-        if semantics == NON_STRICT:
-            reach = 1 << source
-            for t in self._edge_times:
-                for m in self._component_masks(t):
-                    if m & reach:
-                        reach |= m
-            return reach
-        # strict: at each time step a journey takes at most one hop, so the
-        # frontier usable at time t is exactly what arrived strictly earlier
-        before = 1 << source
-        for t in self._edge_times:
-            new = 0
-            for e in self._edges_by_time[t]:
-                bu, bv = 1 << e.u, 1 << e.v
-                if before & bu:
-                    new |= bv
-                if before & bv:
-                    new |= bu
-            before |= new
-        return before
+        return sweep(self._layers(semantics), semantics == STRICT, 1 << source)
 
     def reachable_set(self, source: int, semantics: str = NON_STRICT) -> frozenset[int]:
         """Vertices reachable from ``source`` by a journey (always contains it)."""
@@ -325,28 +338,18 @@ class TemporalGraph:
     def check_property_p(self) -> bool:
         """Chain-of-overlapping-components test, equivalent to non-strict connectivity.
 
-        For every component of the first snapshot, walk forward one time
-        step at a time, closing over every component that intersects the
-        current vertex set.  The test succeeds iff each walk ends covering
-        all vertices, i.e. every first-step component links to every
-        last-step component through per-step components with pairwise
-        non-empty intersections.
+        Every component of the first snapshot must link to every vertex
+        through later per-step components with pairwise non-empty
+        intersections.  That is one non-strict :func:`sweep` from any
+        single vertex of each first-step component (the sweep absorbs the
+        whole component at time 1), ending on all vertices.
         """
         if self.lifespan < 1:
             raise ValueError("requires lifespan >= 1")
-        full = self._full_mask
-        later_times = [t for t in self._edge_times if t > 1]
-        for start_mask in self._component_masks(1):
-            reach = start_mask
-            for t in later_times:
-                grown = 0
-                for m in self._component_masks(t):
-                    if m & reach:
-                        grown |= m
-                reach = grown
-            if reach != full:
-                return False
-        return True
+        layers = self._layers(NON_STRICT)
+        return all(
+            sweep(layers, False, m & -m) == self._full_mask for m in self._component_masks(1)
+        )
 
     # -- augmentation ----------------------------------------------------
 
@@ -383,6 +386,90 @@ def _mask_to_block(mask: int) -> tuple[int, ...]:
     return tuple(block)
 
 
+def sweep(
+    layers: Iterable[tuple], strict: bool, start_mask: int, trace: list[int] | None = None
+) -> int:
+    """Mask of the vertices reachable from ``start_mask`` through time-ordered ``layers``.
+
+    The one reachability kernel of the package.  A non-strict layer is the
+    tuple of disjoint component masks of one snapshot: a journey may take
+    any number of hops within a time step, so every component touching the
+    reached set joins it.  A strict layer is a tuple of ``(1 << u, 1 << v)``
+    edge bit pairs: a journey takes at most one hop per time step, so only
+    vertices reached before the step may use its edges.  When ``trace`` is
+    a list, the mask of the vertices first reached in each layer is
+    appended to it, which gives every vertex its earliest arrival.
+    """
+    reach = start_mask
+    for layer in layers:
+        before = reach
+        if strict:
+            for bu, bv in layer:
+                if before & bu:
+                    reach |= bv
+                if before & bv:
+                    reach |= bu
+        else:
+            for m in layer:
+                if m & before:
+                    reach |= m
+        if trace is not None:
+            trace.append(reach & ~before)
+    return reach
+
+
+def _journey_tree(
+    g: TemporalGraph, source: int, semantics: str
+) -> dict[int, tuple[tuple[int, int, int], ...]]:
+    """Hops of the foremost journey from ``source`` to every vertex it reaches.
+
+    One traced :func:`sweep` fixes each vertex's earliest arrival; the
+    journey into a vertex first reached at time t then continues a journey
+    already in the tree.  Strict: the first edge at t in canonical order
+    whose other endpoint was reached strictly earlier.  Non-strict: from the
+    smallest vertex of the absorbing component reached before t, the
+    breadth-first path within the snapshot, smallest neighbour first.
+    """
+    strict = semantics == STRICT
+    layers = g._layers(semantics)
+    trace: list[int] = []
+    sweep(layers, strict, 1 << source, trace)
+    hops = {source: ()}
+    before = 1 << source
+    for t, layer, new in zip(g._edge_times, layers, trace):
+        if not new:
+            continue
+        if strict:
+            for e in g._edges_by_time[t]:
+                for a, b in ((e.u, e.v), (e.v, e.u)):
+                    if new >> b & 1 and before >> a & 1 and b not in hops:
+                        hops[b] = hops[a] + ((a, b, t),)
+        else:
+            adj = g._adjacency[t]
+            for m in layer:
+                if not m & new:
+                    continue
+                inter = m & before
+                anchor = (inter & -inter).bit_length() - 1
+                prev = {anchor: anchor}
+                queue = deque([anchor])
+                while queue:
+                    x = queue.popleft()
+                    for y in adj[x]:
+                        if y not in prev:
+                            prev[y] = x
+                            queue.append(y)
+                for v in _mask_to_block(m & new):
+                    path = []
+                    x = v
+                    while x != anchor:
+                        path.append((prev[x], x, t))
+                        x = prev[x]
+                    hops[v] = hops[anchor] + tuple(reversed(path))
+        before |= new
+    return hops
+
+
 def validate_journey(g: TemporalGraph, journey: Journey, start: int | None = None) -> bool:
     """True iff ``journey`` is a valid journey of ``g`` (optionally from ``start``)."""
     if start is not None and journey.hops and journey.start != start:
@@ -395,87 +482,19 @@ def find_journey(
 ) -> Journey | None:
     """An explicit witness journey from source to target, or None.
 
-    Deterministic: the reconstruction always follows the earliest arrival
-    and smallest-vertex tie-breaks, so equal inputs give equal journeys.
+    A lookup in the foremost-journey tree that one traced :func:`sweep`
+    from ``source`` builds.  Deterministic: the journey arrives at every
+    vertex on it as early as possible, and ties break toward the
+    canonically first edge (strict) or the smallest already-reached vertex
+    and smallest neighbours (non-strict), so equal inputs give equal
+    journeys.
     """
     _check_semantics(semantics)
     for v in (source, target):
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
-    if source == target:
-        return Journey((), semantics)
-
-    if semantics == STRICT:
-        pred: dict[int, tuple[int, int]] = {}
-        before = 1 << source
-        for t in g._edge_times:
-            new: dict[int, tuple[int, int]] = {}
-            for e in g._edges_by_time[t]:
-                if before >> e.u & 1 and not before >> e.v & 1 and e.v not in new:
-                    new[e.v] = (e.u, t)
-                if before >> e.v & 1 and not before >> e.u & 1 and e.u not in new:
-                    new[e.u] = (e.v, t)
-            for v, p in new.items():
-                pred[v] = p
-                before |= 1 << v
-        if not before >> target & 1:
-            return None
-        hops = []
-        v = target
-        while v != source:
-            u, t = pred[v]
-            hops.append((u, v, t))
-            v = u
-        return Journey(tuple(reversed(hops)), STRICT)
-
-    # non-strict: record, for each newly absorbed component, the anchor
-    # vertex that was already reached; expand anchors to hop paths later.
-    entry: dict[int, tuple[int, int]] = {}  # vertex -> (time, anchor)
-    reach = 1 << source
-    for t in g._edge_times:
-        for m in g._component_masks(t):
-            inter = m & reach
-            if inter and m & ~reach:
-                anchor = (inter & -inter).bit_length() - 1
-                for v in _mask_to_block(m & ~reach):
-                    entry[v] = (t, anchor)
-                reach |= m
-    if not reach >> target & 1:
-        return None
-
-    def static_path(t: int, a: int, b: int) -> list[tuple[int, int, int]]:
-        # BFS within the snapshot at time t, smallest-neighbour first
-        adj: dict[int, list[int]] = defaultdict(list)
-        for e in g._edges_by_time[t]:
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
-        prev = {a: None}
-        queue = [a]
-        while queue:
-            x = queue.pop(0)
-            if x == b:
-                break
-            for y in sorted(adj.get(x, ())):
-                if y not in prev:
-                    prev[y] = x
-                    queue.append(y)
-        path = []
-        v = b
-        while prev[v] is not None:
-            path.append((prev[v], v, t))
-            v = prev[v]
-        return list(reversed(path))
-
-    hops: list[tuple[int, int, int]] = []
-    chain: list[tuple[int, int, int]] = []  # (time, anchor, vertex) from target back
-    v = target
-    while v != source:
-        t, anchor = entry[v]
-        chain.append((t, anchor, v))
-        v = anchor
-    for t, anchor, v in reversed(chain):
-        hops.extend(static_path(t, anchor, v))
-    return Journey(tuple(hops), NON_STRICT)
+    hops = _journey_tree(g, source, semantics).get(target)
+    return None if hops is None else Journey(hops, semantics)
 
 
 # -- text and JSON formats ------------------------------------------------
@@ -493,10 +512,7 @@ def parse_tg(text: str) -> TemporalGraph:
     override: int | None = None
     edges: list[TemporalEdge] = []
     seen: set[tuple[int, int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _records(text):
         parts = line.split()
         kind = parts[0]
         if kind == "V":
@@ -545,6 +561,14 @@ def parse_tg(text: str) -> TemporalGraph:
     return TemporalGraph.build(n, edges, lifespan=override if override is not None else None)
 
 
+def _records(text: str) -> Iterator[tuple[int, str]]:
+    """(1-based line number, content) of each line left non-blank once ``#`` comments go."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def _parse_int(parts: list[str], idx: int, lineno: int, what: str) -> int:
     try:
         return int(parts[idx])
@@ -570,10 +594,7 @@ def parse_candidates(text: str) -> tuple[TemporalEdge, ...]:
     """Parse the ``.cand`` candidate set format: one ``E <u> <v> <t>`` per line."""
     edges: list[TemporalEdge] = []
     seen: set[TemporalEdge] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _records(text):
         parts = line.split()
         if parts[0] != "E" or len(parts) != 4:
             raise ParseError("expected 'E <u> <v> <t>'", lineno)

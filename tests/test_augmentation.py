@@ -203,13 +203,6 @@ class TestSolveExact:
             assert validate_journey(augmented, j, u)
             assert (j.end if j.hops else u) == v
 
-    def test_threads_do_not_change_the_answer(self):
-        base = G(5, (0, 1, 1), lifespan=2)
-        p = AugmentationProblem(base, unrestricted_candidates(base))
-        a = solve_exact(p, with_certificate=False)
-        b = solve_exact(p, with_certificate=False, threads=4)
-        assert a == b
-
     @settings(max_examples=60, deadline=None)
     @given(problems())
     def test_matches_unpruned_enumeration(self, problem):

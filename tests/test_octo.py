@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_min_cost, brute_octo_min
@@ -47,6 +47,16 @@ def matrices(draw, max_dim=4):
         for _ in range(r)
     )
     return BinaryMatrix(rows)
+
+
+@st.composite
+def merges(draw):
+    """(matrix, axis, i, j): a mergeable axis of the matrix and two distinct lines on it."""
+    b = draw(matrices().filter(lambda m: max(m.n_rows, m.n_cols) >= 2))
+    sizes = {ROWS: b.n_rows, COLS: b.n_cols}
+    axis = draw(st.sampled_from([a for a in (ROWS, COLS) if sizes[a] >= 2]))
+    i, j = draw(st.permutations(range(sizes[axis])))[:2]
+    return b, axis, i, j
 
 
 def _line(b, axis, k):
@@ -144,17 +154,12 @@ class TestOrCombine:
             or_combine(b, "diag", 0, 1)
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        b=matrices(),
-        axis=st.sampled_from([ROWS, COLS]),
-        i=st.integers(min_value=0, max_value=3),
-        j=st.integers(min_value=0, max_value=3),
-    )
-    @example(b=M([[1], [1]]), axis=ROWS, i=0, j=1)
-    @example(b=M([[1, 1], [0, 1]]), axis=COLS, i=0, j=1)
-    def test_ones_never_decrease_and_dims_shrink(self, b, axis, i, j):
+    @given(merge=merges())
+    @example(merge=(M([[1], [1]]), ROWS, 0, 1))
+    @example(merge=(M([[1, 1], [0, 1]]), COLS, 0, 1))
+    def test_ones_never_decrease_and_dims_shrink(self, merge):
+        b, axis, i, j = merge
         size = b.n_rows if axis == ROWS else b.n_cols
-        assume(i != j and max(i, j) < size)
         merged = or_combine(b, axis, i, j)
         if axis == ROWS:
             assert (merged.n_rows, merged.n_cols) == (b.n_rows - 1, b.n_cols)

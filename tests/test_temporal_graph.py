@@ -247,6 +247,63 @@ class TestJourneys:
         j = find_journey(g, 0, 0, NON_STRICT)
         assert j == Journey((), NON_STRICT)
 
+    @pytest.mark.parametrize(
+        "g, source, target, hops",
+        [
+            # two same-time edges into 3 from vertices reached at time 1: the
+            # canonically first edge wins
+            (G(4, (0, 1, 1), (0, 2, 1), (1, 3, 2), (2, 3, 2)), 0, 3, ((0, 1, 1), (1, 3, 2))),
+            # no second hop at the same time, so 2 waits for its time-2 edge
+            (G(3, (0, 1, 1), (1, 2, 1), (1, 2, 2)), 0, 2, ((0, 1, 1), (1, 2, 2))),
+            # earliest arrival beats the direct but later edge
+            (G(4, (0, 3, 3), (0, 1, 1), (1, 3, 2)), 0, 3, ((0, 1, 1), (1, 3, 2))),
+            # edges entered from their larger endpoint; (0, 2) precedes (1, 2)
+            (G(5, (0, 4, 1), (1, 4, 1), (0, 2, 2), (1, 2, 2)), 4, 2, ((4, 0, 1), (0, 2, 2))),
+            # 1 reached at time 2 cannot feed the time-2 edge (1, 3); (2, 3)
+            # comes later in canonical order but starts from a vertex reached earlier
+            (G(4, (0, 2, 1), (0, 1, 2), (1, 3, 2), (2, 3, 2)), 0, 3, ((0, 2, 1), (2, 3, 2))),
+        ],
+    )
+    def test_strict_tie_breaks(self, g, source, target, hops):
+        assert find_journey(g, source, target, STRICT) == Journey(hops, STRICT)
+
+    @pytest.mark.parametrize(
+        "g, source, target, hops",
+        [
+            # the time-2 component is entered from its smallest reached vertex, 1
+            (
+                G(4, (1, 3, 1), (2, 3, 1), (0, 2, 2), (1, 2, 2)),
+                3,
+                0,
+                ((3, 1, 1), (1, 2, 2), (2, 0, 2)),
+            ),
+            # two shortest snapshot paths: the smaller neighbour goes first
+            (G(4, (0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)), 0, 3, ((0, 1, 1), (1, 3, 1))),
+            # chains hops inside one time step; the later direct edge is not used
+            (
+                G(4, (0, 1, 1), (1, 2, 2), (2, 3, 2), (0, 3, 3)),
+                0,
+                3,
+                ((0, 1, 1), (1, 2, 2), (2, 3, 2)),
+            ),
+            # a breadth-first path, not the first depth-first one
+            (
+                G(5, (0, 1, 1), (1, 2, 1), (2, 4, 1), (0, 3, 1), (3, 4, 1)),
+                0,
+                4,
+                ((0, 3, 1), (3, 4, 1)),
+            ),
+        ],
+    )
+    def test_nonstrict_tie_breaks(self, g, source, target, hops):
+        assert find_journey(g, source, target, NON_STRICT) == Journey(hops, NON_STRICT)
+
+    def test_unreachable_target_has_no_journey(self):
+        g = G(3, (0, 1, 2), (1, 2, 1))
+        for semantics in (STRICT, NON_STRICT):
+            assert find_journey(g, 0, 2, semantics) is None
+            assert find_journey(g, 2, 0, semantics) == Journey(((2, 1, 1), (1, 0, 2)), semantics)
+
     @settings(max_examples=100, deadline=None)
     @given(temporal_graphs(max_n=6, max_t=3))
     def test_find_journey_consistent_with_reachability(self, g):
