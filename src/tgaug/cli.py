@@ -5,7 +5,9 @@ Subcommands: ``check`` (connectivity report for a .tg file), ``solve``
 instances from classic problems), and ``expand`` (emit the temporal
 expansion of a pair-demand instance).  All output is deterministic;
 exit codes are 0 for success/feasible, 1 for infeasible/not connected,
-and 2 for input errors.
+2 for input errors, and 3 for an internal failure: a solver's result
+failing its own check, a ``--cross-check`` disagreement between engines,
+or an exhausted search.
 """
 
 from __future__ import annotations
@@ -373,6 +375,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -143,13 +143,36 @@ def matrix_to_graph(b: BinaryMatrix) -> TemporalGraph:
     return TemporalGraph.build(len(ids), edges, lifespan=2)
 
 
+def _merge(lines: tuple, a: int, c: int) -> tuple:
+    """The one merge rule: lines a < c become their entrywise OR at position a; c goes.
+
+    Matrix lines and the 0/1 membership lines of line groups merge alike,
+    which keeps each group's representative (see ``MergeStep``) in step
+    with its line.
+    """
+    merged = tuple(x | y for x, y in zip(lines[a], lines[c]))
+    return lines[:a] + (merged,) + lines[a + 1 : c] + lines[c + 1 :]
+
+
+def _singletons(n_rows: int, n_cols: int) -> dict[str, tuple]:
+    """Per axis, one membership line per original line: no line merged yet."""
+    return {
+        axis: tuple(tuple(int(k == i) for k in range(size)) for i in range(size))
+        for axis, size in ((ROWS, n_rows), (COLS, n_cols))
+    }
+
+
+def _names(groups: tuple) -> list[int]:
+    """The representative of each group (see ``MergeStep``)."""
+    return [group.index(1) for group in groups]
+
+
 def or_combine(b: BinaryMatrix, axis: str, i: int, j: int) -> BinaryMatrix:
     """Replace lines i and j along ``axis`` by their entrywise OR.
 
     The combined line lands at min(i, j); the dimension shrinks by one.
     Every other line keeps its values and its relative order, so line k
-    moves to k - 1 exactly when k > max(i, j).  ``apply_sequence`` and the
-    representative renumbering of ``MergeStep`` histories rely on this.
+    moves to k - 1 exactly when k > max(i, j).
     """
     if axis not in (ROWS, COLS):
         raise ValueError(f"axis must be {ROWS!r} or {COLS!r}")
@@ -161,20 +184,21 @@ def or_combine(b: BinaryMatrix, axis: str, i: int, j: int) -> BinaryMatrix:
             raise ValueError(f"index {k} out of range 0..{size - 1}")
     lo, hi = min(i, j), max(i, j)
     if axis == ROWS:
-        merged = tuple(x | y for x, y in zip(b.rows[lo], b.rows[hi]))
-        rows = [merged if k == lo else row for k, row in enumerate(b.rows) if k != hi]
-        return BinaryMatrix(tuple(rows))
-    return or_combine(b.transpose(), ROWS, i, j).transpose()
+        return BinaryMatrix(_merge(b.rows, lo, hi))
+    return BinaryMatrix(_merge(b.transpose().rows, lo, hi)).transpose()
 
 
 @dataclass(frozen=True, order=True)
 class MergeStep:
     """One OR-combination, named by original line indices.
 
-    ``i`` and ``j`` are representatives (the smallest original index) of the
-    two merged groups, so a sequence can be replayed on the original matrix
-    regardless of how intermediate merges renumbered the lines.  Ordering is
-    (axis, i, j), which puts column merges before row merges.
+    ``i`` and ``j`` name the two merged groups by their representatives:
+    the smallest original index in each group.  Merges keep lines in
+    order, so representatives increase with position and the merged group
+    is named by the representative of the lower line.  A history can thus
+    be replayed on the original matrix regardless of how intermediate
+    merges renumbered the lines.  Ordering is (axis, i, j), which puts
+    column merges before row merges.
     """
 
     axis: str
@@ -227,60 +251,34 @@ def solve_octo(
         return OctoResult("solved", 0, ())
 
     max_depth = (b.n_rows - 1) + (b.n_cols - 1)
-    start = (b.rows, tuple(range(b.n_rows)), tuple(range(b.n_cols)))
-    frontier: list[tuple[tuple[MergeStep, ...], tuple, tuple[int, ...], tuple[int, ...]]] = [
-        ((), *start)
-    ]
+    start = ((), b.rows, _singletons(b.n_rows, b.n_cols))
+    frontier: list[tuple[tuple[MergeStep, ...], tuple, dict]] = [start]
     seen = {_canonical(b.rows)}
     states = 1
     for depth in range(1, max_depth + 1):
         if budget is not None and depth > budget:
             return OctoResult("budget_exceeded")
-        level: dict[tuple, tuple[tuple[MergeStep, ...], tuple, tuple, tuple]] = {}
+        level: dict[tuple, tuple[tuple[MergeStep, ...], tuple, dict]] = {}
         goals = []
-        for history, rows, row_reps, col_reps in frontier:
-            n_rows, n_cols = len(rows), len(rows[0])
-            succs = []
-            for a in range(n_cols):
-                for c in range(a + 1, n_cols):
-                    succs.append((COLS, a, c))
-            for a in range(n_rows):
-                for c in range(a + 1, n_rows):
-                    succs.append((ROWS, a, c))
-            for axis, a, c in succs:
-                if axis == ROWS:
-                    merged = tuple(x | y for x, y in zip(rows[a], rows[c]))
-                    new_rows = tuple(
-                        merged if k == a else row for k, row in enumerate(rows) if k != c
-                    )
-                    reps = sorted((row_reps[a], row_reps[c]))
-                    new_row_reps = tuple(
-                        reps[0] if k == a else r for k, r in enumerate(row_reps) if k != c
-                    )
-                    new_col_reps = col_reps
-                else:
-                    cols = tuple(zip(*rows))
-                    merged = tuple(x | y for x, y in zip(cols[a], cols[c]))
-                    new_cols = tuple(
-                        merged if k == a else col for k, col in enumerate(cols) if k != c
-                    )
-                    new_rows = tuple(zip(*new_cols))
-                    reps = sorted((col_reps[a], col_reps[c]))
-                    new_col_reps = tuple(
-                        reps[0] if k == a else r for k, r in enumerate(col_reps) if k != c
-                    )
-                    new_row_reps = row_reps
-                step = MergeStep(axis, reps[0], reps[1])
-                new_history = history + (step,)
-                if all(all(row) for row in new_rows):
-                    goals.append(new_history)
-                    continue
-                key = _canonical(new_rows)
-                if key in seen:
-                    continue
-                kept = level.get(key)
-                if kept is None or new_history < kept[0]:
-                    level[key] = (new_history, new_rows, new_row_reps, new_col_reps)
+        for history, rows, groups in frontier:
+            for axis, lines in ((COLS, tuple(zip(*rows))), (ROWS, rows)):
+                names = _names(groups[axis])
+                for a in range(len(lines)):
+                    for c in range(a + 1, len(lines)):
+                        new_history = history + (MergeStep(axis, names[a], names[c]),)
+                        new_rows = _merge(lines, a, c)
+                        if axis == COLS:
+                            new_rows = tuple(zip(*new_rows))
+                        if all(all(row) for row in new_rows):
+                            goals.append(new_history)
+                            continue
+                        key = _canonical(new_rows)
+                        if key in seen:
+                            continue
+                        kept = level.get(key)
+                        if kept is None or new_history < kept[0]:
+                            new_groups = {**groups, axis: _merge(groups[axis], a, c)}
+                            level[key] = (new_history, new_rows, new_groups)
         if goals:
             return OctoResult("solved", depth, min(goals))
         states += len(level)
@@ -291,57 +289,55 @@ def solve_octo(
     raise RuntimeError("search exhausted without reaching the one-filled matrix")
 
 
+def _replay(
+    shape: tuple[int, int], steps: Sequence[MergeStep]
+) -> tuple[list[tuple[str, int, int]], dict[str, tuple]]:
+    """Check a merge history against a matrix of ``shape`` (rows, columns).
+
+    Returns each step's line positions ``(axis, a, c)`` with a < c at the
+    time the step applies, and the final groups of each axis as 0/1
+    membership lines over the original indices.  Raises ``ValueError``
+    unless every step names two distinct current representatives.
+    """
+    groups = _singletons(*shape)
+    moves = []
+    for step in steps:
+        names = _names(groups[step.axis]) if step.axis in (ROWS, COLS) else []
+        if step.i not in names or step.j not in names:
+            raise ValueError(f"step {step} names a line that is not a group representative")
+        if step.i == step.j:
+            raise ValueError("cannot combine a line with itself")
+        a, c = sorted((names.index(step.i), names.index(step.j)))
+        groups[step.axis] = _merge(groups[step.axis], a, c)
+        moves.append((step.axis, a, c))
+    return moves, groups
+
+
 def apply_sequence(b: BinaryMatrix, steps: Sequence[MergeStep]) -> BinaryMatrix:
     """Replay a merge history on the original matrix."""
-    rows = b.rows
-    row_reps = list(range(b.n_rows))
-    col_reps = list(range(b.n_cols))
-    for step in steps:
-        reps = row_reps if step.axis == ROWS else col_reps
-        try:
-            a, c = reps.index(step.i), reps.index(step.j)
-        except ValueError:
-            raise ValueError(f"step {step} names a line that is not a group representative") from None
-        m = BinaryMatrix(rows)
-        m = or_combine(m, step.axis, a, c)
-        rows = m.rows
-        keep = min(a, c)
-        drop = max(a, c)
-        reps[keep] = min(reps[a], reps[c])
-        del reps[drop]
-    return BinaryMatrix(rows)
+    moves, _ = _replay((b.n_rows, b.n_cols), steps)
+    for axis, a, c in moves:
+        b = or_combine(b, axis, a, c)
+    return b
 
 
 def sequence_to_edges(g: TemporalGraph, steps: Sequence[MergeStep]) -> tuple[TemporalEdge, ...]:
     """Map a merge history back to temporal edges of a lifespan-2 graph.
 
-    A row merge becomes a time-1 edge between (the smallest vertices of) the
-    two merged component groups, a column merge a time-2 edge; this turns an
-    OCTO witness into an augmentation solution of equal size.
+    A row merge becomes a time-1 edge between the smallest vertices of the
+    two merged component groups, a column merge a time-2 edge; this turns
+    an OCTO witness into an augmentation solution of equal size.  Since
+    components are ordered by smallest member, a group's smallest vertex
+    is the first vertex of its representative's component.
     """
     if g.lifespan != 2:
         raise ValueError(f"requires lifespan exactly 2, got {g.lifespan}")
-    groups = {
-        ROWS: [set(block) for block in g.snapshot_components(1).blocks],
-        COLS: [set(block) for block in g.snapshot_components(2).blocks],
-    }
-    reps = {axis: list(range(len(groups[axis]))) for axis in groups}
-    edges = []
-    for step in steps:
-        axis = step.axis
-        try:
-            a, c = reps[axis].index(step.i), reps[axis].index(step.j)
-        except ValueError:
-            raise ValueError(f"step {step} names a line that is not a group representative") from None
-        u = min(groups[axis][a])
-        v = min(groups[axis][c])
-        edges.append(TemporalEdge(u, v, 1 if axis == ROWS else 2))
-        keep, drop = min(a, c), max(a, c)
-        groups[axis][keep] = groups[axis][a] | groups[axis][c]
-        reps[axis][keep] = min(reps[axis][a], reps[axis][c])
-        del groups[axis][drop]
-        del reps[axis][drop]
-    return tuple(edges)
+    blocks = {ROWS: g.snapshot_components(1).blocks, COLS: g.snapshot_components(2).blocks}
+    _replay((len(blocks[ROWS]), len(blocks[COLS])), steps)
+    return tuple(
+        TemporalEdge(blocks[s.axis][s.i][0], blocks[s.axis][s.j][0], 1 if s.axis == ROWS else 2)
+        for s in steps
+    )
 
 
 def octo_result_to_json(result: OctoResult) -> dict:

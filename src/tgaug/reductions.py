@@ -24,13 +24,14 @@ from .augmentation import (
     unrestricted_candidates,
     verify_solution,
 )
-from .octo import COLS, ROWS, BinaryMatrix, MergeStep, apply_sequence
+from .octo import COLS, ROWS, BinaryMatrix, MergeStep, _replay, apply_sequence
 from .temporal_graph import (
     NON_STRICT,
     STRICT,
     ParseError,
     TemporalEdge,
     TemporalGraph,
+    _mask_to_block,
     _parse_int,
     _records,
     sorted_edges,
@@ -171,19 +172,11 @@ def ds_edges_to_witness(red: DominatingSetReduction, selected: Iterable[Temporal
     chosen = set(selected)
     star = {e.v if e.u == x else e.u for e in chosen if x in (e.u, e.v)}
     star.discard(y)
-    late = [e for e in sorted_edges(chosen) if x not in (e.u, e.v) and e.t == 2]
-    changed = True
-    while changed:
-        changed = False
-        for e in late:
-            if e.u in star and e.v not in star:
-                star.add(e.v)
-                changed = True
-            elif e.v in star and e.u not in star:
-                star.add(e.u)
-                changed = True
-    star.discard(y)
-    witness = frozenset(star)
+    # the star spreads over every component of the time-2 edges it touches
+    late = frozenset(e for e in chosen if x not in (e.u, e.v) and e.t == 2)
+    hops = TemporalGraph(1 + max((e.v for e in late), default=0), late, 2)
+    reached = sweep(hops._layers(NON_STRICT), False, sum(1 << v for v in star))
+    witness = frozenset(_mask_to_block(reached)) - {y}
     if len(witness) > len(chosen):
         raise ValueError("normalization exceeded the witness size")
     return witness
@@ -380,9 +373,10 @@ def dsc_steps_to_witness(
     """Extract a partition into covering parts from a one-filling merge history.
 
     Useless row merges (those whose removal still one-fills) are dropped
-    first; the column groups of the remaining history are each checked to
-    cover the universe, and any non-covering leftovers are absorbed into the
-    first covering part.
+    first.  What remains must be column merges only, and each of their
+    column groups one-fills its column, so each covers the universe; a
+    group that does not (``inst`` is not the instance ``red`` came from)
+    raises ``ValueError``.
     """
     kept = list(steps)
     if not apply_sequence(red.matrix, kept).is_one_filled:
@@ -392,34 +386,14 @@ def dsc_steps_to_witness(
             trial = [s for s in kept if s is not step]
             if apply_sequence(red.matrix, trial).is_one_filled:
                 kept = trial
-    groups: dict[int, set[int]] = {j: {j} for j in range(len(inst.subsets))}
-    reps: dict[int, int] = {j: j for j in range(len(inst.subsets))}
-
-    def find(j: int) -> int:
-        while reps[j] != j:
-            reps[j] = reps[reps[j]]
-            j = reps[j]
-        return j
-
-    for step in kept:
-        if step.axis != COLS:
-            raise ValueError("history still contains a meaningful row merge")
-        a, b = find(step.i), find(step.j)
-        if a != b:
-            lo, hi = min(a, b), max(a, b)
-            reps[hi] = lo
-            groups[lo] |= groups[hi]
-            del groups[hi]
+    if any(step.axis != COLS for step in kept):
+        raise ValueError("history still contains a meaningful row merge")
+    _, groups = _replay((red.matrix.n_rows, red.matrix.n_cols), kept)
+    parts = tuple(tuple(j for j, x in enumerate(group) if x) for group in groups[COLS])
     universe = set(range(inst.universe_size))
-    parts = [tuple(sorted(g)) for _, g in sorted(groups.items())]
-    covering = [p for p in parts if set().union(*(inst.subsets[j] for j in p)) >= universe]
-    rest = [p for p in parts if p not in covering]
-    if not covering:
-        raise ValueError("no covering part found")
-    if rest:
-        merged = tuple(sorted(covering[0] + tuple(j for p in rest for j in p)))
-        covering = [merged] + covering[1:]
-    return tuple(covering)
+    if not all(set().union(*(inst.subsets[j] for j in part)) >= universe for part in parts):
+        raise ValueError("a column group does not cover the universe")
+    return parts
 
 
 # -- 3-SAT -> non-strict edge-by-edge pair demands ----------------------------

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from tgaug import steiner_expansion as exp_mod
+from tgaug.augmentation import Solution
 from tgaug.cli import main
 from tgaug.reductions import parse_dimacs, parse_set_system, parse_static_graph
 from tgaug.temporal_graph import ParseError
@@ -93,9 +95,23 @@ class TestSolutionCheck:
             env=env,
             timeout=120,
         )
-        assert proc.returncode != 0
+        assert proc.returncode == 3
         assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: internal: ")
         assert "does not meet the requirement" in proc.stderr
+
+    def test_engine_disagreement_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            exp_mod,
+            "solve_tpca_via_expansion",
+            lambda problem, **kwargs: Solution((), 0),
+        )
+        path = write_bundle(tmp_path, tca(requirement={"type": "pairs", "pairs": [[0, 2]]}))
+        assert main(["solve", path, "--engine", "subset", "--cross-check"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal: engine disagreement: 1 != 0\n"
 
 
 class TestSourceParsers:
@@ -110,3 +126,121 @@ class TestSourceParsers:
     def test_bad_count_reports_its_line(self, parse, text):
         with pytest.raises(ParseError, match="line 1"):
             parse(text)
+
+
+GOLDEN_FILES = {
+    "path.tg": "V 4\nE 0 1 1\nE 1 2 2\nE 2 3 2\n",
+    "g.tg": "V 4\nE 0 1 1\nE 1 2 1\nE 2 3 2\n",
+    "g.cand": "E 0 3 1\nE 0 2 2\nE 1 3 2\nE 0 3 2\nE 3 1 1\n",
+    "all.json": {"kind": "tca", "graph": "g.tg", "candidates": "g.cand", "semantics": "strict"},
+    "pairs.json": {
+        "kind": "tca",
+        "graph": "g.tg",
+        "candidates": "g.cand",
+        "requirement": {"type": "pairs", "pairs": [[3, 0], [2, 0]]},
+        "semantics": "strict",
+    },
+    "one.tg": "V 5\nE 0 1 1\nE 2 3 1\nE 3 4 1\n",
+    "one.cand": "".join(f"E {u} {v} 2\n" for u in range(5) for v in range(u + 1, 5)),
+    "one.json": {"kind": "tca", "graph": "one.tg", "candidates": "one.cand"},
+    "m.mat": "4 4\n1 1 0 0\n0 1 1 1\n0 0 1 0\n0 0 0 0\n",
+    "octo.json": {"kind": "octo", "matrix": "m.mat"},
+    "sets.txt": "U 2\nS 0: 0 1\nS 1: 0\nS 2: 1\nS 3: 0\n",
+    "tiny.tg": "V 3\nE 0 1 1\n",
+    "tiny.cand": "E 1 2 2\n",
+    "tiny.json": {
+        "kind": "tca",
+        "graph": "tiny.tg",
+        "candidates": "tiny.cand",
+        "requirement": {"type": "pairs", "pairs": [[0, 2]]},
+    },
+}
+
+GOLDEN_EXPANSION = (
+    '{"arc_count":16,"arcs":[{"dst":1,"src":0,"weight":0},{"dst":2,"src":1,"weight":0},'
+    '{"dst":4,"src":3,"weight":0},{"dst":5,"src":4,"weight":0},{"dst":7,"src":6,"weight":0},'
+    '{"dst":8,"src":7,"weight":0},{"dst":9,"src":0,"weight":0},{"dst":9,"src":3,"weight":0},'
+    '{"dst":10,"src":9,"weight":0},{"dst":1,"src":10,"weight":0},{"dst":4,"src":10,"weight":0},'
+    '{"dst":11,"src":4,"weight":0},{"dst":11,"src":7,"weight":0},{"dst":12,"src":11,"weight":1},'
+    '{"dst":5,"src":12,"weight":0},{"dst":8,"src":12,"weight":0}],"lifespan":2,"n":3,'
+    '"node_count":13,"nodes":[{"kind":"copy","label":"0@1"},{"kind":"copy","label":"0@2"},'
+    '{"kind":"copy","label":"0@3"},{"kind":"copy","label":"1@1"},{"kind":"copy","label":"1@2"},'
+    '{"kind":"copy","label":"1@3"},{"kind":"copy","label":"2@1"},{"kind":"copy","label":"2@2"},'
+    '{"kind":"copy","label":"2@3"},{"kind":"gate_in","label":"0-1@1.in"},'
+    '{"kind":"gate_out","label":"0-1@1.out"},{"kind":"gate_in","label":"1-2@2.in"},'
+    '{"kind":"gate_out","label":"1-2@2.out"}],"schema":1,"semantics":"non-strict"}\n'
+)
+
+
+class TestGoldenOutput:
+    """Exact stdout and exit code of each subcommand on tiny fixed inputs."""
+
+    @pytest.fixture
+    def run(self, tmp_path, capsys, monkeypatch):
+        for name, content in GOLDEN_FILES.items():
+            text = content if isinstance(content, str) else json.dumps(content)
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+
+        def run(*argv):
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            return code, captured.out
+
+        return run
+
+    def test_check(self, run):
+        assert run("check", "path.tg") == (
+            1,
+            '{"components_per_time":{"1":[[0,1],[2],[3]],"2":[[0],[1,2,3]]},"connected":false,'
+            '"lifespan":2,"n":4,"schema":1,"semantics":"non-strict"}\n',
+        )
+        assert run("check", "path.tg", "--format", "text", "--semantics", "strict") == (
+            1,
+            "n=4 lifespan=2 semantics=strict\nt=1: {0,1} {2} {3}\nt=2: {0} {1,2,3}\nnot connected\n",
+        )
+
+    def test_solve_subset(self, run):
+        assert run("solve", "all.json", "--engine", "subset") == (
+            0,
+            '{"cost":3,"engine":"subset","feasible":true,"model":"edge","schema":1,"selected":'
+            '[{"t":1,"u":0,"v":3},{"t":1,"u":1,"v":3},{"t":2,"u":0,"v":2}],"semantics":"strict"}\n',
+        )
+
+    def test_solve_expansion(self, run):
+        assert run("solve", "pairs.json", "--engine", "expansion") == (
+            0,
+            '{"cost":2,"engine":"expansion","feasible":true,"model":"edge","schema":1,"selected":'
+            '[{"t":1,"u":0,"v":3},{"t":2,"u":0,"v":2}],"semantics":"strict"}\n',
+        )
+
+    def test_solve_one_plus_one(self, run):
+        assert run("solve", "one.json") == (
+            0,
+            '{"cost":3,"engine":"one-plus-one","feasible":true,"model":"edge","schema":1,'
+            '"selected":[{"t":2,"u":0,"v":2},{"t":2,"u":0,"v":4},{"t":2,"u":1,"v":3}],'
+            '"semantics":"non-strict"}\n',
+        )
+
+    def test_solve_octo(self, run):
+        assert run("solve", "octo.json") == (
+            0,
+            '{"feasible":true,"min_combinations":3,"schema":1,"sequence":['
+            '{"axis":"cols","i":0,"j":3},{"axis":"rows","i":0,"j":2},'
+            '{"axis":"rows","i":0,"j":3}],"status":"solved"}\n',
+        )
+
+    def test_reduce_dsc_then_solve(self, run):
+        assert run("reduce", "dsc", "sets.txt", "2", "--out", "dsc") == (
+            0,
+            "matrix 10x4 budget 2\n",
+        )
+        assert run("solve", "dsc/manifest.json") == (
+            0,
+            '{"feasible":true,"min_combinations":2,"schema":1,"sequence":['
+            '{"axis":"cols","i":0,"j":1},{"axis":"cols","i":2,"j":3}],"status":"solved"}\n',
+        )
+
+    def test_expand_json(self, run):
+        assert run("expand", "tiny.json", "--format", "json") == (0, GOLDEN_EXPANSION)

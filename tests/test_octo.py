@@ -245,6 +245,36 @@ class TestSolveOcto:
             assert a.min_combinations == bt.min_combinations and a.status == bt.status
 
 
+class TestInvalidHistories:
+    """Histories that name no current representative, or one line twice."""
+
+    BAD = [
+        ([MergeStep("diag", 0, 1)], "representative"),
+        ([MergeStep(ROWS, 0, 3)], "representative"),
+        ([MergeStep(COLS, 0, 1), MergeStep(COLS, 1, 2)], "representative"),
+        ([MergeStep(ROWS, 1, 1)], "cannot combine a line with itself"),
+        ([MergeStep(COLS, 0, 2), MergeStep(COLS, 0, 0)], "cannot combine a line with itself"),
+    ]
+
+    @pytest.mark.parametrize("steps, message", BAD)
+    def test_apply_sequence(self, steps, message):
+        with pytest.raises(ValueError, match=message):
+            apply_sequence(M([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), steps)
+
+    @pytest.mark.parametrize("steps, message", BAD)
+    def test_sequence_to_edges(self, steps, message):
+        g = TemporalGraph.build(3, [], lifespan=2)
+        with pytest.raises(ValueError, match=message):
+            sequence_to_edges(g, steps)
+
+    def test_steps_may_name_the_larger_representative_first(self):
+        b = M([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        steps = [MergeStep(COLS, 2, 0), MergeStep(ROWS, 1, 0)]
+        assert apply_sequence(b, steps) == M([[1, 1], [1, 0]])
+        g = TemporalGraph.build(3, [], lifespan=2)
+        assert sequence_to_edges(g, steps) == (TemporalEdge(0, 2, 2), TemporalEdge(0, 1, 1))
+
+
 class TestGraphEquivalence:
     def test_minimum_tca_equals_octo_small(self):
         from oracles import all_graphs

@@ -1,0 +1,218 @@
+"""Witness maps of the gadget reductions, against the brute-force oracles."""
+
+import itertools
+import random
+
+import pytest
+
+from oracles import _partitions, brute_dominating_min, brute_max_disjoint_covers
+from tgaug.augmentation import Solution, solve_exact, verify_solution
+from tgaug.octo import (
+    COLS,
+    ROWS,
+    MergeStep,
+    apply_sequence,
+    component_intersection_matrix,
+    sequence_to_edges,
+    solve_octo,
+)
+from tgaug.reductions import (
+    MODE_SIMPLE,
+    MODE_UNRESTRICTED,
+    SetSystemInstance,
+    StaticGraphInstance,
+    ds_edges_to_witness,
+    ds_witness_to_edges,
+    dsc_steps_to_witness,
+    dsc_witness_to_steps,
+    reduce_dominating_set,
+    reduce_dsc,
+)
+from tgaug.temporal_graph import NON_STRICT, TemporalEdge, TemporalGraph
+
+
+def dominates(n, edges, picked):
+    return all(v in picked or any(v in e and set(e) & picked for e in edges) for v in range(n))
+
+
+def random_graph(rng, n, p):
+    return frozenset((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p)
+
+
+def min_dominating_sets(n, edges):
+    size = brute_dominating_min(n, edges)
+    return [set(c) for c in itertools.combinations(range(n), size) if dominates(n, edges, set(c))]
+
+
+def covers(inst, part):
+    return set().union(*(inst.subsets[j] for j in part)) >= set(range(inst.universe_size))
+
+
+def random_system(rng, universe, m):
+    subsets = [frozenset(e for e in range(universe) if rng.random() < 0.6) for _ in range(m)]
+    return SetSystemInstance(universe, tuple(subsets), 1)
+
+
+class TestDominatingSet:
+    @pytest.mark.parametrize("mode", [MODE_SIMPLE, MODE_UNRESTRICTED])
+    def test_witness_round_trip(self, mode):
+        rng = random.Random(41)
+        for _ in range(12 if mode == MODE_SIMPLE else 6):
+            n = rng.randint(1, 4)
+            edges = random_graph(rng, n, 0.4)
+            gamma = brute_dominating_min(n, edges)
+            red = reduce_dominating_set(StaticGraphInstance(n, edges, gamma), mode)
+            for picked in min_dominating_sets(n, edges):
+                selected = ds_witness_to_edges(red, picked)
+                assert len(selected) == gamma
+                assert verify_solution(red.problem, selected)
+                assert ds_edges_to_witness(red, selected) == picked
+            sol = solve_exact(red.problem, with_certificate=False)
+            assert isinstance(sol, Solution) and sol.cost == gamma
+            witness = ds_edges_to_witness(red, sol.selected)
+            assert len(witness) <= gamma and dominates(n, edges, witness)
+
+    def test_every_minimum_unrestricted_selection_maps_back(self):
+        # minimum selections may hold time-2 edges and edges away from x
+        rng = random.Random(43)
+        checked = 0
+        for _ in range(8):
+            n = rng.randint(1, 3)
+            edges = random_graph(rng, n, 0.5)
+            gamma = brute_dominating_min(n, edges)
+            red = reduce_dominating_set(StaticGraphInstance(n, edges, gamma), MODE_UNRESTRICTED)
+            candidates = sorted(red.problem.candidates, key=lambda e: e.key)
+            for combo in itertools.combinations(candidates, gamma):
+                if not verify_solution(red.problem, combo):
+                    continue
+                witness = ds_edges_to_witness(red, combo)
+                assert len(witness) <= gamma and dominates(n, edges, witness)
+                checked += 1
+        assert checked > 8
+
+    def test_time2_edges_extend_the_star(self):
+        # x-0 at time 1, then 0-1 and 1-2 at time 2 reach 1 and 2; y is never a witness
+        red = reduce_dominating_set(StaticGraphInstance(3, frozenset(), 3), MODE_UNRESTRICTED)
+        x, y = red.x, red.y
+        selected = [TemporalEdge(x, 0, 1), TemporalEdge(0, 1, 2), TemporalEdge(1, 2, 2)]
+        assert ds_edges_to_witness(red, selected) == {0, 1, 2}
+        assert ds_edges_to_witness(red, [TemporalEdge(x, y, 1)]) == frozenset()
+        assert ds_edges_to_witness(red, [TemporalEdge(0, 1, 2)]) == frozenset()
+        assert ds_edges_to_witness(red, [TemporalEdge(x, 2, 1), TemporalEdge(2, y, 2)]) == {2}
+
+
+class TestDisjointSetCovers:
+    def test_witness_maps_match_the_oracle(self):
+        rng = random.Random(47)
+        for _ in range(25):
+            universe, m = rng.randint(1, 2), rng.randint(1, 4)
+            base = random_system(rng, universe, m)
+            best = brute_max_disjoint_covers(base.subsets, universe)
+            for k in range(1, m + 1):
+                inst = SetSystemInstance(universe, base.subsets, k)
+                red = reduce_dsc(inst)
+                result = solve_octo(red.matrix, red.budget)
+                assert result.solved == (k <= best)
+                if not result.solved:
+                    assert result.status in ("budget_exceeded", "infeasible")
+                    continue
+                parts = dsc_steps_to_witness(inst, red, result.sequence)
+                assert sorted(j for p in parts for j in p) == list(range(m))
+                assert len(parts) >= k and all(covers(inst, p) for p in parts)
+            if best == 0:
+                continue
+            inst = SetSystemInstance(universe, base.subsets, best)
+            red = reduce_dsc(inst)
+            for partition in _partitions(list(range(m))):
+                if len(partition) != best or not all(covers(inst, p) for p in partition):
+                    continue
+                steps = dsc_witness_to_steps(inst, partition)
+                assert len(steps) == red.budget
+                assert all(s.axis == COLS for s in steps)
+                assert apply_sequence(red.matrix, steps).is_one_filled
+                expected = sorted(tuple(sorted(p)) for p in partition)
+                assert list(dsc_steps_to_witness(inst, red, steps)) == expected
+
+    def test_row_merges(self):
+        inst = SetSystemInstance(2, (frozenset({0, 1}), frozenset({0}), frozenset({1})), 1)
+        red = reduce_dsc(inst)
+        steps = [MergeStep(ROWS, 0, 1), MergeStep(COLS, 1, 2)]
+        assert dsc_steps_to_witness(inst, red, steps) == ((0,), (1, 2))
+        with pytest.raises(ValueError, match="one-fill"):
+            dsc_steps_to_witness(inst, red, [MergeStep(COLS, 0, 2)])
+        # one-filled by row merges alone: each of them is needed
+        inst2 = SetSystemInstance(2, (frozenset({0}), frozenset({1})), 1)
+        rows_only = [MergeStep(ROWS, 0, k) for k in range(1, 6)]
+        with pytest.raises(ValueError, match="row merge"):
+            dsc_steps_to_witness(inst2, reduce_dsc(inst2), rows_only)
+
+    @pytest.mark.parametrize(
+        "parts",
+        [[[0, 1]], [[0, 1], [1, 2]], [[0, 1], [2, 3]], [[0, 1], [], [2]]],
+    )
+    def test_witness_to_steps_needs_a_partition(self, parts):
+        inst = SetSystemInstance(1, (frozenset({0}),) * 3, 1)
+        with pytest.raises(ValueError):
+            dsc_witness_to_steps(inst, parts)
+
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            [MergeStep(COLS, 0, 1), MergeStep(COLS, 1, 2)],
+            [MergeStep(COLS, 0, 3)],
+            [MergeStep(COLS, 0, 0), MergeStep(COLS, 1, 2)],
+            [MergeStep("diag", 0, 1), MergeStep(COLS, 0, 1), MergeStep(COLS, 0, 2)],
+        ],
+    )
+    def test_steps_to_witness_rejects_invalid_histories(self, steps):
+        inst = SetSystemInstance(1, (frozenset({0}),) * 3, 1)
+        with pytest.raises(ValueError):
+            dsc_steps_to_witness(inst, reduce_dsc(inst), steps)
+
+
+class TestOctoWitnessEdges:
+    @staticmethod
+    def block_min(g, t, v):
+        """Smallest vertex of the time-t component of g that holds v."""
+        return min(g.snapshot_components(t).block_of(v))
+
+    def test_each_edge_joins_the_smallest_vertices_of_the_merged_groups(self):
+        rng = random.Random(53)
+        for _ in range(60):
+            n = rng.randint(2, 7)
+            edges = [
+                TemporalEdge(u, v, t)
+                for u in range(n)
+                for v in range(u + 1, n)
+                for t in (1, 2)
+                if rng.random() < 0.3
+            ]
+            g = TemporalGraph.build(n, edges, lifespan=2)
+            result = solve_octo(component_intersection_matrix(g))
+            added = sequence_to_edges(g, result.sequence)
+            assert len(added) == result.min_combinations
+            blocks = {ROWS: g.snapshot_components(1).blocks, COLS: g.snapshot_components(2).blocks}
+            current = g
+            for step, e in zip(result.sequence, added):
+                t = 1 if step.axis == ROWS else 2
+                u = self.block_min(current, t, blocks[step.axis][step.i][0])
+                v = self.block_min(current, t, blocks[step.axis][step.j][0])
+                assert u != v and e == TemporalEdge(u, v, t)
+                current = current.augment([e])
+            assert current.is_temporally_connected(NON_STRICT)
+
+    def test_golden_witness(self):
+        g = TemporalGraph.build(
+            6, [TemporalEdge(0, 3, 1), TemporalEdge(1, 2, 2), TemporalEdge(4, 5, 2)], lifespan=2
+        )
+        result = solve_octo(component_intersection_matrix(g))
+        assert result.sequence == (
+            MergeStep(COLS, 0, 1),
+            MergeStep(COLS, 0, 2),
+            MergeStep(COLS, 0, 3),
+        )
+        assert sequence_to_edges(g, result.sequence) == (
+            TemporalEdge(0, 1, 2),
+            TemporalEdge(0, 3, 2),
+            TemporalEdge(0, 4, 2),
+        )
