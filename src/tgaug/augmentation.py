@@ -14,7 +14,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .temporal_graph import (
     NON_STRICT,
@@ -313,9 +313,6 @@ def solve_exact(
     """
     evaluator = _SubsetEvaluator(problem)
     items = _group_items(problem)
-    if not evaluator.feasible([e for unit in items for e in unit]):
-        return Infeasible("infeasible")
-
     if problem.semantics == NON_STRICT:
         kept = []
         seen_effects: set[tuple] = set()
@@ -332,23 +329,37 @@ def solve_exact(
             kept.append(unit)
         items = kept
 
-    max_cost = len(items) if problem.budget is None else min(problem.budget, len(items))
-    for cost in range(max_cost + 1):
-        for combo in itertools.combinations(items, cost):
-            if evaluator.feasible([e for unit in combo for e in unit]):
-                return _make_solution(problem, combo, cost, with_certificate)
-    if problem.budget is not None:
-        return Infeasible("budget_exceeded")
-    raise RuntimeError("search space exhausted although the full candidate set is feasible")
-
-
-def _make_solution(problem, combo, cost, with_certificate) -> Solution:
+    combo = _cheapest_subset(
+        items, problem.budget, lambda combo: evaluator.feasible([e for unit in combo for e in unit])
+    )
+    if isinstance(combo, Infeasible):
+        return combo
     selected = sorted_edges(e for unit in combo for e in unit)
     groups = None
     if problem.cost_model == COST_GROUP:
         groups = tuple(sorted(unit[0].pair for unit in combo))
     certificate = build_certificate(problem, selected) if with_certificate else ()
-    return Solution(selected, cost, groups, certificate)
+    return Solution(selected, len(combo), groups, certificate)
+
+
+def _cheapest_subset(
+    units: Sequence, budget: int | None, feasible: Callable[[tuple], bool]
+) -> tuple | Infeasible:
+    """The first subset of at most ``budget`` units that ``feasible`` accepts.
+
+    Tries subsets smallest first, lexicographically least within a size.
+    ``Infeasible("infeasible")`` when not even all units together are accepted.
+    """
+    if not feasible(tuple(units)):
+        return Infeasible("infeasible")
+    max_size = len(units) if budget is None else min(budget, len(units))
+    for size in range(max_size + 1):
+        for combo in itertools.combinations(units, size):
+            if feasible(combo):
+                return combo
+    if budget is not None:
+        return Infeasible("budget_exceeded")
+    raise RuntimeError("search space exhausted although the full candidate set is feasible")
 
 
 def build_certificate(

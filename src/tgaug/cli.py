@@ -221,10 +221,10 @@ def _solve_tca(problem: aug.AugmentationProblem, args) -> tuple[dict, int]:
                 if engine_used == "expansion"
                 else exp_mod.solve_tpca_via_expansion(problem, with_certificate=False)
             )
-            mine = outcome.cost if isinstance(outcome, aug.Solution) else None
-            theirs = other.cost if isinstance(other, aug.Solution) else None
+            mine = aug.solution_to_json(outcome, problem)
+            theirs = aug.solution_to_json(other, problem)
             if mine != theirs:
-                raise RuntimeError(f"engine disagreement: {mine} != {theirs}")
+                raise RuntimeError(f"engine disagreement: {_dump(mine)} != {_dump(theirs)}")
 
     if isinstance(outcome, aug.Solution) and not aug.verify_solution(problem, outcome.selected):
         raise RuntimeError(f"{engine_used} selection does not meet the requirement")

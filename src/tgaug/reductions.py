@@ -22,7 +22,6 @@ from .augmentation import (
     Pairs,
     Source,
     unrestricted_candidates,
-    verify_solution,
 )
 from .octo import COLS, ROWS, BinaryMatrix, MergeStep, _replay, apply_sequence
 from .temporal_graph import (
@@ -34,7 +33,6 @@ from .temporal_graph import (
     _mask_to_block,
     _parse_int,
     _records,
-    sorted_edges,
     sweep,
 )
 
@@ -261,61 +259,34 @@ def hs_witness_to_edges(
 def hs_edges_to_witness(
     red: HittingSetReduction, selected: Iterable[TemporalEdge]
 ) -> frozenset[int]:
-    """Normalize a valid source-making set into a hitting set of at most its size.
+    """A hitting set of at most ``len(selected)`` elements, read off a valid selection.
 
-    Applies the replacement argument edge by edge: edges not touching x move
-    to a star edge toward whichever endpoint x could not already reach
-    (dropping them when x reaches neither endpoint in time), star edges into
-    a set vertex shift to one of its memberships, and time-2 star edges move
-    to time 1.  What remains reads off the hit elements directly.
+    x's time-1 component joins base time-1 components (a membership clique
+    per element, a singleton per set vertex) by at least one selected time-1
+    edge each.  Each gives its element, or the least element of its set,
+    which hits every set whose time-2 star meets that component.  x reaches
+    any other set only through a time-2 component that joins its star to one
+    that meets it, by at least one selected time-2 edge per star; each such
+    set still unhit gives its least element.
     """
-    problem = red.problem
-    base = problem.base
+    g = red.problem.base.augment(selected)
     x = red.x
-    member_of = {red.membership_id(e, j): (e, j) for e, j in red.membership_vertices}
+    element_of = {red.membership_id(e, j): e for e, j in red.membership_vertices}
+    elements: dict[int, set[int]] = defaultdict(set)
+    for e, j in red.membership_vertices:
+        elements[j].add(e)
     set_of = {v: j for j, v in enumerate(red.set_vertices)}
-    current = set(selected)
-
-    # each round removes one nonconforming edge and adds at most one
-    # conforming one, so the initial size bounds the rounds
-    for _ in range(len(current) + 1):
-        bad = sorted_edges(
-            e
-            for e in current
-            if not (x in (e.u, e.v) and e.t == 1 and (e.v if e.u == x else e.u) in member_of)
-        )
-        if not bad:
-            break
-        e = bad[0]
-        current.discard(e)
-        if x in (e.u, e.v):
-            other = e.v if e.u == x else e.u
-            if other in member_of:
-                current.add(TemporalEdge(x, other, 1))  # same edge, moved to time 1
-            else:
-                j = set_of[other]
-                elem = min(inst_elem for inst_elem, jj in red.membership_vertices if jj == j)
-                current.add(TemporalEdge(x, red.membership_id(elem, j), 1))
-            continue
-        g = base.augment(current)
-        without = sweep([g._component_masks(t) for t in range(1, e.t + 1)], False, 1 << x)
-        u_ok = without >> e.u & 1
-        v_ok = without >> e.v & 1
-        if not u_ok and not v_ok:
-            continue  # useless: x cannot arrive at either endpoint in time
-        target = e.v if u_ok else e.u
-        if target in member_of:
-            current.add(TemporalEdge(x, target, 1))
-        elif target in set_of:
-            j = set_of[target]
-            elem = min(el for el, jj in red.membership_vertices if jj == j)
-            current.add(TemporalEdge(x, red.membership_id(elem, j), 1))
-        # a replacement toward x itself cannot occur: x is an endpoint case above
-    hit = set()
-    for e in current:
-        other = e.v if e.u == x else e.u
-        elem, _ = member_of[other]
-        hit.add(elem)
+    start = next(m for m in g._component_masks(1) if m >> x & 1)
+    hit = {
+        element_of[v] if v in element_of else min(elements[set_of[v]])
+        for v in _mask_to_block(start)
+        if v != x
+    }
+    for comp in g._component_masks(2):
+        if comp & start:
+            for v in _mask_to_block(comp):
+                if v in set_of and not elements[set_of[v]] & hit:
+                    hit.add(min(elements[set_of[v]]))
     return frozenset(hit)
 
 

@@ -1,19 +1,20 @@
-"""Temporal expansion into a directed weighted static graph.
+"""Temporal expansion into a directed static graph with 0/1 gate weights.
 
 Every vertex gets T+1 layer copies linked by zero-weight waiting arcs, and
 every temporal edge becomes a two-node gate whose inner arc carries the
-edge weight; journeys of the temporal graph correspond to directed paths
-between layer copies.  The non-strict variant additionally links gates of
-same-time edges that share an endpoint, so a path may chain several hops
-inside one time step.  On top of the expansion sits an exact solver for
-pair-demand instances (minimum-weight arc subset satisfying at least B of
-the p demands) and the round trip between journeys and expansion paths.
+edge weight: 0 for an edge that is free to use, 1 for an edge to pay for.
+Journeys of the temporal graph correspond to directed paths between layer
+copies.  The non-strict variant additionally links gates of same-time
+edges that share an endpoint, so a path may chain several hops inside one
+time step.  On top of the expansion sits an exact solver for pair-demand
+instances (fewest paid gates satisfying at least B of the p demands, found
+by the subset search of :mod:`tgaug.augmentation`), the round trip between
+journeys and expansion paths, and the DOT and JSON writers.
 """
 
 from __future__ import annotations
 
 import itertools
-import re
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,18 +27,16 @@ from .augmentation import (
     Pairs,
     Solution,
     SolveOutcome,
+    _cheapest_subset,
     build_certificate,
     verify_solution,
 )
 from .temporal_graph import (
     NON_STRICT,
-    STRICT,
     Journey,
-    ParseError,
     TemporalEdge,
     TemporalGraph,
     sorted_edges,
-    validate_journey,
     _check_semantics,
 )
 
@@ -78,9 +77,10 @@ def _gate_out(e: TemporalEdge) -> ExpansionNode:
 
 @dataclass(frozen=True)
 class TGSteinerInstance:
-    """A weighted temporal graph with pair demands.
+    """A temporal graph with 0/1 edge weights and pair demands.
 
-    ``budget`` bounds the total weight of the kept sub-edge-set and
+    Weight 0 marks an edge that is free to use, weight 1 an edge to pay
+    for.  ``budget`` bounds the total weight of the kept sub-edge-set and
     ``demand`` the number of pairs that must be satisfied.
     """
 
@@ -95,8 +95,8 @@ class TGSteinerInstance:
         weighted = {e for e, _ in self.weight_items}
         if weighted != self.graph.edges:
             raise ValueError("weights must cover exactly the temporal edges of the graph")
-        if any(w < 0 for _, w in self.weight_items):
-            raise ValueError("weights must be non-negative")
+        if any(w not in (0, 1) for _, w in self.weight_items):
+            raise ValueError("weights must be 0 or 1")
         if not 0 <= self.demand <= len(self.pairs):
             raise ValueError("demand must lie between 0 and the number of pairs")
 
@@ -136,10 +136,9 @@ class ExpansionGraph:
         return self.node_index[_copy(v, t)]
 
     @cached_property
-    def gate_edges(self) -> tuple[TemporalEdge, ...]:
-        return tuple(
-            node.edge for node in self.nodes if node.kind == GATE_IN
-        )
+    def positive_gate_edges(self) -> tuple[TemporalEdge, ...]:
+        """Edges whose gate arc has positive weight (no other arc has), in canonical order."""
+        return sorted_edges(self.nodes[src].edge for src, _, w in self.arcs if w)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
@@ -147,44 +146,18 @@ class ExpansionGraph:
         positive = {e: i for i, e in enumerate(self.positive_gate_edges)}
         out: list[list[tuple[int, int, int]]] = [[] for _ in self.nodes]
         for src, dst, w in self.arcs:
-            gate = -1
-            node = self.nodes[src]
-            if node.kind == GATE_IN and node.edge in positive:
-                gate = positive[node.edge]
-            out[src].append((dst, w, gate))
+            out[src].append((dst, w, positive[self.nodes[src].edge] if w else -1))
         return tuple(tuple(lst) for lst in out)
 
-    @cached_property
-    def positive_gate_edges(self) -> tuple[TemporalEdge, ...]:
-        """Edges whose gate arc has positive weight, in canonical order."""
-        weights = {}
-        for src, dst, w in self.arcs:
-            node = self.nodes[src]
-            if node.kind == GATE_IN:
-                weights[node.edge] = w
-        return tuple(e for e in sorted_edges(weights) if weights[e] > 0)
-
-    @cached_property
-    def gray_arc_count(self) -> int:
-        return sum(
-            1
-            for src, dst, _ in self.arcs
-            if self.nodes[src].kind == GATE_OUT and self.nodes[dst].kind == GATE_IN
-        )
-
-    def reachable_from(self, start: int, open_gates: frozenset[int] | None = None) -> set[int]:
-        """Nodes reachable from ``start``.
-
-        Positive-weight gates outside ``open_gates`` are closed; ``None``
-        leaves every gate open.
-        """
+    def reachable_from(self, start: int, open_gates: frozenset[int]) -> set[int]:
+        """Nodes reachable from ``start`` with the positive gates outside ``open_gates`` closed."""
         adjacency = self.adjacency
         seen = {start}
         stack = [start]
         while stack:
             x = stack.pop()
             for dst, _, gate in adjacency[x]:
-                if gate >= 0 and open_gates is not None and gate not in open_gates:
+                if gate >= 0 and gate not in open_gates:
                     continue
                 if dst not in seen:
                     seen.add(dst)
@@ -275,12 +248,14 @@ def min_weight_connection(
     demand: int,
     budget: int | None = None,
 ) -> ConnectionResult | Infeasible:
-    """Cheapest set of positive gate arcs satisfying at least ``demand`` pairs.
+    """Fewest positive gates satisfying at least ``demand`` pairs.
 
-    Zero-weight arcs are always free to use, so only subsets of the
-    positive gates are enumerated, in increasing total weight with
-    lexicographic tie-break over the canonical gate order.  Exact but
-    exponential in the number of positive gates (capped at 20).
+    Gate weights are 0 or 1, so zero-weight arcs are always free to use
+    and the weight of a set of positive gates is its size.
+    :func:`~tgaug.augmentation._cheapest_subset` tries the gate subsets
+    smallest first, lexicographically least over the canonical gate order
+    within a size.  Exact but exponential in the number of positive gates
+    (capped at 20).
     """
     if not 0 <= demand <= len(pairs):
         raise ValueError("demand must lie between 0 and the number of pairs")
@@ -288,45 +263,15 @@ def min_weight_connection(
     k = len(gates)
     if k > 20:
         raise ValueError(f"{k} positive-weight gates exceed the exact-search cap of 20")
-    gate_weight = {}
-    for src, dst, w in exp.arcs:
-        node = exp.nodes[src]
-        if node.kind == GATE_IN and w > 0:
-            gate_weight[node.edge] = w
-    weights = [gate_weight[e] for e in gates]
-
-    all_open = frozenset(range(k))
-    best_sat = _satisfied_pairs(exp, pairs, all_open)
-    if len(best_sat) < demand:
-        return Infeasible("infeasible")
-
-    if len(set(weights)) <= 1:
-        # uniform weights: lazy enumeration by subset size is already by total weight
-        unit = weights[0] if weights else 0
-        for size in range(k + 1):
-            total = size * unit
-            if budget is not None and total > budget:
-                return Infeasible("budget_exceeded")
-            for combo in itertools.combinations(range(k), size):
-                open_gates = frozenset(combo)
-                sat = _satisfied_pairs(exp, pairs, open_gates)
-                if len(sat) >= demand:
-                    return ConnectionResult(total, tuple(gates[i] for i in combo), sat)
-        raise RuntimeError("exhausted subsets although the full set is feasible")
-
-    subsets = sorted(
-        (sum(weights[i] for i in combo), combo)
-        for size in range(k + 1)
-        for combo in itertools.combinations(range(k), size)
+    combo = _cheapest_subset(
+        range(k),
+        budget,
+        lambda combo: len(_satisfied_pairs(exp, pairs, frozenset(combo))) >= demand,
     )
-    for total, combo in subsets:
-        if budget is not None and total > budget:
-            return Infeasible("budget_exceeded")
-        open_gates = frozenset(combo)
-        sat = _satisfied_pairs(exp, pairs, open_gates)
-        if len(sat) >= demand:
-            return ConnectionResult(total, tuple(gates[i] for i in combo), sat)
-    raise RuntimeError("exhausted subsets although the full set is feasible")
+    if isinstance(combo, Infeasible):
+        return combo
+    satisfied = _satisfied_pairs(exp, pairs, frozenset(combo))
+    return ConnectionResult(len(combo), tuple(gates[i] for i in combo), satisfied)
 
 
 def problem_instance(problem: AugmentationProblem) -> TGSteinerInstance:
@@ -484,12 +429,6 @@ def expansion_to_json(exp: ExpansionGraph) -> dict:
     }
 
 
-def expansion_from_json(data: dict) -> ExpansionGraph:
-    nodes = tuple(_node_from_label(item["label"]) for item in data["nodes"])
-    arcs = tuple((a["src"], a["dst"], a["weight"]) for a in data["arcs"])
-    return ExpansionGraph(data["semantics"], data["n"], data["lifespan"], nodes, arcs)
-
-
 def expansion_to_dot(exp: ExpansionGraph) -> str:
     """DOT export; the header comment carries the structural counts."""
     lines = [
@@ -503,55 +442,3 @@ def expansion_to_dot(exp: ExpansionGraph) -> str:
         lines.append(f'  "{exp.nodes[src].label}" -> "{exp.nodes[dst].label}" [weight={w}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-_DOT_HEADER = re.compile(
-    r"^// nodes=(\d+) arcs=(\d+) n=(\d+) lifespan=(\d+) semantics=(\S+)$"
-)
-_DOT_NODE = re.compile(r'^"([^"]+)";$')
-_DOT_ARC = re.compile(r'^"([^"]+)" -> "([^"]+)" \[weight=(\d+)\];$')
-_LABEL_COPY = re.compile(r"^(\d+)@(\d+)$")
-_LABEL_GATE = re.compile(r"^(\d+)-(\d+)@(\d+)\.(in|out)$")
-
-
-def _node_from_label(label: str) -> ExpansionNode:
-    m = _LABEL_COPY.match(label)
-    if m:
-        return _copy(int(m.group(1)), int(m.group(2)))
-    m = _LABEL_GATE.match(label)
-    if m:
-        e = TemporalEdge(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-        return _gate_in(e) if m.group(4) == "in" else _gate_out(e)
-    raise ParseError(f"unrecognized node label {label!r}")
-
-
-def parse_expansion_dot(text: str) -> ExpansionGraph:
-    """Parse the DOT form emitted by :func:`expansion_to_dot`."""
-    header = None
-    nodes: list[ExpansionNode] = []
-    arcs: list[tuple[str, str, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line in ("digraph expansion {", "}"):
-            continue
-        if line.startswith("//"):
-            m = _DOT_HEADER.match(line)
-            if m:
-                header = m
-            continue
-        m = _DOT_NODE.match(line)
-        if m:
-            nodes.append(_node_from_label(m.group(1)))
-            continue
-        m = _DOT_ARC.match(line)
-        if m:
-            arcs.append((m.group(1), m.group(2), int(m.group(3))))
-            continue
-        raise ParseError("unrecognized DOT line", lineno)
-    if header is None:
-        raise ParseError("missing expansion header comment")
-    index = {node.label: i for i, node in enumerate(nodes)}
-    arc_tuples = tuple((index[a], index[b], w) for a, b, w in arcs)
-    return ExpansionGraph(
-        header.group(5), int(header.group(3)), int(header.group(4)), tuple(nodes), arc_tuples
-    )

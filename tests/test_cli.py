@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 from tgaug import steiner_expansion as exp_mod
-from tgaug.augmentation import Solution
+from tgaug.augmentation import Infeasible, Solution
 from tgaug.cli import main
 from tgaug.reductions import parse_dimacs, parse_set_system, parse_static_graph
-from tgaug.temporal_graph import ParseError
+from tgaug.temporal_graph import ParseError, TemporalEdge
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -111,7 +111,32 @@ class TestSolutionCheck:
         assert main(["solve", path, "--engine", "subset", "--cross-check"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: internal: engine disagreement: 1 != 0\n"
+        assert captured.err == (
+            'error: internal: engine disagreement: {"cost":1,"feasible":true,"model":"edge",'
+            '"schema":1,"selected":[{"t":1,"u":1,"v":2}],"semantics":"non-strict"} != '
+            '{"cost":0,"feasible":true,"model":"edge","schema":1,"selected":[],'
+            '"semantics":"non-strict"}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "budget, other",
+        [
+            (0, Infeasible("infeasible")),  # the subset engine reports budget_exceeded
+            (None, Solution((TemporalEdge(0, 2, 1),), 1)),  # same cost, another selection
+        ],
+    )
+    def test_cross_check_compares_the_whole_outcome(
+        self, tmp_path, capsys, monkeypatch, budget, other
+    ):
+        monkeypatch.setattr(exp_mod, "solve_tpca_via_expansion", lambda problem, **kwargs: other)
+        manifest = tca(requirement={"type": "pairs", "pairs": [[0, 2]]}, budget=budget)
+        path = write_bundle(tmp_path, manifest)
+        assert main(["solve", path, "--engine", "subset"]) == (1 if budget == 0 else 0)
+        capsys.readouterr()
+        assert main(["solve", path, "--engine", "subset", "--cross-check"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal: engine disagreement: ")
 
 
 class TestSourceParsers:

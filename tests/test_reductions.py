@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from oracles import _partitions, brute_dominating_min, brute_max_disjoint_covers
+from oracles import (
+    _partitions,
+    brute_dominating_min,
+    brute_hitting_min,
+    brute_max_disjoint_covers,
+    brute_sat,
+)
 from tgaug.augmentation import Solution, solve_exact, verify_solution
 from tgaug.octo import (
     COLS,
@@ -19,14 +25,21 @@ from tgaug.octo import (
 from tgaug.reductions import (
     MODE_SIMPLE,
     MODE_UNRESTRICTED,
+    CnfInstance,
     SetSystemInstance,
     StaticGraphInstance,
     ds_edges_to_witness,
     ds_witness_to_edges,
     dsc_steps_to_witness,
     dsc_witness_to_steps,
+    hs_edges_to_witness,
+    hs_witness_to_edges,
+    reduce_3sat,
     reduce_dominating_set,
     reduce_dsc,
+    reduce_hitting_set,
+    sat_edges_to_witness,
+    sat_witness_to_edges,
 )
 from tgaug.temporal_graph import NON_STRICT, TemporalEdge, TemporalGraph
 
@@ -99,6 +112,107 @@ class TestDominatingSet:
         assert ds_edges_to_witness(red, [TemporalEdge(x, y, 1)]) == frozenset()
         assert ds_edges_to_witness(red, [TemporalEdge(0, 1, 2)]) == frozenset()
         assert ds_edges_to_witness(red, [TemporalEdge(x, 2, 1), TemporalEdge(2, y, 2)]) == {2}
+
+
+def hits(inst, picked):
+    return all(s & picked for s in inst.subsets)
+
+
+class TestHittingSet:
+    @staticmethod
+    def random_instance(rng):
+        universe, m = rng.randint(1, 3), rng.randint(1, 3)
+        subsets = tuple(
+            frozenset(rng.sample(range(universe), rng.randint(1, universe))) for _ in range(m)
+        )
+        return SetSystemInstance(universe, subsets, brute_hitting_min(subsets, universe))
+
+    @pytest.mark.parametrize("mode", [MODE_SIMPLE, MODE_UNRESTRICTED])
+    def test_forward_map_of_every_minimum_hitting_set(self, mode):
+        rng = random.Random(59)
+        for _ in range(20):
+            inst = self.random_instance(rng)
+            red = reduce_hitting_set(inst, mode)
+            for combo in itertools.combinations(range(inst.universe_size), inst.budget):
+                if not hits(inst, set(combo)):
+                    continue
+                selected = hs_witness_to_edges(red, inst, combo)
+                assert len(selected) == inst.budget
+                assert verify_solution(red.problem, selected)
+                assert hs_edges_to_witness(red, selected) == set(combo)
+
+    @pytest.mark.parametrize("mode", [MODE_SIMPLE, MODE_UNRESTRICTED])
+    def test_backward_map_of_solver_and_random_selections(self, mode):
+        rng = random.Random(3)
+        checked = 0
+        for _ in range(30 if mode == MODE_SIMPLE else 120):
+            inst = self.random_instance(rng)
+            red = reduce_hitting_set(inst, mode)
+            sol = solve_exact(red.problem, with_certificate=False)
+            assert isinstance(sol, Solution) and sol.cost == inst.budget
+            selections = [sol.selected]
+            candidates = sorted(red.problem.candidates, key=lambda e: e.key)
+            for _ in range(6):
+                # a random valid selection, thinned to a random minimal one
+                selected = [e for e in candidates if rng.random() < 0.5]
+                if not verify_solution(red.problem, selected):
+                    continue
+                selections.append(list(selected))
+                for e in rng.sample(selected, len(selected)):
+                    rest = [f for f in selected if f != e]
+                    if verify_solution(red.problem, rest):
+                        selected = rest
+                selections.append(selected)
+            for selected in selections:
+                witness = hs_edges_to_witness(red, selected)
+                assert hits(inst, witness) and len(witness) <= len(selected)
+                checked += 1
+        assert checked > 200
+
+    def test_edges_reaching_a_set_vertex_at_time_1(self):
+        # x reaches S1 at time 1 through e0S1 and S0 through S1; the witness
+        # must still hit S0 = {1}
+        inst = SetSystemInstance(2, (frozenset({1}), frozenset({0, 1})), 2)
+        red = reduce_hitting_set(inst, MODE_UNRESTRICTED)
+        assert red.membership_vertices == ((0, 1), (1, 0), (1, 1))
+        assert red.set_vertices == (4, 5)
+        selected = [TemporalEdge(0, 1, 1), TemporalEdge(1, 5, 1), TemporalEdge(4, 5, 1)]
+        assert verify_solution(red.problem, selected)
+        witness = hs_edges_to_witness(red, selected)
+        assert hits(inst, witness) and len(witness) <= 3
+
+
+class TestThreeSat:
+    @staticmethod
+    def random_formula(rng):
+        n_vars = rng.randint(3, 4)
+        clauses = tuple(
+            tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n_vars + 1), 3))
+            for _ in range(rng.randint(1, 2))
+        )
+        return CnfInstance(n_vars, clauses)
+
+    @staticmethod
+    def satisfies(cnf, assignment):
+        return all(
+            any(assignment[abs(lit) - 1] == (lit > 0) for lit in clause) for clause in cnf.clauses
+        )
+
+    def test_witness_maps_against_the_oracle(self):
+        rng = random.Random(79)
+        for _ in range(20):
+            cnf = self.random_formula(rng)
+            assert brute_sat(cnf.n_vars, cnf.clauses) is not None
+            red = reduce_3sat(cnf)
+            for bits in itertools.product([False, True], repeat=cnf.n_vars):
+                if not self.satisfies(cnf, bits):
+                    continue
+                selected = sat_witness_to_edges(red, bits)
+                assert verify_solution(red.problem, selected)
+                assert len({e.pair for e in selected}) <= red.budget
+            sol = solve_exact(red.problem, with_certificate=False)
+            assert isinstance(sol, Solution) and sol.cost <= red.budget
+            assert self.satisfies(cnf, sat_edges_to_witness(red, sol.selected))
 
 
 class TestDisjointSetCovers:
