@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -437,7 +437,7 @@ def spanner_via_tca(g: TemporalGraph, budget: int | None = None) -> Augmentation
     """
     if not g.is_temporally_connected(NON_STRICT):
         raise ValueError("requires a temporally connected graph")
-    base = TemporalGraph(g.n, frozenset(), g.lifespan, g.names)
+    base = TemporalGraph(g.n, frozenset(), g.lifespan)
     return AugmentationProblem(
         base, frozenset(g.edges), All(), NON_STRICT, COST_EDGE, budget
     )

@@ -70,7 +70,7 @@ def _load_manifest(path: str) -> dict:
     """The manifest at ``path``, with every field the CLI reads type-checked."""
     try:
         data = json.loads(_read(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("manifest must be a JSON object")
@@ -122,6 +122,14 @@ def _requirement_to_manifest(req: aug.Requirement) -> dict:
     }
 
 
+def _budget(manifest: dict, args) -> int | None:
+    """The ``--budget`` flag when given, else the manifest's budget; never negative."""
+    budget = manifest.get("budget") if getattr(args, "budget", None) is None else args.budget
+    if budget is not None and budget < 0:
+        raise ParseError("budget must be non-negative")
+    return budget
+
+
 def _problem_from_manifest(manifest: dict, manifest_path: str, args) -> aug.AugmentationProblem:
     root = Path(manifest_path).parent
     base = parse_tg(_read(str(root / manifest["graph"])))
@@ -134,16 +142,13 @@ def _problem_from_manifest(manifest: dict, manifest_path: str, args) -> aug.Augm
     cost = manifest.get("cost_model", aug.COST_EDGE)
     if getattr(args, "cost", None):
         cost = {"edge": aug.COST_EDGE, "group": aug.COST_GROUP}[args.cost]
-    budget = manifest.get("budget")
-    if getattr(args, "budget", None) is not None:
-        budget = args.budget
     return aug.AugmentationProblem(
         base,
         frozenset(candidates),
         _requirement_from_manifest(manifest.get("requirement") or {"type": "all"}),
         semantics,
         cost,
-        budget,
+        _budget(manifest, args),
         manifest.get("lifespan"),
     )
 
@@ -192,39 +197,30 @@ def _detect_one_plus_one(problem: aug.AugmentationProblem) -> bool:
 
 
 def _solve_tca(problem: aug.AugmentationProblem, args) -> tuple[dict, int]:
-    engine = args.engine
-    if engine == "auto":
-        if _detect_one_plus_one(problem):
-            selected = aug.solve_one_plus_one(problem.base)
-            if problem.budget is not None and len(selected) > problem.budget:
-                outcome: aug.SolveOutcome = aug.Infeasible("budget_exceeded")
-            else:
-                outcome = aug.Solution(
-                    tuple(sorted(selected, key=lambda e: e.key)), len(selected)
-                )
-            engine_used = "one-plus-one"
+    if args.engine == "auto" and _detect_one_plus_one(problem):
+        selected = aug.solve_one_plus_one(problem.base)
+        if problem.budget is not None and len(selected) > problem.budget:
+            outcome: aug.SolveOutcome = aug.Infeasible("budget_exceeded")
         else:
-            outcome = aug.solve_exact(problem, with_certificate=False)
-            engine_used = "subset"
-    elif engine == "expansion":
-        outcome = exp_mod.solve_tpca_via_expansion(problem, with_certificate=False)
+            outcome = aug.Solution(tuple(sorted(selected, key=lambda e: e.key)), len(selected))
+        engine_used = "one-plus-one"
+    elif args.engine == "expansion":
+        outcome = exp_mod.solve_tpca_via_expansion(problem)
         engine_used = "expansion"
     else:
         outcome = aug.solve_exact(problem, with_certificate=False)
         engine_used = "subset"
 
-    if args.cross_check and isinstance(problem.requirement, aug.Pairs):
-        gates = len(problem.candidates)
-        if gates <= 12 and len(problem.requirement.pairs) <= 3:
-            other = (
-                aug.solve_exact(problem, with_certificate=False)
-                if engine_used == "expansion"
-                else exp_mod.solve_tpca_via_expansion(problem, with_certificate=False)
-            )
-            mine = aug.solution_to_json(outcome, problem)
-            theirs = aug.solution_to_json(other, problem)
-            if mine != theirs:
-                raise RuntimeError(f"engine disagreement: {_dump(mine)} != {_dump(theirs)}")
+    if args.cross_check:
+        other = (
+            aug.solve_exact(problem, with_certificate=False)
+            if engine_used == "expansion"
+            else exp_mod.solve_tpca_via_expansion(problem)
+        )
+        mine = aug.solution_to_json(outcome, problem)
+        theirs = aug.solution_to_json(other, problem)
+        if mine != theirs:
+            raise RuntimeError(f"engine disagreement: {_dump(mine)} != {_dump(theirs)}")
 
     if isinstance(outcome, aug.Solution) and not aug.verify_solution(problem, outcome.selected):
         raise RuntimeError(f"{engine_used} selection does not meet the requirement")
@@ -238,10 +234,7 @@ def cmd_solve(args) -> int:
     if manifest.get("kind", "tca") == "octo":
         root = Path(args.manifest).parent
         matrix = octo_mod.parse_matrix(_read(str(root / manifest["matrix"])))
-        budget = manifest.get("budget")
-        if getattr(args, "budget", None) is not None:
-            budget = args.budget
-        result = octo_mod.solve_octo(matrix, budget)
+        result = octo_mod.solve_octo(matrix, _budget(manifest, args))
         data = octo_mod.octo_result_to_json(result)
         print(_dump(data))
         return 0 if result.solved else 1
@@ -259,9 +252,15 @@ def cmd_solve(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if args.kind == "3sat":
+        if args.budget is not None:
+            print("note: 3sat sets its own budget; ignoring the given one", file=sys.stderr)
+    elif args.budget is None:
+        raise ParseError(f"reduce {args.kind} needs a budget")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     text = _read(args.source)
+    notes = {}
     if args.kind == "dsc":
         inst = red_mod.parse_set_system(text, args.budget)
         reduction = red_mod.reduce_dsc(inst)
@@ -282,11 +281,9 @@ def cmd_reduce(args) -> int:
     if args.kind == "ds":
         inst = red_mod.parse_static_graph(text, args.budget)
         problem = red_mod.reduce_dominating_set(inst, args.mode).problem
-        notes = {}
     elif args.kind == "hs":
         system = red_mod.parse_set_system(text, args.budget)
         problem = red_mod.reduce_hitting_set(system, args.mode).problem
-        notes = {}
     else:  # 3sat
         cnf = red_mod.parse_dimacs(text)
         reduction = red_mod.reduce_3sat(cnf)
@@ -345,13 +342,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--cost", choices=["edge", "group"])
     p_solve.add_argument("--budget", type=int)
     p_solve.add_argument("--format", choices=["json", "text"], default="json")
-    p_solve.add_argument("--cross-check", action="store_true", dest="cross_check")
+    p_solve.add_argument(
+        "--cross-check",
+        action="store_true",
+        help="also solve with the other of the subset and expansion engines and exit 3 if the "
+        "outcomes differ; the expansion engine needs a pairs requirement and the edge cost model",
+    )
     p_solve.set_defaults(func=cmd_solve)
 
     p_reduce = sub.add_parser("reduce", help="generate a gadget instance bundle")
     p_reduce.add_argument("kind", choices=["ds", "hs", "dsc", "3sat"])
     p_reduce.add_argument("source")
-    p_reduce.add_argument("budget", type=int)
+    p_reduce.add_argument("budget", type=int, nargs="?", help="required except for 3sat")
     p_reduce.add_argument("--out", required=True)
     p_reduce.add_argument("--mode", choices=list(red_mod.MODES), default=red_mod.MODE_SIMPLE)
     p_reduce.set_defaults(func=cmd_reduce)
@@ -369,9 +371,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ equivalences promise.
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -133,7 +134,6 @@ def reduce_dominating_set(
         raise ValueError(f"unknown mode {mode!r}")
     n = inst.n
     x, y = n, n + 1
-    names = tuple(str(v) for v in range(n)) + ("x", "y")
     edges = [TemporalEdge(x, y, 2)]
     edges.extend(TemporalEdge(u, v, 2) for u, v in inst.edges)
     inner = list(range(n)) + [y]
@@ -141,7 +141,7 @@ def reduce_dominating_set(
         for v in inner[i + 1 :]:
             if (min(u, v), max(u, v)) not in inst.edges:
                 edges.append(TemporalEdge(u, v, 1))
-    base = TemporalGraph.build(n + 2, edges, lifespan=2, names=names)
+    base = TemporalGraph.build(n + 2, edges, lifespan=2)
     if mode == MODE_SIMPLE:
         candidates = frozenset(TemporalEdge(x, v, 1) for v in range(n))
     else:
@@ -215,11 +215,6 @@ def reduce_hitting_set(
     x = 0
     member_id = {pair: 1 + k for k, pair in enumerate(memberships)}
     set_id = {j: 1 + len(memberships) + j for j in range(len(inst.subsets))}
-    names = (
-        ("x",)
-        + tuple(f"e{e}S{j}" for e, j in memberships)
-        + tuple(f"S{j}" for j in range(len(inst.subsets)))
-    )
     edges = []
     by_element: dict[int, list[int]] = defaultdict(list)
     for e, j in memberships:
@@ -232,7 +227,7 @@ def reduce_hitting_set(
     for e, j in memberships:
         edges.append(TemporalEdge(member_id[(e, j)], set_id[j], 2))
     n = 1 + len(memberships) + len(inst.subsets)
-    base = TemporalGraph.build(n, edges, lifespan=2, names=names)
+    base = TemporalGraph.build(n, edges, lifespan=2)
     if mode == MODE_SIMPLE:
         candidates = frozenset(TemporalEdge(x, member_id[p], 1) for p in memberships)
     else:
@@ -375,10 +370,7 @@ class ThreeSatReduction:
     problem: AugmentationProblem
     budget: int  # optional-link count along one branch per variable
     standard_budget: bool  # budget == 3m (false when clauses repeat variables)
-    variable_starts: tuple[int, ...]
-    variable_ends: tuple[int, ...]
-    clause_starts: tuple[int, ...]
-    clause_ends: tuple[int, ...]
+    n_vars: int
     links: tuple[tuple[int, str, int, tuple[int, int]], ...]  # (var, branch, clause, pair)
 
 
@@ -406,37 +398,28 @@ def reduce_3sat(cnf: CnfInstance) -> ThreeSatReduction:
                 occs[var].append(c)
             literal_at[(var, c)].add("T" if lit > 0 else "F")
 
-    names: list[str] = []
-
-    def add(label: str) -> int:
-        names.append(label)
-        return len(names) - 1
-
+    ids = itertools.count()  # vertex ids in allocation order
     edges: list[TemporalEdge] = []
     link_groups: list[tuple[int, str, int, tuple[int, int]]] = []
     buffer_id: dict[tuple[int, str, int], int] = {}
     value_id: dict[tuple[int, str, int], int] = {}
-    starts, ends = [], []
     prev_end: int | None = None
     for var in range(1, n + 1):
-        start = add(f"x{var}.start")
-        starts.append(start)
+        start = next(ids)
         if prev_end is not None:
             edges.append(TemporalEdge(prev_end, start, 1))
         branch_tail: dict[str, int] = {}
         for branch in ("T", "F"):
             tail = start
             for c in occs[var]:
-                buf = add(f"x{var}.{branch}.buffer.C{c}")
-                val = add(f"x{var}.{branch}.value.C{c}")
+                buf, val = next(ids), next(ids)
                 buffer_id[(var, branch, c)] = buf
                 value_id[(var, branch, c)] = val
                 edges.append(TemporalEdge(tail, buf, 1))
                 link_groups.append((var, branch, c, (min(buf, val), max(buf, val))))
                 tail = val
             branch_tail[branch] = tail
-        end = add(f"x{var}.end")
-        ends.append(end)
+        end = next(ids)
         for branch in ("T", "F"):
             if occs[var]:
                 edges.append(TemporalEdge(branch_tail[branch], end, 1))
@@ -444,14 +427,12 @@ def reduce_3sat(cnf: CnfInstance) -> ThreeSatReduction:
             edges.append(TemporalEdge(start, end, 1))
         prev_end = end
 
-    clause_starts, clause_ends = [], []
-    prev_cend: int | None = None
+    first_cs = prev_cend = None
     for c in range(m):
-        cs = add(f"C{c}.start")
-        ce = add(f"C{c}.end")
-        clause_starts.append(cs)
-        clause_ends.append(ce)
-        if prev_cend is not None:
+        cs, ce = next(ids), next(ids)
+        if prev_cend is None:
+            first_cs = cs
+        else:
             edges.append(TemporalEdge(prev_cend, cs, 2))
         for var in sorted({abs(lit) for lit in cnf.clauses[c]}):
             for branch in sorted(literal_at[(var, c)]):
@@ -464,27 +445,16 @@ def reduce_3sat(cnf: CnfInstance) -> ThreeSatReduction:
         candidates.append(TemporalEdge(a, b, 1))
         candidates.append(TemporalEdge(a, b, 2))
     budget = sum(len(occs[var]) for var in range(1, n + 1))
-    base = TemporalGraph.build(
-        len(names), set(edges), lifespan=2, names=tuple(names)
-    )
+    base = TemporalGraph.build(next(ids), set(edges), lifespan=2)
     problem = AugmentationProblem(
         base,
         frozenset(candidates),
-        Pairs(((starts[0], ends[-1]), (clause_starts[0], clause_ends[-1]))),
+        Pairs(((0, prev_end), (first_cs, prev_cend))),  # vertex 0 starts the first variable
         NON_STRICT,
         COST_GROUP,
         budget,
     )
-    return ThreeSatReduction(
-        problem,
-        budget,
-        budget == 3 * m,
-        tuple(starts),
-        tuple(ends),
-        tuple(clause_starts),
-        tuple(clause_ends),
-        tuple(link_groups),
-    )
+    return ThreeSatReduction(problem, budget, budget == 3 * m, n, tuple(link_groups))
 
 
 def sat_witness_to_edges(
@@ -502,7 +472,6 @@ def sat_witness_to_edges(
 def sat_edges_to_witness(red: ThreeSatReduction, selected: Iterable[TemporalEdge]) -> tuple[bool, ...]:
     """Read the assignment off the bought branches of a valid solution."""
     pairs = {e.pair for e in selected}
-    n_vars = len(red.variable_starts)
     bought: dict[int, set[str]] = defaultdict(set)
     links_of: dict[tuple[int, str], list[tuple[int, int]]] = defaultdict(list)
     for var, branch, _, pair in red.links:
@@ -511,7 +480,7 @@ def sat_edges_to_witness(red: ThreeSatReduction, selected: Iterable[TemporalEdge
         if all(p in pairs for p in link_pairs):
             bought[var].add(branch)
     assignment = []
-    for var in range(1, n_vars + 1):
+    for var in range(1, red.n_vars + 1):
         branches = bought.get(var, set())
         if not branches and not links_of.get((var, "T")):
             assignment.append(True)  # variable occurs in no clause; value is free
@@ -585,13 +554,16 @@ def parse_set_system(text: str, budget: int) -> SetSystemInstance:
 
 
 def parse_dimacs(text: str) -> CnfInstance:
-    """Standard DIMACS CNF; clauses shorter than 3 pad by repeating a literal."""
+    """Standard DIMACS CNF; clauses shorter than 3 pad by repeating a literal.
+
+    ``c`` lines are comments, and so, as in the other formats, is
+    everything after a ``#``.
+    """
     n_vars: int | None = None
     clauses: list[tuple[int, int, int]] = []
     pending: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    for lineno, line in _records(text):
+        if line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()

@@ -28,7 +28,6 @@ from .augmentation import (
     Solution,
     SolveOutcome,
     _cheapest_subset,
-    build_certificate,
     verify_solution,
 )
 from .temporal_graph import (
@@ -254,17 +253,13 @@ def min_weight_connection(
     and the weight of a set of positive gates is its size.
     :func:`~tgaug.augmentation._cheapest_subset` tries the gate subsets
     smallest first, lexicographically least over the canonical gate order
-    within a size.  Exact but exponential in the number of positive gates
-    (capped at 20).
+    within a size.  Exact, and exponential in the number of positive gates.
     """
     if not 0 <= demand <= len(pairs):
         raise ValueError("demand must lie between 0 and the number of pairs")
     gates = exp.positive_gate_edges
-    k = len(gates)
-    if k > 20:
-        raise ValueError(f"{k} positive-weight gates exceed the exact-search cap of 20")
     combo = _cheapest_subset(
-        range(k),
+        range(len(gates)),
         budget,
         lambda combo: len(_satisfied_pairs(exp, pairs, frozenset(combo))) >= demand,
     )
@@ -284,9 +279,7 @@ def problem_instance(problem: AugmentationProblem) -> TGSteinerInstance:
     )
 
 
-def solve_tpca_via_expansion(
-    problem: AugmentationProblem, *, with_certificate: bool = True
-) -> SolveOutcome:
+def solve_tpca_via_expansion(problem: AugmentationProblem) -> SolveOutcome:
     """Solve a pair-demand augmentation problem through the expansion.
 
     Base edges get weight 0 and candidates weight 1, so the minimum
@@ -306,8 +299,7 @@ def solve_tpca_via_expansion(
     selected = sorted_edges(outcome.selected)
     if not verify_solution(problem, selected):
         raise RuntimeError("expansion selection does not meet the requirement")
-    certificate = build_certificate(problem, selected) if with_certificate else ()
-    return Solution(selected, outcome.weight, None, certificate)
+    return Solution(selected, outcome.weight)
 
 
 # -- journey <-> path correspondence ---------------------------------------

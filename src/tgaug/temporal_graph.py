@@ -19,7 +19,7 @@ share between threads; all operations are pure functions of their inputs.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -145,10 +145,6 @@ class Journey:
     def end(self) -> int | None:
         return self.hops[-1][1] if self.hops else None
 
-    def is_valid_in(self, g: "TemporalGraph") -> bool:
-        """True iff every hop uses an edge present in ``g``."""
-        return all(TemporalEdge(frm, to, t) in g.edges for frm, to, t in self.hops)
-
 
 @dataclass(frozen=True)
 class TemporalGraph:
@@ -163,7 +159,6 @@ class TemporalGraph:
     n: int
     edges: frozenset[TemporalEdge] = frozenset()
     lifespan: int = 0
-    names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.n < 0:
@@ -176,19 +171,10 @@ class TemporalGraph:
                 max_t = e.t
         if self.lifespan < max_t:
             raise ValueError(f"lifespan {self.lifespan} is below the maximum edge time {max_t}")
-        if self.names is not None:
-            if len(self.names) != self.n:
-                raise ValueError("name table size must equal the vertex count")
-            if len(set(self.names)) != self.n:
-                raise ValueError("vertex names must be unique")
 
     @classmethod
     def build(
-        cls,
-        n: int,
-        edges: Iterable[TemporalEdge] = (),
-        lifespan: int | None = None,
-        names: tuple[str, ...] | None = None,
+        cls, n: int, edges: Iterable[TemporalEdge] = (), lifespan: int | None = None
     ) -> "TemporalGraph":
         edge_list = list(edges)
         edge_set = frozenset(edge_list)
@@ -196,7 +182,7 @@ class TemporalGraph:
             dupes = sorted_edges(e for e in edge_set if edge_list.count(e) > 1)
             raise ValueError(f"duplicate temporal edges: {', '.join(map(str, dupes))}")
         max_t = max((e.t for e in edge_set), default=0)
-        return cls(n, edge_set, max_t if lifespan is None else lifespan, names)
+        return cls(n, edge_set, max_t if lifespan is None else lifespan)
 
     # -- basic queries -------------------------------------------------
 
@@ -252,7 +238,7 @@ class TemporalGraph:
 
     def with_lifespan(self, lifespan: int) -> "TemporalGraph":
         """Same graph with an explicit lifespan override."""
-        return TemporalGraph(self.n, self.edges, lifespan, self.names)
+        return TemporalGraph(self.n, self.edges, lifespan)
 
     # -- snapshots and components ---------------------------------------
 
@@ -372,7 +358,7 @@ class TemporalGraph:
             if not 0 <= e.u < self.n or not 0 <= e.v < self.n:
                 raise InvalidCandidateError(f"edge {e} has endpoints outside 0..{self.n - 1}")
         lifespan = max(self.lifespan, max((e.t for e in extra_set), default=0))
-        return TemporalGraph(self.n, self.edges | extra_set, lifespan, self.names)
+        return TemporalGraph(self.n, self.edges | extra_set, lifespan)
 
 
 def _mask_to_block(mask: int) -> tuple[int, ...]:
@@ -474,7 +460,7 @@ def validate_journey(g: TemporalGraph, journey: Journey, start: int | None = Non
     """True iff ``journey`` is a valid journey of ``g`` (optionally from ``start``)."""
     if start is not None and journey.hops and journey.start != start:
         return False
-    return journey.is_valid_in(g)
+    return all(TemporalEdge(frm, to, t) in g.edges for frm, to, t in journey.hops)
 
 
 def find_journey(
@@ -497,7 +483,7 @@ def find_journey(
     return None if hops is None else Journey(hops, semantics)
 
 
-# -- text and JSON formats ------------------------------------------------
+# -- text formats ---------------------------------------------------------
 
 
 def parse_tg(text: str) -> TemporalGraph:
@@ -536,21 +522,7 @@ def parse_tg(text: str) -> TemporalGraph:
                 raise ParseError("edge record before V", lineno)
             if len(parts) < 4:
                 raise ParseError("edge record needs two endpoints and at least one time", lineno)
-            u = _parse_int(parts, 1, lineno, "endpoint")
-            v = _parse_int(parts, 2, lineno, "endpoint")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(f"endpoint out of range 0..{n - 1}", lineno)
-            if u == v:
-                raise ParseError("self-loops are not allowed", lineno)
-            for idx in range(3, len(parts)):
-                t = _parse_int(parts, idx, lineno, "time")
-                if t < 1:
-                    raise ParseError("time steps must be >= 1", lineno)
-                key = (min(u, v), max(u, v), t)
-                if key in seen:
-                    raise ParseError(f"duplicate temporal edge {{{u},{v}}}@{t}", lineno)
-                seen.add(key)
-                edges.append(TemporalEdge(u, v, t))
+            edges += _edge_record(parts, lineno, n, seen)
         else:
             raise ParseError(f"unknown record type {kind!r}", lineno)
     if n is None:
@@ -576,6 +548,37 @@ def _parse_int(parts: list[str], idx: int, lineno: int, what: str) -> int:
         raise ParseError(f"expected integer {what}", lineno) from None
 
 
+def _edge_record(
+    parts: list[str], lineno: int, n: int | None, seen: set[tuple[int, int, int]]
+) -> list[TemporalEdge]:
+    """The temporal edges of one ``E <u> <v> <t> ...`` record, one per listed time.
+
+    ``n`` bounds the endpoints of a ``.tg`` record and is None for a
+    ``.cand`` record, whose file declares no vertex count.  ``seen`` holds
+    the ``(min endpoint, max endpoint, time)`` keys read so far and gains
+    this record's keys; a key read twice is an error.
+    """
+    u = _parse_int(parts, 1, lineno, "endpoint")
+    v = _parse_int(parts, 2, lineno, "endpoint")
+    if n is not None and not (0 <= u < n and 0 <= v < n):
+        raise ParseError(f"endpoint out of range 0..{n - 1}", lineno)
+    if u == v:
+        raise ParseError("self-loops are not allowed", lineno)
+    edges = []
+    for idx in range(3, len(parts)):
+        t = _parse_int(parts, idx, lineno, "time")
+        if t < 1:
+            raise ParseError("time steps must be >= 1", lineno)
+        key = (u, v, t) if u < v else (v, u, t)
+        if key in seen:
+            if n is None:
+                raise ParseError(f"duplicate candidate {{{key[0]},{key[1]}}}@{t}", lineno)
+            raise ParseError(f"duplicate temporal edge {{{u},{v}}}@{t}", lineno)
+        seen.add(key)
+        edges.append(TemporalEdge(u, v, t))
+    return edges
+
+
 def format_tg(g: TemporalGraph) -> str:
     """Serialize to the ``.tg`` format (stable output, groups times per pair)."""
     lines = []
@@ -593,47 +596,15 @@ def format_tg(g: TemporalGraph) -> str:
 def parse_candidates(text: str) -> tuple[TemporalEdge, ...]:
     """Parse the ``.cand`` candidate set format: one ``E <u> <v> <t>`` per line."""
     edges: list[TemporalEdge] = []
-    seen: set[TemporalEdge] = set()
+    seen: set[tuple[int, int, int]] = set()
     for lineno, line in _records(text):
         parts = line.split()
         if parts[0] != "E" or len(parts) != 4:
             raise ParseError("expected 'E <u> <v> <t>'", lineno)
-        u = _parse_int(parts, 1, lineno, "endpoint")
-        v = _parse_int(parts, 2, lineno, "endpoint")
-        t = _parse_int(parts, 3, lineno, "time")
-        if u == v:
-            raise ParseError("self-loops are not allowed", lineno)
-        if t < 1:
-            raise ParseError("time steps must be >= 1", lineno)
-        e = TemporalEdge(u, v, t)
-        if e in seen:
-            raise ParseError(f"duplicate candidate {e}", lineno)
-        seen.add(e)
-        edges.append(e)
+        edges += _edge_record(parts, lineno, None, seen)
     return sorted_edges(edges)
 
 
 def format_candidates(edges: Iterable[TemporalEdge]) -> str:
     return "".join(f"E {e.u} {e.v} {e.t}\n" for e in sorted_edges(edges))
 
-
-def graph_to_json(g: TemporalGraph) -> dict:
-    """JSON-ready mirror of the ``.tg`` fields."""
-    data = {
-        "n": g.n,
-        "lifespan": g.lifespan,
-        "edges": [[e.u, e.v, e.t] for e in g.edges_sorted],
-    }
-    if g.names is not None:
-        data["names"] = list(g.names)
-    return data
-
-
-def graph_from_json(data: dict) -> TemporalGraph:
-    names = tuple(data["names"]) if "names" in data else None
-    return TemporalGraph.build(
-        data["n"],
-        (TemporalEdge(u, v, t) for u, v, t in data["edges"]),
-        lifespan=data.get("lifespan"),
-        names=names,
-    )

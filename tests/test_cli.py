@@ -1,3 +1,5 @@
+import importlib
+import itertools
 import json
 import os
 import subprocess
@@ -13,13 +15,14 @@ from tgaug.reductions import parse_dimacs, parse_set_system, parse_static_graph
 from tgaug.temporal_graph import ParseError, TemporalEdge
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+BENCHMARKS = SRC.parent / "benchmarks"
 
 GRAPH = "V 3\nE 0 1 1\n"
 CANDIDATES = "E 1 2 1\n"
 
 
-def write_bundle(tmp_path, manifest, candidates=CANDIDATES):
-    (tmp_path / "g.tg").write_text(GRAPH)
+def write_bundle(tmp_path, manifest, candidates=CANDIDATES, graph=GRAPH):
+    (tmp_path / "g.tg").write_text(graph)
     (tmp_path / "c.cand").write_text(candidates)
     (tmp_path / "m.mat").write_text("2 2\n1 0\n0 1\n")
     path = tmp_path / "manifest.json"
@@ -51,6 +54,26 @@ class TestExitCodes:
         assert main(["solve", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
+
+    def test_deeply_nested_manifest_is_2(self, tmp_path, capsys):
+        path = write_bundle(tmp_path, tca())
+        Path(path).write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["solve", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: manifest ")
+
+    @pytest.mark.parametrize(
+        "manifest, flags",
+        [
+            ({"kind": "octo", "matrix": "m.mat", "budget": -1}, []),
+            ({"kind": "octo", "matrix": "m.mat"}, ["--budget", "-3"]),
+            (tca(budget=-1), []),
+            (tca(), ["--budget", "-3"]),
+        ],
+    )
+    def test_negative_budget_is_2(self, tmp_path, capsys, manifest, flags):
+        assert main(["solve", write_bundle(tmp_path, manifest), *flags]) == 2
+        assert capsys.readouterr() == ("", "error: budget must be non-negative\n")
 
     @pytest.mark.parametrize(
         "manifest",
@@ -102,11 +125,7 @@ class TestSolutionCheck:
         assert "does not meet the requirement" in proc.stderr
 
     def test_engine_disagreement_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(
-            exp_mod,
-            "solve_tpca_via_expansion",
-            lambda problem, **kwargs: Solution((), 0),
-        )
+        monkeypatch.setattr(exp_mod, "solve_tpca_via_expansion", lambda problem: Solution((), 0))
         path = write_bundle(tmp_path, tca(requirement={"type": "pairs", "pairs": [[0, 2]]}))
         assert main(["solve", path, "--engine", "subset", "--cross-check"]) == 3
         captured = capsys.readouterr()
@@ -128,7 +147,7 @@ class TestSolutionCheck:
     def test_cross_check_compares_the_whole_outcome(
         self, tmp_path, capsys, monkeypatch, budget, other
     ):
-        monkeypatch.setattr(exp_mod, "solve_tpca_via_expansion", lambda problem, **kwargs: other)
+        monkeypatch.setattr(exp_mod, "solve_tpca_via_expansion", lambda problem: other)
         manifest = tca(requirement={"type": "pairs", "pairs": [[0, 2]]}, budget=budget)
         path = write_bundle(tmp_path, manifest)
         assert main(["solve", path, "--engine", "subset"]) == (1 if budget == 0 else 0)
@@ -137,6 +156,83 @@ class TestSolutionCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: internal: engine disagreement: ")
+
+    def test_cross_check_runs_whatever_the_size(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            exp_mod, "solve_tpca_via_expansion", lambda problem: calls.append(1) or Solution((), 0)
+        )
+        candidates = "".join(f"E {u} {v} 2\n" for u, v in itertools.combinations(range(6), 2))
+        manifest = tca(requirement={"type": "pairs", "pairs": [[0, 5]]})
+        path = write_bundle(tmp_path, manifest, candidates, graph="V 6\nE 0 1 1\n")
+        assert main(["solve", path, "--engine", "subset", "--cross-check"]) == 3
+        assert len(calls) == 1
+        assert capsys.readouterr().err.startswith("error: internal: engine disagreement: ")
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({}, "requires a Pairs requirement"),
+            ({"requirement": {"type": "source", "vertex": 0}}, "requires a Pairs requirement"),
+            (
+                {"requirement": {"type": "pairs", "pairs": [[0, 2]]}, "cost_model": "group"},
+                "per-edge cost model",
+            ),
+        ],
+    )
+    def test_cross_check_without_an_expansion_instance_is_2(
+        self, tmp_path, capsys, fields, message
+    ):
+        assert main(["solve", write_bundle(tmp_path, tca(**fields)), "--cross-check"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    def test_engines_agree_past_twenty_gates(self, tmp_path, capsys):
+        graph = "V 8\nE 0 1 1\nE 1 2 2\n"
+        candidates = "".join(
+            f"E {u} {v} {t}\n"
+            for t in (1, 2)
+            for u, v in itertools.combinations(range(8), 2)
+            if (u, v, t) not in {(0, 1, 1), (1, 2, 2)}
+        )
+        assert candidates.count("\n") == 54
+        manifest = tca(requirement={"type": "pairs", "pairs": [[0, 7]]})
+        path = write_bundle(tmp_path, manifest, candidates, graph)
+        outputs = {}
+        for engine in ("expansion", "subset"):
+            assert main(["solve", path, "--engine", engine, "--cross-check"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert data.pop("engine") == engine
+            outputs[engine] = data
+        assert outputs["expansion"] == outputs["subset"]
+        assert outputs["subset"]["selected"] == [{"u": 0, "v": 7, "t": 1}]
+
+
+class TestReduce:
+    def test_3sat_sets_its_own_budget(self, tmp_path, capsys):
+        (tmp_path / "f.cnf").write_text("p cnf 3 2\n1 -2 3 0\n-1 2 3 0\n")
+        runs = []
+        for budget in ([], ["99"]):
+            out = tmp_path / f"out{len(runs)}"
+            argv = ["reduce", "3sat", str(tmp_path / "f.cnf"), *budget, "--out", str(out)]
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            bundle = {f.name: f.read_bytes() for f in out.iterdir()}
+            runs.append((captured.out, bundle, captured.err))
+        assert runs[0][:2] == runs[1][:2]
+        assert b'"budget":6' in runs[0][1]["manifest.json"]
+        assert [err for _, _, err in runs] == [
+            "",
+            "note: 3sat sets its own budget; ignoring the given one\n",
+        ]
+
+    @pytest.mark.parametrize("kind", ["ds", "hs", "dsc"])
+    def test_other_gadgets_need_a_budget(self, tmp_path, capsys, kind):
+        (tmp_path / "src.txt").write_text("V 2\nE 0 1\n" if kind == "ds" else "U 2\nS 0: 0 1\n")
+        out = tmp_path / "out"
+        assert main(["reduce", kind, str(tmp_path / "src.txt"), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: reduce {kind} needs a budget\n")
+        assert not out.exists()
 
 
 class TestSourceParsers:
@@ -179,7 +275,16 @@ GOLDEN_FILES = {
         "candidates": "tiny.cand",
         "requirement": {"type": "pairs", "pairs": [[0, 2]]},
     },
+    "static.txt": "V 3\nE 0 1\n",
+    "f.cnf": "p cnf 3 1\n1 -2 3 0\n",
 }
+
+
+def write_golden_files(tmp_path, monkeypatch):
+    for name, content in GOLDEN_FILES.items():
+        text = content if isinstance(content, str) else json.dumps(content)
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
 
 GOLDEN_EXPANSION = (
     '{"arc_count":16,"arcs":[{"dst":1,"src":0,"weight":0},{"dst":2,"src":1,"weight":0},'
@@ -202,10 +307,7 @@ class TestGoldenOutput:
 
     @pytest.fixture
     def run(self, tmp_path, capsys, monkeypatch):
-        for name, content in GOLDEN_FILES.items():
-            text = content if isinstance(content, str) else json.dumps(content)
-            (tmp_path / name).write_text(text)
-        monkeypatch.chdir(tmp_path)
+        write_golden_files(tmp_path, monkeypatch)
 
         def run(*argv):
             code = main(list(argv))
@@ -269,3 +371,45 @@ class TestGoldenOutput:
 
     def test_expand_json(self, run):
         assert run("expand", "tiny.json", "--format", "json") == (0, GOLDEN_EXPANSION)
+
+
+REPLAY_RUNS = [
+    [["check", "path.tg", "--semantics", "strict"]],
+    [["solve", "all.json"]],
+    [["solve", "all.json", "--engine", "subset"]],
+    [["solve", "pairs.json", "--engine", "expansion"]],
+    [["solve", "one.json"]],
+    [["solve", "octo.json"]],
+    [
+        ["reduce", "ds", "static.txt", "2", "--out", "ds", "--mode", "unrestricted"],
+        ["solve", "ds/manifest.json"],
+    ],
+    [["reduce", "hs", "sets.txt", "2", "--out", "hs"], ["solve", "hs/manifest.json"]],
+    [["reduce", "dsc", "sets.txt", "2", "--out", "dsc"], ["solve", "dsc/manifest.json"]],
+    [["reduce", "3sat", "f.cnf", "0", "--out", "sat"], ["solve", "sat/manifest.json"]],
+    [["expand", "tiny.json", "--format", "dot"]],
+    [["expand", "tiny.json", "--format", "json"]],
+]
+
+
+class TestBenchmarkReplay:
+    """The benchmark's traced replay of each task kind it runs matches the CLI."""
+
+    @pytest.fixture(scope="class")
+    def replay(self):
+        sys.path.insert(0, str(BENCHMARKS))
+        try:
+            return importlib.import_module("replay")
+        finally:
+            sys.path.remove(str(BENCHMARKS))
+
+    @pytest.mark.parametrize("steps", REPLAY_RUNS, ids=lambda steps: " ".join(steps[0]))
+    def test_replay_matches_the_cli(self, replay, steps, tmp_path, capsys, monkeypatch):
+        write_golden_files(tmp_path, monkeypatch)
+        for argv in steps:
+            code = main(argv)
+            out = capsys.readouterr().out
+            assert code in (0, 1)
+            written = {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()}
+            assert replay.replay(argv, replay.Tracer()) == (code, out)
+            assert {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()} == written

@@ -41,7 +41,7 @@ from tgaug.reductions import (
     sat_edges_to_witness,
     sat_witness_to_edges,
 )
-from tgaug.temporal_graph import NON_STRICT, TemporalEdge, TemporalGraph
+from tgaug.temporal_graph import NON_STRICT, TemporalEdge, TemporalGraph, format_tg, parse_tg
 
 
 def dominates(n, edges, picked):
@@ -330,3 +330,17 @@ class TestOctoWitnessEdges:
             TemporalEdge(0, 3, 2),
             TemporalEdge(0, 4, 2),
         )
+
+
+@pytest.mark.parametrize(
+    "reduce",
+    [
+        lambda: reduce_dominating_set(StaticGraphInstance(3, frozenset({(0, 1)}), 1)),
+        lambda: reduce_hitting_set(SetSystemInstance(3, (frozenset({0, 1}), frozenset({2})), 1)),
+        lambda: reduce_3sat(CnfInstance(3, ((1, -2, 3), (-1, 2, 3)))),
+    ],
+    ids=["ds", "hs", "3sat"],
+)
+def test_gadget_base_survives_the_tg_round_trip(reduce):
+    base = reduce().problem.base
+    assert parse_tg(format_tg(base)) == base

@@ -52,7 +52,7 @@ class TestSolver:
         outcomes = set()
         for _ in range(60):
             problem = random_pairs_problem(rng, semantics, with_budget)
-            got = solve_tpca_via_expansion(problem, with_certificate=False)
+            got = solve_tpca_via_expansion(problem)
             subset = solve_exact(problem, with_certificate=False)
             # both engines promise the lexicographically least cheapest selection
             assert solution_to_json(got, problem) == solution_to_json(subset, problem)
@@ -91,12 +91,14 @@ class TestSolver:
         assert checked > 60
 
     def test_gate_cap(self):
+        """The search has no size cap: 21 positive gates solve."""
         clique = [TemporalEdge(u, v, 1) for u, v in itertools.combinations(range(7), 2)]
         g = TemporalGraph.build(7, clique)
         inst = TGSteinerInstance.from_weights(g, dict.fromkeys(g.edges, 1), [(0, 1)])
         exp, pair_map = build_expansion(inst)
-        with pytest.raises(ValueError, match="21 positive-weight gates exceed .* cap of 20"):
-            min_weight_connection(exp, pair_map, 1)
+        assert len(exp.positive_gate_edges) == 21
+        found = min_weight_connection(exp, pair_map, 1)
+        assert (found.weight, found.selected) == (1, (TemporalEdge(0, 1, 1),))
 
 
 class TestReachability:

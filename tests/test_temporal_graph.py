@@ -16,8 +16,6 @@ from tgaug.temporal_graph import (
     find_journey,
     format_candidates,
     format_tg,
-    graph_from_json,
-    graph_to_json,
     parse_candidates,
     parse_tg,
     validate_journey,
@@ -70,10 +68,6 @@ class TestConstruction:
     def test_simple_flag(self):
         assert G(3, (0, 1, 1), (1, 2, 1)).is_simple
         assert not G(2, (0, 1, 1), (0, 1, 2)).is_simple
-
-    def test_names_validated(self):
-        with pytest.raises(ValueError):
-            TemporalGraph.build(2, names=("a", "a"))
 
 
 class TestSnapshot:
@@ -346,12 +340,7 @@ class TestFormats:
     @settings(max_examples=100, deadline=None)
     @given(temporal_graphs())
     def test_tg_round_trip(self, g):
-        assert parse_tg(format_tg(g)) == TemporalGraph(g.n, g.edges, g.lifespan)
-
-    @settings(max_examples=60, deadline=None)
-    @given(temporal_graphs())
-    def test_json_round_trip(self, g):
-        assert graph_from_json(graph_to_json(g)) == g
+        assert parse_tg(format_tg(g)) == g
 
     def test_candidates_round_trip(self):
         edges = (TemporalEdge(0, 1, 2), TemporalEdge(1, 2, 1))
