@@ -40,12 +40,9 @@ from .octo import (
 )
 from .steiner_expansion import (
     ExpansionGraph,
-    ExpansionNode,
     TGSteinerInstance,
     build_expansion,
-    journey_to_path,
     min_weight_connection,
-    path_to_journey,
     solve_tpca_via_expansion,
 )
 from .temporal_graph import (
@@ -72,7 +69,6 @@ __all__ = [
     "COST_EDGE",
     "COST_GROUP",
     "ExpansionGraph",
-    "ExpansionNode",
     "Infeasible",
     "InvalidCandidateError",
     "Journey",
@@ -96,12 +92,10 @@ __all__ = [
     "component_intersection_matrix",
     "find_journey",
     "format_tg",
-    "journey_to_path",
     "matrix_to_graph",
     "min_weight_connection",
     "or_combine",
     "parse_tg",
-    "path_to_journey",
     "sequence_to_edges",
     "solve_exact",
     "solve_octo",

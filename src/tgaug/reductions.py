@@ -302,9 +302,11 @@ def reduce_dsc(inst: SetSystemInstance) -> DscReduction:
     any within-budget solution merges columns only, grouping the subsets
     into covers.
     """
+    n, m = inst.universe_size, len(inst.subsets)
     if inst.budget < 1:
         raise ValueError("cover target must be at least 1")
-    n, m = inst.universe_size, len(inst.subsets)
+    if inst.budget > m:
+        raise ValueError(f"cover target {inst.budget} exceeds the {m} sets")
     if n < 1:
         raise ValueError("universe must be non-empty")
     rows = tuple(
@@ -502,6 +504,8 @@ def parse_static_graph(text: str, budget: int) -> StaticGraphInstance:
             if n is not None:
                 raise ParseError("duplicate V record", lineno)
             n = _parse_int(parts, 1, lineno, "vertex count")
+            if n < 0:
+                raise ParseError("vertex count must be non-negative", lineno)
         elif parts[0] == "E" and len(parts) == 3:
             if n is None:
                 raise ParseError("edge before V record", lineno)
@@ -527,6 +531,8 @@ def parse_set_system(text: str, budget: int) -> SetSystemInstance:
             if n is not None or len(parts) != 2:
                 raise ParseError("expected a single 'U <n>' record", lineno)
             n = _parse_int(parts, 1, lineno, "universe size")
+            if n < 0:
+                raise ParseError("universe size must be non-negative", lineno)
         elif line.startswith("S"):
             if n is None:
                 raise ParseError("set before U record", lineno)
@@ -560,6 +566,7 @@ def parse_dimacs(text: str) -> CnfInstance:
     everything after a ``#``.
     """
     n_vars: int | None = None
+    n_clauses = header_line = 0
     clauses: list[tuple[int, int, int]] = []
     pending: list[int] = []
     for lineno, line in _records(text):
@@ -569,7 +576,11 @@ def parse_dimacs(text: str) -> CnfInstance:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError("expected 'p cnf <vars> <clauses>'", lineno)
+            if n_vars is not None:
+                raise ParseError("duplicate problem line", lineno)
             n_vars = _parse_int(parts, 2, lineno, "variable count")
+            n_clauses = _parse_int(parts, 3, lineno, "clause count")
+            header_line = lineno
             continue
         if n_vars is None:
             raise ParseError("clause before the problem line", lineno)
@@ -593,4 +604,6 @@ def parse_dimacs(text: str) -> CnfInstance:
         raise ParseError("missing problem line")
     if pending:
         raise ParseError("unterminated clause")
+    if len(clauses) != n_clauses:
+        raise ParseError(f"{n_clauses} clauses declared, {len(clauses)} given", header_line)
     return CnfInstance(n_vars, tuple(clauses))

@@ -8,14 +8,13 @@ copies.  The non-strict variant additionally links gates of same-time
 edges that share an endpoint, so a path may chain several hops inside one
 time step.  On top of the expansion sits an exact solver for pair-demand
 instances (fewest paid gates satisfying at least B of the p demands, found
-by the subset search of :mod:`tgaug.augmentation`), the round trip between
-journeys and expansion paths, and the DOT and JSON writers.
+by the subset search of :mod:`tgaug.augmentation`) and the DOT and JSON
+writers.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -32,46 +31,11 @@ from .augmentation import (
 )
 from .temporal_graph import (
     NON_STRICT,
-    Journey,
     TemporalEdge,
     TemporalGraph,
     sorted_edges,
     _check_semantics,
 )
-
-COPY = "copy"
-GATE_IN = "gate_in"
-GATE_OUT = "gate_out"
-
-
-@dataclass(frozen=True)
-class ExpansionNode:
-    """Either the layer-t copy of a vertex or one of the two gate nodes of an edge."""
-
-    kind: str
-    vertex: int | None = None
-    time: int | None = None
-    edge: TemporalEdge | None = None
-
-    @property
-    def label(self) -> str:
-        if self.kind == COPY:
-            return f"{self.vertex}@{self.time}"
-        suffix = "in" if self.kind == GATE_IN else "out"
-        e = self.edge
-        return f"{e.u}-{e.v}@{e.t}.{suffix}"
-
-
-def _copy(v: int, t: int) -> ExpansionNode:
-    return ExpansionNode(COPY, vertex=v, time=t)
-
-
-def _gate_in(e: TemporalEdge) -> ExpansionNode:
-    return ExpansionNode(GATE_IN, edge=e)
-
-
-def _gate_out(e: TemporalEdge) -> ExpansionNode:
-    return ExpansionNode(GATE_OUT, edge=e)
 
 
 @dataclass(frozen=True)
@@ -119,25 +83,33 @@ class TGSteinerInstance:
 
 @dataclass(frozen=True)
 class ExpansionGraph:
-    """Directed weighted static graph produced by the temporal expansion."""
+    """Directed weighted static graph produced by the temporal expansion.
+
+    Its nodes are the integers of ``nodes``.  With L = lifespan + 1 layers,
+    the layer-t copy of vertex v is ``v*L + t-1``, the gate-in node of the
+    k-th edge of ``edges`` is ``n*L + 2k`` and its gate-out node is one more.
+    """
 
     semantics: str
     n: int
     lifespan: int
-    nodes: tuple[ExpansionNode, ...]
+    edges: tuple[TemporalEdge, ...]  # in canonical order, one gate each
     arcs: tuple[tuple[int, int, int], ...]  # (src, dst, weight)
 
-    @cached_property
-    def node_index(self) -> dict[ExpansionNode, int]:
-        return {node: i for i, node in enumerate(self.nodes)}
+    @property
+    def nodes(self) -> range:
+        return range(self.n * (self.lifespan + 1) + 2 * len(self.edges))
 
     def copy_index(self, v: int, t: int) -> int:
-        return self.node_index[_copy(v, t)]
+        return v * (self.lifespan + 1) + t - 1
+
+    def _gate_edge(self, node: int) -> TemporalEdge:
+        return self.edges[(node - self.n * (self.lifespan + 1)) // 2]
 
     @cached_property
     def positive_gate_edges(self) -> tuple[TemporalEdge, ...]:
         """Edges whose gate arc has positive weight (no other arc has), in canonical order."""
-        return sorted_edges(self.nodes[src].edge for src, _, w in self.arcs if w)
+        return tuple(self._gate_edge(src) for src, _, w in self.arcs if w)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
@@ -145,7 +117,7 @@ class ExpansionGraph:
         positive = {e: i for i, e in enumerate(self.positive_gate_edges)}
         out: list[list[tuple[int, int, int]]] = [[] for _ in self.nodes]
         for src, dst, w in self.arcs:
-            out[src].append((dst, w, positive[self.nodes[src].edge] if w else -1))
+            out[src].append((dst, w, positive[self._gate_edge(src)] if w else -1))
         return tuple(tuple(lst) for lst in out)
 
     def reachable_from(self, start: int, open_gates: frozenset[int]) -> set[int]:
@@ -180,39 +152,33 @@ def build_expansion(
     _check_semantics(semantics)
     g = inst.graph
     T = g.lifespan
+    layers = T + 1
     weights = inst.weights
-    nodes: list[ExpansionNode] = []
-    for v in range(g.n):
-        for t in range(1, T + 2):
-            nodes.append(_copy(v, t))
     edges = sorted_edges(g.edges)
-    for e in edges:
-        nodes.append(_gate_in(e))
-        nodes.append(_gate_out(e))
-    index = {node: i for i, node in enumerate(nodes)}
+    first_gate = g.n * layers
 
     arcs: list[tuple[int, int, int]] = []
     for v in range(g.n):
         for t in range(1, T + 1):
-            arcs.append((index[_copy(v, t)], index[_copy(v, t + 1)], 0))
-    for e in edges:
-        gin, gout = index[_gate_in(e)], index[_gate_out(e)]
-        arcs.append((index[_copy(e.u, e.t)], gin, 0))
-        arcs.append((index[_copy(e.v, e.t)], gin, 0))
-        arcs.append((gin, gout, weights[e]))
-        arcs.append((gout, index[_copy(e.u, e.t + 1)], 0))
-        arcs.append((gout, index[_copy(e.v, e.t + 1)], 0))
+            arcs.append((v * layers + t - 1, v * layers + t, 0))
+    for k, e in enumerate(edges):
+        gin = first_gate + 2 * k
+        u_in, v_in = e.u * layers + e.t - 1, e.v * layers + e.t - 1
+        arcs.append((u_in, gin, 0))
+        arcs.append((v_in, gin, 0))
+        arcs.append((gin, gin + 1, weights[e]))
+        arcs.append((gin + 1, u_in + 1, 0))
+        arcs.append((gin + 1, v_in + 1, 0))
     if semantics == NON_STRICT:
-        by_time: dict[int, list[TemporalEdge]] = defaultdict(list)
-        for e in edges:
-            by_time[e.t].append(e)
-        for t in sorted(by_time):
-            for e1, e2 in itertools.combinations(by_time[t], 2):
+        # canonical order is time first, so each time's edges are one run
+        for _, run in itertools.groupby(enumerate(edges), key=lambda item: item[1].t):
+            for (k1, e1), (k2, e2) in itertools.combinations(run, 2):
                 if {e1.u, e1.v} & {e2.u, e2.v}:
-                    arcs.append((index[_gate_out(e1)], index[_gate_in(e2)], 0))
-                    arcs.append((index[_gate_out(e2)], index[_gate_in(e1)], 0))
+                    gin1, gin2 = first_gate + 2 * k1, first_gate + 2 * k2
+                    arcs.append((gin1 + 1, gin2, 0))
+                    arcs.append((gin2 + 1, gin1, 0))
 
-    exp = ExpansionGraph(semantics, g.n, T, tuple(nodes), tuple(arcs))
+    exp = ExpansionGraph(semantics, g.n, T, edges, tuple(arcs))
     pair_map = tuple(
         (exp.copy_index(u, 1), exp.copy_index(v, T + 1)) for u, v in inst.pairs
     )
@@ -225,20 +191,18 @@ class ConnectionResult:
 
     weight: int
     selected: tuple[TemporalEdge, ...]
-    satisfied: tuple[int, ...]  # indices into the pair list
 
 
-def _satisfied_pairs(
+def _satisfied_count(
     exp: ExpansionGraph, pairs: Sequence[tuple[int, int]], open_gates: frozenset[int]
-) -> tuple[int, ...]:
-    hit = []
+) -> int:
+    hit = 0
     reach_cache: dict[int, set[int]] = {}
-    for idx, (src, dst) in enumerate(pairs):
+    for src, dst in pairs:
         if src not in reach_cache:
             reach_cache[src] = exp.reachable_from(src, open_gates)
-        if dst in reach_cache[src]:
-            hit.append(idx)
-    return tuple(hit)
+        hit += dst in reach_cache[src]
+    return hit
 
 
 def min_weight_connection(
@@ -261,12 +225,11 @@ def min_weight_connection(
     combo = _cheapest_subset(
         range(len(gates)),
         budget,
-        lambda combo: len(_satisfied_pairs(exp, pairs, frozenset(combo))) >= demand,
+        lambda combo: _satisfied_count(exp, pairs, frozenset(combo)) >= demand,
     )
     if isinstance(combo, Infeasible):
         return combo
-    satisfied = _satisfied_pairs(exp, pairs, frozenset(combo))
-    return ConnectionResult(len(combo), tuple(gates[i] for i in combo), satisfied)
+    return ConnectionResult(len(combo), tuple(gates[i] for i in combo))
 
 
 def problem_instance(problem: AugmentationProblem) -> TGSteinerInstance:
@@ -302,110 +265,17 @@ def solve_tpca_via_expansion(problem: AugmentationProblem) -> SolveOutcome:
     return Solution(selected, outcome.weight)
 
 
-# -- journey <-> path correspondence ---------------------------------------
-
-
-def journey_to_path(exp: ExpansionGraph, source: int, journey: Journey) -> tuple[int, ...]:
-    """The canonical expansion path of a journey starting at ``source``.
-
-    Waiting arcs bridge strictly increasing hop times; consecutive equal-time
-    hops run through the gate-to-gate arcs of the non-strict expansion.  The
-    result always runs from the layer-1 copy of the start vertex to the
-    layer-(T+1) copy of the end vertex.
-    """
-    if journey.semantics != exp.semantics:
-        raise ValueError(
-            f"journey semantics {journey.semantics!r} does not match expansion {exp.semantics!r}"
-        )
-    if journey.hops and journey.start != source:
-        raise ValueError("journey does not start at the given source")
-    index = exp.node_index
-    path = [exp.copy_index(source, 1)]
-    layer = 1
-    vertex = source
-    pending_time: int | None = None  # set while standing on a gate-out node
-    prev_edge: TemporalEdge | None = None
-    for frm, to, t in journey.hops:
-        if frm != vertex:
-            raise ValueError("hops do not chain")
-        e = TemporalEdge(frm, to, t)
-        gin = index.get(_gate_in(e))
-        if gin is None:
-            raise ValueError(f"hop {e} is not an edge of the expanded graph")
-        if pending_time is not None:
-            if t == pending_time:
-                if e == prev_edge:
-                    raise ValueError(
-                        "re-traversing an edge immediately at the same time has no expansion path"
-                    )
-                path.append(gin)  # gray arc, same time step
-            else:
-                path.append(exp.copy_index(vertex, pending_time + 1))
-                layer = pending_time + 1
-                pending_time = None
-        if pending_time is None:
-            while layer < t:
-                layer += 1
-                path.append(exp.copy_index(vertex, layer))
-            path.append(gin)
-        path.append(index[_gate_out(e)])
-        pending_time = t
-        prev_edge = e
-        vertex = to
-    if pending_time is not None:
-        path.append(exp.copy_index(vertex, pending_time + 1))
-        layer = pending_time + 1
-    while layer < exp.lifespan + 1:
-        layer += 1
-        path.append(exp.copy_index(vertex, layer))
-    return tuple(path)
-
-
-def path_to_journey(exp: ExpansionGraph, path: Sequence[int]) -> tuple[int, Journey]:
-    """Recover (source vertex, journey) from a copy-to-copy expansion path.
-
-    Gate traversals entered and left at the same endpoint carry no movement
-    and become waits, so arbitrary paths canonicalize to valid journeys;
-    on canonical (bounce-free) paths this inverts :func:`journey_to_path`.
-    """
-    if not path:
-        raise ValueError("empty path")
-    arc_set = {(src, dst) for src, dst, _ in exp.arcs}
-    for a, b in zip(path, path[1:]):
-        if (a, b) not in arc_set:
-            raise ValueError(f"no arc between nodes {a} and {b}")
-    first, last = exp.nodes[path[0]], exp.nodes[path[-1]]
-    if first.kind != COPY or first.time != 1:
-        raise ValueError("path must start at a layer-1 copy")
-    if last.kind != COPY or last.time != exp.lifespan + 1:
-        raise ValueError(f"path must end at a layer-{exp.lifespan + 1} copy")
-    source = first.vertex
-    vertex = source
-    hops: list[tuple[int, int, int]] = []
-    i = 0
-    while i < len(path):
-        node = exp.nodes[path[i]]
-        if node.kind == GATE_IN:
-            e = node.edge
-            # the out node is forced; find where the traversal exits
-            nxt = exp.nodes[path[i + 2]] if i + 2 < len(path) else None
-            if nxt is None:
-                raise ValueError("path ends inside a gate")
-            if nxt.kind == COPY:
-                exit_vertex = nxt.vertex
-            else:  # gray arc: the traveller stands on the shared endpoint
-                shared = {e.u, e.v} & {nxt.edge.u, nxt.edge.v}
-                exit_vertex = next(iter(shared))
-            if exit_vertex != vertex:
-                hops.append((vertex, exit_vertex, e.t))
-                vertex = exit_vertex
-            i += 2
-        else:
-            i += 1
-    return source, Journey(tuple(hops), exp.semantics)
-
-
 # -- export formats ---------------------------------------------------------
+
+
+def _labels(exp: ExpansionGraph) -> list[tuple[str, str]]:
+    """(label, kind) of each node, from its id."""
+    layers = exp.lifespan + 1
+    out = [(f"{v}@{t}", "copy") for v in range(exp.n) for t in range(1, layers + 1)]
+    for e in exp.edges:
+        out.append((f"{e.u}-{e.v}@{e.t}.in", "gate_in"))
+        out.append((f"{e.u}-{e.v}@{e.t}.out", "gate_out"))
+    return out
 
 
 def expansion_to_json(exp: ExpansionGraph) -> dict:
@@ -416,21 +286,22 @@ def expansion_to_json(exp: ExpansionGraph) -> dict:
         "lifespan": exp.lifespan,
         "node_count": len(exp.nodes),
         "arc_count": len(exp.arcs),
-        "nodes": [{"label": node.label, "kind": node.kind} for node in exp.nodes],
+        "nodes": [{"label": label, "kind": kind} for label, kind in _labels(exp)],
         "arcs": [{"src": src, "dst": dst, "weight": w} for src, dst, w in exp.arcs],
     }
 
 
 def expansion_to_dot(exp: ExpansionGraph) -> str:
     """DOT export; the header comment carries the structural counts."""
+    labels = [label for label, _ in _labels(exp)]
     lines = [
         f"// nodes={len(exp.nodes)} arcs={len(exp.arcs)} n={exp.n} "
         f"lifespan={exp.lifespan} semantics={exp.semantics}",
         "digraph expansion {",
     ]
-    for node in exp.nodes:
-        lines.append(f'  "{node.label}";')
+    for label in labels:
+        lines.append(f'  "{label}";')
     for src, dst, w in exp.arcs:
-        lines.append(f'  "{exp.nodes[src].label}" -> "{exp.nodes[dst].label}" [weight={w}];')
+        lines.append(f'  "{labels[src]}" -> "{labels[dst]}" [weight={w}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -79,42 +79,6 @@ def journey_connected(g: TemporalGraph, semantics: str) -> bool:
     return all(journey_reach(g, s, semantics) == set(range(g.n)) for s in range(g.n))
 
 
-def enumerate_journeys(
-    g: TemporalGraph, source: int, semantics: str
-) -> list[tuple[tuple[int, int, int], ...]]:
-    """Every journey from ``source`` that never reuses a temporal edge."""
-    out: list[tuple[tuple[int, int, int], ...]] = [()]
-
-    def extend(v: int, t_min: int, used: frozenset[TemporalEdge], hops: tuple):
-        for e in sorted_edges(g.edges):
-            if v not in (e.u, e.v) or e.t < t_min or e in used:
-                continue
-            w = e.v if e.u == v else e.u
-            new_hops = hops + ((v, w, e.t),)
-            out.append(new_hops)
-            extend(w, e.t + 1 if semantics == STRICT else e.t, used | {e}, new_hops)
-
-    extend(source, 1, frozenset(), ())
-    return out
-
-
-def enumerate_simple_paths(exp: ExpansionGraph, src: int, dst: int) -> list[tuple[int, ...]]:
-    """All node-simple directed paths in the expansion (every gate open)."""
-    adjacency = [[d for d, _, _ in row] for row in exp.adjacency]
-    out: list[tuple[int, ...]] = []
-
-    def walk(node: int, path: tuple[int, ...], seen: set[int]):
-        if node == dst:
-            out.append(path)
-            return
-        for nxt in adjacency[node]:
-            if nxt not in seen:
-                walk(nxt, path + (nxt,), seen | {nxt})
-
-    walk(src, (src,), {src})
-    return out
-
-
 def brute_min_cost(problem: AugmentationProblem, cap: int | None = None) -> int | None:
     """Minimum feasible cost by raw subset enumeration, no pruning at all."""
     if problem.cost_model == "group":

@@ -234,19 +234,38 @@ class TestReduce:
         assert capsys.readouterr() == ("", f"error: reduce {kind} needs a budget\n")
         assert not out.exists()
 
+    def test_dsc_cover_target_beyond_the_sets_is_2(self, tmp_path, capsys):
+        (tmp_path / "sets.txt").write_text("U 2\nS 0: 0\nS 1: 1\n")
+        out = tmp_path / "out"
+        assert main(["reduce", "dsc", str(tmp_path / "sets.txt"), "5", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: cover target 5 exceeds the 2 sets\n")
+        assert not (out / "manifest.json").exists()
+
 
 class TestSourceParsers:
     @pytest.mark.parametrize(
         "parse, text",
         [
             (lambda text: parse_static_graph(text, 1), "V x\n"),
+            (lambda text: parse_static_graph(text, 1), "V -2\nE 0 1\n"),
             (lambda text: parse_set_system(text, 1), "U x\n"),
+            (lambda text: parse_set_system(text, 1), "U -1\nS 0:\n"),
             (parse_dimacs, "p cnf x 1\n"),
+            (parse_dimacs, "p cnf 3 x\n1 2 3 0\n"),
         ],
     )
     def test_bad_count_reports_its_line(self, parse, text):
         with pytest.raises(ParseError, match="line 1"):
             parse(text)
+
+    def test_dimacs_takes_one_problem_line(self):
+        with pytest.raises(ParseError, match="line 2: duplicate problem line"):
+            parse_dimacs("p cnf 3 1\np cnf 4 1\n1 2 3 0\n-4 1 2 0\n")
+
+    @pytest.mark.parametrize("clauses, given", [("1 2 3 0\n", 1), ("1 2 3 0\n-1 0\n2 0\n", 3)])
+    def test_dimacs_clause_count_must_match(self, clauses, given):
+        with pytest.raises(ParseError, match=f"line 1: 2 clauses declared, {given} given"):
+            parse_dimacs("p cnf 3 2\n" + clauses)
 
 
 GOLDEN_FILES = {

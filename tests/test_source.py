@@ -5,7 +5,16 @@ from pathlib import Path
 
 import pytest
 
+import tgaug
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tgaug"
+
+
+def test_public_names_resolve():
+    # a name left in __all__ after its definition goes breaks `from tgaug import *`
+    assert len(set(tgaug.__all__)) == len(tgaug.__all__)
+    missing = [name for name in tgaug.__all__ if not hasattr(tgaug, name)]
+    assert not missing, f"tgaug.__all__ names undefined attributes {missing}"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
