@@ -10,11 +10,10 @@ a spanner question into an augmentation instance.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .temporal_graph import (
     NON_STRICT,
@@ -209,82 +208,131 @@ def unrestricted_candidates(g: TemporalGraph, lifespan: int | None = None) -> fr
     )
 
 
-class _SubsetEvaluator:
-    """Fast feasibility checks for candidate subsets of one problem.
+def _joined(masks: tuple[int, ...], link: int) -> tuple[int, ...]:
+    """The disjoint ``masks`` with every mask that meets ``link`` merged into one.
 
-    Builds the base graph's sweep layers over the base and candidate times
-    once; each call copies that list and patches only the slots of the
-    selected edges' times.  A strict slot gets the extra edge bit pairs
-    appended; a non-strict slot gets its component masks merged by the
-    extra edges (non-strict reachability is a function of the per-time
-    component partitions).  That merge runs once per tested subset, so it
-    is a union-find over the slot's components: merging the masks by
-    scanning the component list measured slower on non-strict searches.
+    ``masks`` must cover every bit of ``link``.  Serves both the component
+    masks of a non-strict sweep layer and the static footprint of a subset.
+    """
+    hit = 0
+    rest = []
+    for m in masks:
+        if m & link:
+            hit |= m
+        else:
+            rest.append(m)
+    return (hit, *rest)
+
+
+def _components(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Component masks of the static graph on vertices 0..n-1 with edges ``pairs``."""
+    masks = tuple(1 << v for v in range(n))
+    for u, v in pairs:
+        masks = _joined(masks, 1 << u | 1 << v)
+    return masks
+
+
+def _footprint(space) -> tuple[list[int], tuple[int, ...], tuple[int, ...]]:
+    """The footprint bound's start data for a search space: unit links and two partitions.
+
+    The footprint is the static graph of the space's free edges plus the
+    chosen units, each of which links its endpoint pair.  Every accepted
+    selection puts each demanded pair in one footprint component.  The
+    first partition is the footprint's components, the second those of the
+    footprint plus the demanded pairs; extended by the same unit links,
+    their difference in size is how many more units a node needs at least,
+    since a unit joins at most two components.
+    """
+    links = [1 << u | 1 << v for u, v in space.unit_pairs]
+    footprint = _components(space.n, space.free_pairs)
+    target = _components(space.n, [*space.free_pairs, *space.demand_pairs])
+    return links, footprint, target
+
+
+class _LayerSpace:
+    """The subset search's states for one problem: sweep layers patched unit by unit.
+
+    The start state is the base graph's sweep layers over the base and
+    candidate times.  Adding a unit patches only the slots of its edges'
+    times: a strict slot gets the edge bit pairs appended, a non-strict
+    slot gets its component masks merged by the edges (non-strict
+    reachability is a function of the per-time component partitions).
+    The free edges of the footprint are the base edges.  All and Source
+    demand every vertex in one component, a Pairs requirement its pairs
+    when every entry is demanded, and a B-of-p demand nothing.
     """
 
-    def __init__(self, problem: AugmentationProblem):
+    def __init__(self, problem: AugmentationProblem, units: Sequence[tuple[TemporalEdge, ...]]):
         base = problem.base
-        self.requirement = problem.requirement
+        req = problem.requirement
+        self.requirement = req
         self.n = base.n
         self.strict = problem.semantics == STRICT
+        self.failed = 0  # the All source that failed the last test, tried first next time
         times = sorted(set(base._edge_times) | {e.t for e in problem.candidates})
-        self.slot = {t: i for i, t in enumerate(times)}
-        self.layers = tuple(base._layer(t, self.strict) for t in times)
-        if not self.strict:
-            self.comp_index = {}
-            for t, masks in zip(times, self.layers):
-                index = [0] * base.n
-                for i, m in enumerate(masks):
-                    mm = m
-                    while mm:
-                        low = mm & -mm
-                        index[low.bit_length() - 1] = i
-                        mm &= mm - 1
-                self.comp_index[t] = index
-
-    def edge_effect(self, e: TemporalEdge) -> tuple[int, int, int] | None:
-        """(t, comp, comp) merged by this edge in the base graph; None when void."""
-        idx = self.comp_index[e.t]
-        a, b = idx[e.u], idx[e.v]
-        if a == b:
-            return None
-        return (e.t, a, b) if a < b else (e.t, b, a)
-
-    def feasible(self, selected: Sequence[TemporalEdge]) -> bool:
-        layers = list(self.layers)
-        if self.strict:
-            for e in selected:
-                layers[self.slot[e.t]] += ((1 << e.u, 1 << e.v),)
+        slot = {t: i for i, t in enumerate(times)}
+        self.start = tuple(base._layer(t, self.strict) for t in times)
+        self.patches = [tuple((slot[e.t], 1 << e.u, 1 << e.v) for e in unit) for unit in units]
+        self.unit_pairs = [unit[0].pair for unit in units]
+        self.free_pairs = [e.pair for e in base.edges]
+        if not isinstance(req, Pairs):
+            self.demand_pairs = [(0, v) for v in range(base.n)]
+        elif req.effective_demand == len(req.pairs):
+            self.demand_pairs = req.pairs
         else:
-            by_time: dict[int, list[TemporalEdge]] = defaultdict(list)
-            for e in selected:
-                by_time[e.t].append(e)
-            for t, edges in by_time.items():
-                i = self.slot[t]
-                parts = list(layers[i])
-                parent = list(range(len(parts)))
+            self.demand_pairs = []
 
-                def find(k: int) -> int:
-                    while parent[k] != k:
-                        parent[k] = parent[parent[k]]
-                        k = parent[k]
-                    return k
+    def add(self, layers: Sequence[tuple], unit: int) -> list[tuple]:
+        layers = list(layers)
+        for i, bu, bv in self.patches[unit]:
+            layers[i] = layers[i] + ((bu, bv),) if self.strict else _joined(layers[i], bu | bv)
+        return layers
 
-                index = self.comp_index[t]
-                for e in edges:
-                    ra, rb = find(index[e.u]), find(index[e.v])
-                    if ra != rb:
-                        parent[rb] = ra
-                        parts[ra] |= parts[rb]
-                layers[i] = tuple(parts[k] for k in range(len(parts)) if find(k) == k)
-        return _requirement_holds(self.requirement, self.n, layers, self.strict)
+    def holds(self, layers: Sequence[tuple]) -> bool:
+        if not isinstance(self.requirement, All):
+            return _requirement_holds(self.requirement, self.n, layers, self.strict)
+        n = self.n
+        full = (1 << n) - 1
+        for s in (*range(self.failed, n), *range(self.failed)):
+            if sweep(layers, self.strict, 1 << s) != full:
+                self.failed = s
+                return False
+        return True
 
 
-def _group_items(problem: AugmentationProblem):
+def _group_items(problem: AugmentationProblem) -> list[tuple[TemporalEdge, ...]]:
     """The searchable units: temporal edges, or endpoint-pair groups."""
     if problem.cost_model == COST_GROUP:
         return [edges for _, edges in problem.candidate_groups]
     return [(e,) for e in problem.candidates_sorted]
+
+
+def _merging_units(
+    problem: AugmentationProblem, units: Sequence[tuple[TemporalEdge, ...]]
+) -> list[tuple[TemporalEdge, ...]]:
+    """Non-strict: the units that merge base components, least of each equal-effect class.
+
+    An edge joining vertices already in one snapshot component never
+    changes any reachability, and two units with the same merges are
+    interchangeable, so neither a void unit nor a later duplicate is ever
+    part of the least minimum selection.
+    """
+    kept = []
+    seen: set[tuple] = set()
+    for unit in units:
+        effects = []
+        for e in unit:
+            masks = problem.base._component_masks(e.t)
+            cu = next(m for m in masks if m >> e.u & 1)
+            if not cu >> e.v & 1:
+                effects.append((e.t, cu | next(m for m in masks if m >> e.v & 1)))
+        if not effects:
+            continue
+        sig = tuple(sorted(effects))
+        if sig not in seen:
+            seen.add(sig)
+            kept.append(unit)
+    return kept
 
 
 def solve_exact(
@@ -294,72 +342,104 @@ def solve_exact(
 ) -> SolveOutcome:
     """Minimum-cost selection by subset search, or an infeasibility report.
 
-    Iterates cost c = 0, 1, 2, ... and tests every c-subset of the
-    candidate units (edges, or endpoint-pair groups under the group cost
-    model), so among minimum-cost solutions the lexicographically least
-    under canonical edge ordering is returned.  Two prunings are applied on
-    non-strict runs, both of which provably preserve that answer: edges
-    joining vertices already in the same snapshot component are dropped
-    (they never change any reachability), and candidates with identical
-    component-merge effects are collapsed to their least representative.
-    A given budget caps the search; "budget_exceeded" is reported distinctly
-    from true infeasibility.
+    :func:`_cheapest_subset` tries the subsets of the candidate units
+    (edges, or endpoint-pair groups under the group cost model) smallest
+    first and lexicographically least within a size, so among minimum-cost
+    solutions the lexicographically least under canonical edge ordering is
+    returned.  It skips only subsets that the footprint bound proves
+    infeasible, which leaves that answer unchanged.  On non-strict runs two
+    prunings keep it too: units that join vertices already in one snapshot
+    component are dropped, and units with identical component-merge effects
+    are collapsed to their least representative.  A given budget caps the
+    search; "budget_exceeded" is reported distinctly from true
+    infeasibility.
 
-    Each subset is tested by :func:`~tgaug.temporal_graph.sweep` over the
-    base layers patched at the selected edges' times only.  The optional
+    Each search node extends its parent's sweep layers by one unit, so a
+    tested subset costs only the requirement's sweeps.  The optional
     certificate takes one traced sweep per distinct source and reads every
     witness journey off that source's foremost-journey tree, with the tie
     breaks :func:`~tgaug.temporal_graph.find_journey` documents.
     """
-    evaluator = _SubsetEvaluator(problem)
-    items = _group_items(problem)
+    units = _group_items(problem)
     if problem.semantics == NON_STRICT:
-        kept = []
-        seen_effects: set[tuple] = set()
-        for unit in items:
-            effects = sorted(
-                eff for eff in (evaluator.edge_effect(e) for e in unit) if eff is not None
-            )
-            if not effects:
-                continue  # void: cannot alter any snapshot partition
-            sig = tuple(effects)
-            if sig in seen_effects:
-                continue  # same merges as an earlier (lexicographically smaller) unit
-            seen_effects.add(sig)
-            kept.append(unit)
-        items = kept
-
-    combo = _cheapest_subset(
-        items, problem.budget, lambda combo: evaluator.feasible([e for unit in combo for e in unit])
-    )
+        units = _merging_units(problem, units)
+    combo = _cheapest_subset(_LayerSpace(problem, units), problem.budget)
     if isinstance(combo, Infeasible):
         return combo
-    selected = sorted_edges(e for unit in combo for e in unit)
+    chosen = [units[i] for i in combo]
+    selected = sorted_edges(e for unit in chosen for e in unit)
     groups = None
     if problem.cost_model == COST_GROUP:
-        groups = tuple(sorted(unit[0].pair for unit in combo))
+        groups = tuple(sorted(unit[0].pair for unit in chosen))
     certificate = build_certificate(problem, selected) if with_certificate else ()
-    return Solution(selected, len(combo), groups, certificate)
+    return Solution(selected, len(chosen), groups, certificate)
 
 
-def _cheapest_subset(
-    units: Sequence, budget: int | None, feasible: Callable[[tuple], bool]
-) -> tuple | Infeasible:
-    """The first subset of at most ``budget`` units that ``feasible`` accepts.
+def _cheapest_subset(space, budget: int | None) -> tuple[int, ...] | Infeasible:
+    """Indices of the first unit subset of at most ``budget`` units that ``space`` accepts.
 
-    Tries subsets smallest first, lexicographically least within a size.
-    ``Infeasible("infeasible")`` when not even all units together are accepted.
+    ``space`` gives the search states (``start``, ``add(state, unit)`` and
+    the requirement test ``holds(state)``) and the footprint bound's data
+    (``n``, ``unit_pairs``, ``free_pairs`` and ``demand_pairs``; see
+    :func:`_footprint`).  For each size, smallest first, a depth-first
+    search picks units in increasing index order, so subsets are visited
+    lexicographically within a size.  Each node carries its state and its
+    footprint, and a node whose footprint needs more units than are left
+    to pick is cut, since no extension of it can be accepted.  Acceptance
+    is monotone in the subset, so the answer is the least accepted subset
+    of the least accepted size, exactly as plain enumeration would find
+    it.  ``Infeasible("infeasible")`` when not even all units together are
+    accepted.
     """
-    if not feasible(tuple(units)):
+    links, footprint, target = _footprint(space)
+    everything = space.start
+    for i in range(len(links)):
+        everything = space.add(everything, i)
+    if not space.holds(everything):
         return Infeasible("infeasible")
-    max_size = len(units) if budget is None else min(budget, len(units))
-    for size in range(max_size + 1):
-        for combo in itertools.combinations(units, size):
-            if feasible(combo):
-                return combo
+    max_size = len(links) if budget is None else min(budget, len(links))
+    for size in range(len(footprint) - len(target), max_size + 1):
+        found = _first_of_size(space, size, links, footprint, target)
+        if found is not None:
+            return found
     if budget is not None:
         return Infeasible("budget_exceeded")
     raise RuntimeError("search space exhausted although the full candidate set is feasible")
+
+
+def _first_of_size(
+    space, size: int, links: Sequence[int], footprint: tuple[int, ...], target: tuple[int, ...]
+) -> tuple[int, ...] | None:
+    """The lexicographically least accepted subset of exactly ``size`` units, or None."""
+    if size == 0:
+        return () if space.holds(space.start) else None
+    add, holds = space.add, space.holds
+    count = len(links)
+    chosen: list[int] = []
+    # one frame per chosen unit plus the root: [state, footprint, target, next unit to try]
+    stack = [[space.start, footprint, target, 0]]
+    while stack:
+        frame = stack[-1]
+        state, footprint, target, i = frame
+        left = size - len(chosen)  # units still to pick, this frame's child included
+        if i > count - left:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        frame[3] = i + 1
+        child_footprint = _joined(footprint, links[i])
+        child_target = _joined(target, links[i])
+        if len(child_footprint) - len(child_target) >= left:
+            continue
+        child = add(state, i)
+        if left == 1:
+            if holds(child):
+                return (*chosen, i)
+        else:
+            chosen.append(i)
+            stack.append([child, child_footprint, child_target, i + 1])
+    return None
 
 
 def build_certificate(

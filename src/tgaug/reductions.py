@@ -580,6 +580,10 @@ def parse_dimacs(text: str) -> CnfInstance:
                 raise ParseError("duplicate problem line", lineno)
             n_vars = _parse_int(parts, 2, lineno, "variable count")
             n_clauses = _parse_int(parts, 3, lineno, "clause count")
+            if n_vars < 1:
+                raise ParseError("need at least one variable", lineno)
+            if n_clauses < 1:
+                raise ParseError("need at least one clause", lineno)
             header_line = lineno
             continue
         if n_vars is None:
@@ -594,10 +598,14 @@ def parse_dimacs(text: str) -> CnfInstance:
                     raise ParseError("empty clause", lineno)
                 if len(pending) > 3:
                     raise ParseError("clause with more than 3 literals", lineno)
+                if any(-lit in pending for lit in pending):
+                    raise ParseError("a clause may not contain a variable and its negation", lineno)
                 while len(pending) < 3:
                     pending.append(pending[-1])
                 clauses.append(tuple(pending))
                 pending = []
+            elif abs(value) > n_vars:
+                raise ParseError(f"literal {value} out of range", lineno)
             else:
                 pending.append(value)
     if n_vars is None:

@@ -205,6 +205,37 @@ def _satisfied_count(
     return hit
 
 
+class _GateSpace:
+    """The subset search's states for a connection search: sets of open positive gates.
+
+    The free edges of the footprint are the zero-weight edges.  When every
+    pair is demanded, the vertices of each pair of copy nodes are demanded
+    in one component (copy node x belongs to vertex x // (T+1)).
+    """
+
+    def __init__(self, exp: ExpansionGraph, pairs: Sequence[tuple[int, int]], demand: int):
+        self.exp, self.pairs, self.required = exp, pairs, demand
+        gates = exp.positive_gate_edges
+        positive = set(gates)
+        self.start: frozenset[int] = frozenset()
+        self.n = exp.n
+        self.unit_pairs = [e.pair for e in gates]
+        self.free_pairs = [e.pair for e in exp.edges if e not in positive]
+        self.demand_pairs: list[tuple[int, int]] = []
+        if demand == len(pairs):
+            layers = exp.lifespan + 1
+            copies = exp.n * layers
+            self.demand_pairs = [
+                (s // layers, d // layers) for s, d in pairs if s < copies and d < copies
+            ]
+
+    def add(self, open_gates: frozenset[int], gate: int) -> frozenset[int]:
+        return open_gates | {gate}
+
+    def holds(self, open_gates: frozenset[int]) -> bool:
+        return _satisfied_count(self.exp, self.pairs, open_gates) >= self.required
+
+
 def min_weight_connection(
     exp: ExpansionGraph,
     pairs: Sequence[tuple[int, int]],
@@ -215,18 +246,18 @@ def min_weight_connection(
 
     Gate weights are 0 or 1, so zero-weight arcs are always free to use
     and the weight of a set of positive gates is its size.
-    :func:`~tgaug.augmentation._cheapest_subset` tries the gate subsets
-    smallest first, lexicographically least over the canonical gate order
-    within a size.  Exact, and exponential in the number of positive gates.
+    :func:`~tgaug.augmentation._cheapest_subset` searches the gate subsets
+    depth first, smallest first and lexicographically least over the
+    canonical gate order within a size, and cuts a branch whose static
+    footprint (zero-weight edges plus open gates) needs more gates than are
+    left to pick before every demanded pair shares a component.  Only
+    subsets that cannot connect are skipped, so the least minimum gate set
+    is found.  Exact, and exponential in the number of positive gates.
     """
     if not 0 <= demand <= len(pairs):
         raise ValueError("demand must lie between 0 and the number of pairs")
     gates = exp.positive_gate_edges
-    combo = _cheapest_subset(
-        range(len(gates)),
-        budget,
-        lambda combo: _satisfied_count(exp, pairs, frozenset(combo)) >= demand,
-    )
+    combo = _cheapest_subset(_GateSpace(exp, pairs, demand), budget)
     if isinstance(combo, Infeasible):
         return combo
     return ConnectionResult(len(combo), tuple(gates[i] for i in combo))

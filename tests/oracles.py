@@ -95,6 +95,33 @@ def brute_min_cost(problem: AugmentationProblem, cap: int | None = None) -> int 
     return None
 
 
+def brute_least_selection(
+    problem: AugmentationProblem,
+) -> tuple[tuple[TemporalEdge, ...], tuple[tuple[int, int], ...] | None] | str:
+    """The lexicographically least minimum selection by raw subset enumeration.
+
+    Returns the selected edges and, under the group cost model, the chosen
+    endpoint pairs; or the reason a solver reports instead: "infeasible"
+    when not even every candidate together works, "budget_exceeded" when no
+    selection fits the budget.
+    """
+    grouped = problem.cost_model == "group"
+    if grouped:
+        units: list[tuple[TemporalEdge, ...]] = [edges for _, edges in problem.candidate_groups]
+    else:
+        units = [(e,) for e in problem.candidates_sorted]
+    if not verify_solution(problem, problem.candidates):
+        return "infeasible"
+    limit = len(units) if problem.budget is None else min(problem.budget, len(units))
+    for cost in range(limit + 1):
+        for combo in itertools.combinations(units, cost):
+            selected = [e for unit in combo for e in unit]
+            if verify_solution(problem, selected):
+                groups = tuple(sorted(unit[0].pair for unit in combo)) if grouped else None
+                return sorted_edges(selected), groups
+    return "budget_exceeded"
+
+
 def brute_spanner_min(g: TemporalGraph) -> int | None:
     """Smallest edge subset keeping non-strict connectivity, by direct enumeration."""
     edges = sorted_edges(g.edges)

@@ -1,11 +1,21 @@
+import dataclasses
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_min_cost, brute_spanner_min, journey_connected, journey_reach
+from oracles import (
+    brute_dominating_min,
+    brute_least_selection,
+    brute_min_cost,
+    brute_spanner_min,
+    journey_connected,
+    journey_reach,
+    random_graph,
+)
 from tgaug.augmentation import (
     COST_EDGE,
     COST_GROUP,
@@ -15,7 +25,9 @@ from tgaug.augmentation import (
     Pairs,
     Solution,
     Source,
-    _SubsetEvaluator,
+    _footprint,
+    _group_items,
+    _LayerSpace,
     component_count_bound_check,
     solution_to_json,
     solve_exact,
@@ -24,6 +36,7 @@ from tgaug.augmentation import (
     unrestricted_candidates,
     verify_solution,
 )
+from tgaug.reductions import MODE_UNRESTRICTED, StaticGraphInstance, reduce_dominating_set
 from tgaug.temporal_graph import (
     NON_STRICT,
     STRICT,
@@ -155,15 +168,88 @@ def problems(draw):
     return AugmentationProblem(base, frozenset(E(*s) for s in cand_set), req, semantics, cost)
 
 
+@st.composite
+def budgeted_problems(draw):
+    problem = draw(problems())
+    return dataclasses.replace(problem, budget=draw(st.sampled_from([None, 0, 1, 2, 3])))
+
+
 class TestEvaluatorAgreesWithVerify:
     @settings(max_examples=120, deadline=None)
     @given(problems(), st.randoms(use_true_random=False))
     def test_random_subsets(self, problem, rng):
-        ev = _SubsetEvaluator(problem)
-        cands = problem.candidates_sorted
+        units = _group_items(problem)
+        space = _LayerSpace(problem, units)
         for _ in range(6):
-            subset = [e for e in cands if rng.random() < 0.4]
-            assert ev.feasible(subset) == verify_solution(problem, subset)
+            picked = [i for i in range(len(units)) if rng.random() < 0.4]
+            state = space.start
+            for i in picked:
+                state = space.add(state, i)
+            subset = [e for i in picked for e in units[i]]
+            assert space.holds(state) == verify_solution(problem, subset)
+
+
+class TestFootprintBound:
+    @settings(max_examples=120, deadline=None)
+    @given(problems())
+    def test_root_need_is_admissible(self, problem):
+        _, footprint, target = _footprint(_LayerSpace(problem, _group_items(problem)))
+        best = brute_min_cost(problem)
+        if best is not None:
+            assert len(footprint) - len(target) <= best
+
+    @staticmethod
+    def _count_tests(monkeypatch):
+        """Wrap the requirement test; record the merges each tested state holds."""
+        merges: list[int] = []
+        holds = _LayerSpace.holds
+
+        def counting(self, layers):
+            merges.append(sum(self.n - len(layer) for layer in layers))
+            return holds(self, layers)
+
+        monkeypatch.setattr(_LayerSpace, "holds", counting)
+        return merges
+
+    def test_spanner_never_tests_a_disconnected_footprint(self, monkeypatch):
+        merges = self._count_tests(monkeypatch)
+        rng = random.Random(31)
+        solved = 0
+        while solved < 3:
+            g = random_graph(rng, 7, 2, 0.3)
+            if not g.is_temporally_connected(NON_STRICT):
+                continue
+            solved += 1
+            merges.clear()
+            sol = solve_exact(spanner_via_tca(g), with_certificate=False)
+            assert sol.cost >= 6
+            # over an edgeless base, k units make at most k merges across all
+            # layers, so no selection of fewer than n-1 units was tested
+            assert merges and min(merges) >= 6
+
+    def test_spanner_wall(self, monkeypatch):
+        merges = self._count_tests(monkeypatch)
+        rng = random.Random(4)
+        while True:
+            g = random_graph(rng, 7, 3, 0.45)
+            if len(g.edges) == 27 and g.is_temporally_connected(NON_STRICT):
+                break
+        sol = solve_exact(spanner_via_tca(g), with_certificate=False)
+        # n-1 edges are the least that connect 7 vertices at all, so a
+        # connected selection of 6 is optimal without a search to prove it
+        assert sol.cost == 6
+        assert journey_connected(TemporalGraph.build(7, sol.selected, lifespan=3), NON_STRICT)
+        assert min(merges) >= 6
+        # plain enumeration tests every selection below the optimum first
+        assert len(merges) < sum(math.comb(27, k) for k in range(6))
+
+    def test_unrestricted_ds_gadget_wall(self):
+        inst = StaticGraphInstance(7, frozenset({(0, 1), (2, 3)}), 5)
+        assert brute_dominating_min(inst.n, inst.edges) == 5
+        red = reduce_dominating_set(inst, MODE_UNRESTRICTED)
+        assert len(red.problem.candidates) == 43
+        sol = solve_exact(red.problem, with_certificate=False)
+        assert isinstance(sol, Solution) and sol.cost == 5
 
 
 class TestSolveExact:
@@ -214,6 +300,17 @@ class TestSolveExact:
             assert isinstance(out, Solution)
             assert out.cost == expected
             assert verify_solution(problem, out.selected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(budgeted_problems())
+    def test_returns_the_least_selection_of_raw_enumeration(self, problem):
+        expected = brute_least_selection(problem)
+        out = solve_exact(problem, with_certificate=False)
+        if isinstance(expected, str):
+            assert out == Infeasible(expected)
+        else:
+            assert isinstance(out, Solution)
+            assert (out.selected, out.groups) == expected
 
     def test_group_model_costs_at_most_edge_model(self):
         rng = random.Random(21)

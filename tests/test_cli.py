@@ -258,6 +258,25 @@ class TestSourceParsers:
         with pytest.raises(ParseError, match="line 1"):
             parse(text)
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("p cnf 2 1\n1 -5 2 0\n", 2, "literal -5 out of range"),
+            ("p cnf 3 2\n1 2 3 0\n2 -1 -2 0\n", 3, "a clause may not contain a variable and its negation"),
+            ("p cnf 3 1\n1 -3\n3 0\n", 3, "a clause may not contain a variable and its negation"),
+            ("c none\np cnf 0 1\n1 0\n", 2, "need at least one variable"),
+            ("p cnf 1 0\n", 1, "need at least one clause"),
+        ],
+    )
+    def test_dimacs_literal_errors_report_their_line(self, text, line, message):
+        with pytest.raises(ParseError, match=f"^line {line}: {message}$"):
+            parse_dimacs(text)
+
+    def test_dimacs_literal_error_exits_2(self, tmp_path, capsys):
+        (tmp_path / "f.cnf").write_text("p cnf 2 1\n1 -5 2 0\n")
+        assert main(["reduce", "3sat", str(tmp_path / "f.cnf"), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", "error: line 2: literal -5 out of range\n")
+
     def test_dimacs_takes_one_problem_line(self):
         with pytest.raises(ParseError, match="line 2: duplicate problem line"):
             parse_dimacs("p cnf 3 1\np cnf 4 1\n1 2 3 0\n-4 1 2 0\n")

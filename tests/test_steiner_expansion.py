@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from oracles import brute_min_cost, dijkstra_weight, random_graph
+from oracles import brute_least_selection, brute_min_cost, dijkstra_weight, random_graph
 from tgaug.augmentation import (
     AugmentationProblem,
     Infeasible,
@@ -64,6 +64,20 @@ class TestSolver:
             outcomes.add(got.reason if isinstance(got, Infeasible) else "solved")
         expected = {"solved", "infeasible"} | ({"budget_exceeded"} if with_budget else set())
         assert outcomes == expected
+
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    def test_returns_the_least_selection_of_raw_enumeration(self, semantics):
+        rng = random.Random(73)
+        for _ in range(80):
+            problem = random_pairs_problem(rng, semantics, rng.random() < 0.5)
+            inst = problem_instance(problem)
+            exp, pair_map = build_expansion(inst, semantics)
+            found = min_weight_connection(exp, pair_map, inst.demand, budget=problem.budget)
+            expected = brute_least_selection(problem)
+            if isinstance(expected, str):
+                assert found == Infeasible(expected)
+            else:
+                assert (found.selected, None) == expected
 
     def test_single_pair_weight_is_the_shortest_path(self):
         rng = random.Random(67)
