@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, reduce
+from typing import Callable, Iterable, Sequence
 
 from .temporal_graph import (
     NON_STRICT,
@@ -102,13 +102,7 @@ class AugmentationProblem:
                 raise InvalidCandidateError(f"candidate {e} has endpoints outside 0..{n - 1}")
             if e.t > horizon:
                 raise InvalidCandidateError(f"candidate {e} exceeds the lifespan {horizon}")
-        req = self.requirement
-        if isinstance(req, Source) and not 0 <= req.vertex < n:
-            raise ValueError(f"source vertex {req.vertex} out of range 0..{n - 1}")
-        if isinstance(req, Pairs):
-            for u, v in req.pairs:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ValueError(f"pair ({u},{v}) out of range 0..{n - 1}")
+        _demands(self.requirement, n)  # checks the named vertices
 
     @property
     def effective_lifespan(self) -> int:
@@ -158,6 +152,57 @@ class Infeasible:
 SolveOutcome = Solution | Infeasible
 
 
+def _demands(req: Requirement, n: int) -> tuple[list[tuple[int, int]], int]:
+    """``req`` as demand entries ``(source, mask it must reach)`` and how many must be met.
+
+    All needs every other vertex from each vertex, Source one entry, and
+    Pairs one entry per listed pair, duplicates and ``(u, u)`` kept.
+    Raises ``ValueError`` when ``req`` names a vertex outside 0..n-1.
+    """
+    full = (1 << n) - 1
+    if isinstance(req, All):
+        return [(s, full ^ 1 << s) for s in range(n)], n
+    if isinstance(req, Source):
+        if not 0 <= req.vertex < n:
+            raise ValueError(f"source vertex {req.vertex} out of range 0..{n - 1}")
+        return [(req.vertex, full ^ 1 << req.vertex)], 1
+    for u, v in req.pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"pair ({u},{v}) out of range 0..{n - 1}")
+    return [(u, 1 << v) for u, v in req.pairs], req.effective_demand
+
+
+def _demand_pairs(req: Requirement, n: int) -> tuple[list[tuple[int, int]], int]:
+    """:func:`_demands` as (source, target) pairs and how many pairs must be met."""
+    entries, required = _demands(req, n)
+    pairs = [(s, v) for s, need in entries for v in range(n) if need >> v & 1]
+    return pairs, len(pairs) if required == len(entries) else required  # B of p: one v each
+
+
+def _demands_met(
+    entries: list[tuple[int, int]], required: int, reach: Callable[[int], int]
+) -> bool:
+    """Whether ``required`` of ``entries`` are met, ``reach(source)`` giving a mask.
+
+    Calls ``reach`` once per source and stops once the answer is settled.
+    The entry that settles a failure moves to the front, to be tried first
+    when a search checks the same list again.
+    """
+    met = 0
+    reached: dict[int, int] = {}
+    for i, (source, need) in enumerate(entries):
+        if met >= required:
+            return True
+        if source not in reached:
+            reached[source] = reach(source)
+        if reached[source] & need == need:
+            met += 1
+        elif met + len(entries) - i - 1 < required:
+            entries.insert(0, entries.pop(i))
+            return False
+    return met >= required
+
+
 def verify_solution(problem: AugmentationProblem, selected: Iterable[TemporalEdge]) -> bool:
     """True iff adding ``selected`` (a subset of the candidates) meets the requirement."""
     chosen = frozenset(selected)
@@ -167,29 +212,11 @@ def verify_solution(problem: AugmentationProblem, selected: Iterable[TemporalEdg
             f"not in the candidate set: {', '.join(map(str, sorted_edges(stray)))}"
         )
     augmented = problem.base.augment(chosen)
-    return _requirement_holds(
-        problem.requirement,
-        augmented.n,
-        augmented._layers(problem.semantics),
-        problem.semantics == STRICT,
+    layers = augmented._layers(problem.semantics)
+    strict = problem.semantics == STRICT
+    return _demands_met(
+        *_demands(problem.requirement, augmented.n), lambda s: sweep(layers, strict, 1 << s)
     )
-
-
-def _requirement_holds(req: Requirement, n: int, layers: Sequence[tuple], strict: bool) -> bool:
-    """Whether :func:`sweep` over ``layers`` meets ``req`` on vertices 0..n-1."""
-    full = (1 << n) - 1
-    if isinstance(req, All):
-        return all(sweep(layers, strict, 1 << s) == full for s in range(n))
-    if isinstance(req, Source):
-        return sweep(layers, strict, 1 << req.vertex) == full
-    reach: dict[int, int] = {}
-    satisfied = 0
-    for u, v in req.pairs:
-        if u not in reach:
-            reach[u] = sweep(layers, strict, 1 << u)
-        if reach[u] >> v & 1:
-            satisfied += 1
-    return satisfied >= req.effective_demand
 
 
 def unrestricted_candidates(g: TemporalGraph, lifespan: int | None = None) -> frozenset[TemporalEdge]:
@@ -237,16 +264,16 @@ def _footprint(space) -> tuple[list[int], tuple[int, ...], tuple[int, ...]]:
 
     The footprint is the static graph of the space's free edges plus the
     chosen units, each of which links its endpoint pair.  Every accepted
-    selection puts each demanded pair in one footprint component.  The
-    first partition is the footprint's components, the second those of the
-    footprint plus the demanded pairs; extended by the same unit links,
-    their difference in size is how many more units a node needs at least,
-    since a unit joins at most two components.
+    selection puts each demand link (the vertices of one demanded entry)
+    in one footprint component.  The first partition is the footprint's
+    components, the second those of the footprint joined by every demand
+    link; extended by the same unit links, their difference in size is how
+    many more units a node needs at least, since a unit joins at most two
+    components.
     """
     links = [1 << u | 1 << v for u, v in space.unit_pairs]
     footprint = _components(space.n, space.free_pairs)
-    target = _components(space.n, [*space.free_pairs, *space.demand_pairs])
-    return links, footprint, target
+    return links, footprint, reduce(_joined, space.demand_links, footprint)
 
 
 class _LayerSpace:
@@ -257,30 +284,25 @@ class _LayerSpace:
     times: a strict slot gets the edge bit pairs appended, a non-strict
     slot gets its component masks merged by the edges (non-strict
     reachability is a function of the per-time component partitions).
-    The free edges of the footprint are the base edges.  All and Source
-    demand every vertex in one component, a Pairs requirement its pairs
-    when every entry is demanded, and a B-of-p demand nothing.
+    The free edges of the footprint are the base edges.  Each demand
+    entry links its source with the vertices it needs when every entry
+    must be met, and a B-of-p demand links nothing.
     """
 
     def __init__(self, problem: AugmentationProblem, units: Sequence[tuple[TemporalEdge, ...]]):
         base = problem.base
-        req = problem.requirement
-        self.requirement = req
         self.n = base.n
         self.strict = problem.semantics == STRICT
-        self.failed = 0  # the All source that failed the last test, tried first next time
+        self.entries, self.required = _demands(problem.requirement, base.n)
         times = sorted(set(base._edge_times) | {e.t for e in problem.candidates})
         slot = {t: i for i, t in enumerate(times)}
         self.start = tuple(base._layer(t, self.strict) for t in times)
         self.patches = [tuple((slot[e.t], 1 << e.u, 1 << e.v) for e in unit) for unit in units]
         self.unit_pairs = [unit[0].pair for unit in units]
         self.free_pairs = [e.pair for e in base.edges]
-        if not isinstance(req, Pairs):
-            self.demand_pairs = [(0, v) for v in range(base.n)]
-        elif req.effective_demand == len(req.pairs):
-            self.demand_pairs = req.pairs
-        else:
-            self.demand_pairs = []
+        self.demand_links = []
+        if self.required == len(self.entries):
+            self.demand_links = [1 << s | need for s, need in self.entries]
 
     def add(self, layers: Sequence[tuple], unit: int) -> list[tuple]:
         layers = list(layers)
@@ -289,15 +311,9 @@ class _LayerSpace:
         return layers
 
     def holds(self, layers: Sequence[tuple]) -> bool:
-        if not isinstance(self.requirement, All):
-            return _requirement_holds(self.requirement, self.n, layers, self.strict)
-        n = self.n
-        full = (1 << n) - 1
-        for s in (*range(self.failed, n), *range(self.failed)):
-            if sweep(layers, self.strict, 1 << s) != full:
-                self.failed = s
-                return False
-        return True
+        return _demands_met(
+            self.entries, self.required, lambda s: sweep(layers, self.strict, 1 << s)
+        )
 
 
 def _group_items(problem: AugmentationProblem) -> list[tuple[TemporalEdge, ...]]:
@@ -355,7 +371,10 @@ def solve_exact(
     infeasibility.
 
     Each search node extends its parent's sweep layers by one unit, so a
-    tested subset costs only the requirement's sweeps.  The optional
+    tested subset costs only the requirement's sweeps: one per demand
+    entry's source, stopping once the answer is settled, and starting with
+    the entry that failed the last test, which subsets tested in a row
+    tend to fail alike.  The optional
     certificate takes one traced sweep per distinct source and reads every
     witness journey off that source's foremost-journey tree, with the tie
     breaks :func:`~tgaug.temporal_graph.find_journey` documents.
@@ -380,7 +399,7 @@ def _cheapest_subset(space, budget: int | None) -> tuple[int, ...] | Infeasible:
 
     ``space`` gives the search states (``start``, ``add(state, unit)`` and
     the requirement test ``holds(state)``) and the footprint bound's data
-    (``n``, ``unit_pairs``, ``free_pairs`` and ``demand_pairs``; see
+    (``n``, ``unit_pairs``, ``free_pairs`` and ``demand_links``; see
     :func:`_footprint`).  For each size, smallest first, a depth-first
     search picks units in increasing index order, so subsets are visited
     lexicographically within a size.  Each node carries its state and its
@@ -447,15 +466,8 @@ def build_certificate(
 ) -> tuple[tuple[int, int, Journey], ...]:
     """Witness journeys, one per reachability obligation met by the selection."""
     augmented = problem.base.augment(selected)
-    req = problem.requirement
     semantics = problem.semantics
-    pairs: list[tuple[int, int]]
-    if isinstance(req, All):
-        pairs = [(u, v) for u in range(augmented.n) for v in range(augmented.n) if u != v]
-    elif isinstance(req, Source):
-        pairs = [(req.vertex, v) for v in range(augmented.n) if v != req.vertex]
-    else:
-        pairs = list(req.pairs)
+    pairs, _ = _demand_pairs(problem.requirement, augmented.n)
     trees: dict[int, dict[int, tuple]] = {}
     witnesses = []
     for u, v in pairs:
@@ -480,6 +492,8 @@ def solve_one_plus_one(g: TemporalGraph) -> frozenset[TemporalEdge]:
     if g.lifespan != 1:
         raise ValueError(f"requires lifespan exactly 1, got {g.lifespan}")
     blocks = g.snapshot_components(1).blocks
+    if not blocks:  # no vertices: connected as it is
+        return frozenset()
     smallest = min(blocks, key=len)
     centers = list(smallest)
     added = []
@@ -496,14 +510,14 @@ def component_count_bound_check(g: TemporalGraph) -> bool:
 
     The number of components at either time cannot exceed the size of the
     smallest component at the other time (each component must meet all of
-    them).
+    them).  It holds vacuously on the empty vertex set.
     """
     if g.lifespan != 2:
         raise ValueError(f"requires lifespan exactly 2, got {g.lifespan}")
     blocks1 = g.snapshot_components(1).blocks
     blocks2 = g.snapshot_components(2).blocks
-    return len(blocks1) <= min(len(b) for b in blocks2) and len(blocks2) <= min(
-        len(b) for b in blocks1
+    return len(blocks1) <= min(map(len, blocks2), default=0) and len(blocks2) <= min(
+        map(len, blocks1), default=0
     )
 
 

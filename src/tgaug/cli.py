@@ -3,7 +3,7 @@
 Subcommands: ``check`` (connectivity report for a .tg file), ``solve``
 (run a solver on a problem manifest), ``reduce`` (generate gadget
 instances from classic problems), and ``expand`` (emit the temporal
-expansion of a pair-demand instance).  All output is deterministic;
+expansion of a problem manifest's demand pairs).  All output is deterministic;
 exit codes are 0 for success/feasible, 1 for infeasible/not connected,
 2 for input errors, and 3 for an internal failure: a solver's result
 failing its own check, a ``--cross-check`` disagreement between engines,
@@ -315,8 +315,6 @@ def cmd_expand(args) -> int:
     if manifest.get("kind", "tca") != "tca":
         raise ParseError("expansion needs a tca manifest")
     problem = _problem_from_manifest(manifest, args.manifest, args)
-    if not isinstance(problem.requirement, aug.Pairs):
-        raise ParseError("expansion needs a pairs requirement")
     exp, _ = exp_mod.build_expansion(exp_mod.problem_instance(problem), problem.semantics)
     if args.format == "dot":
         sys.stdout.write(exp_mod.expansion_to_dot(exp))
@@ -346,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cross-check",
         action="store_true",
         help="also solve with the other of the subset and expansion engines and exit 3 if the "
-        "outcomes differ; the expansion engine needs a pairs requirement and the edge cost model",
+        "outcomes differ; the expansion engine needs the edge cost model",
     )
     p_solve.set_defaults(func=cmd_solve)
 

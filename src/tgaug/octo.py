@@ -20,6 +20,7 @@ from .temporal_graph import ParseError, TemporalEdge, TemporalGraph, _parse_int,
 
 ROWS = "rows"
 COLS = "cols"
+STATE_LIMIT = 200_000  # distinct states solve_octo keeps before it reports "limit_exceeded"
 
 
 @dataclass(frozen=True)
@@ -144,27 +145,9 @@ def matrix_to_graph(b: BinaryMatrix) -> TemporalGraph:
 
 
 def _merge(lines: tuple, a: int, c: int) -> tuple:
-    """The one merge rule: lines a < c become their entrywise OR at position a; c goes.
-
-    Matrix lines and the 0/1 membership lines of line groups merge alike,
-    which keeps each group's representative (see ``MergeStep``) in step
-    with its line.
-    """
+    """The one merge rule: lines a < c become their entrywise OR at position a; c goes."""
     merged = tuple(x | y for x, y in zip(lines[a], lines[c]))
     return lines[:a] + (merged,) + lines[a + 1 : c] + lines[c + 1 :]
-
-
-def _singletons(n_rows: int, n_cols: int) -> dict[str, tuple]:
-    """Per axis, one membership line per original line: no line merged yet."""
-    return {
-        axis: tuple(tuple(int(k == i) for k in range(size)) for i in range(size))
-        for axis, size in ((ROWS, n_rows), (COLS, n_cols))
-    }
-
-
-def _names(groups: tuple) -> list[int]:
-    """The representative of each group (see ``MergeStep``)."""
-    return [group.index(1) for group in groups]
 
 
 def or_combine(b: BinaryMatrix, axis: str, i: int, j: int) -> BinaryMatrix:
@@ -231,9 +214,7 @@ def _canonical(rows: tuple[tuple[int, ...], ...]) -> tuple:
     return rows
 
 
-def solve_octo(
-    b: BinaryMatrix, budget: int | None = None, state_limit: int = 200_000
-) -> OctoResult:
+def solve_octo(b: BinaryMatrix, budget: int | None = None) -> OctoResult:
     """Minimum number of OR-combinations reaching the all-ones matrix.
 
     Level-synchronized breadth-first search over matrix states, memoized by
@@ -251,7 +232,7 @@ def solve_octo(
         return OctoResult("solved", 0, ())
 
     max_depth = (b.n_rows - 1) + (b.n_cols - 1)
-    start = ((), b.rows, _singletons(b.n_rows, b.n_cols))
+    start = ((), b.rows, {ROWS: tuple(range(b.n_rows)), COLS: tuple(range(b.n_cols))})
     frontier: list[tuple[tuple[MergeStep, ...], tuple, dict]] = [start]
     seen = {_canonical(b.rows)}
     states = 1
@@ -260,9 +241,9 @@ def solve_octo(
             return OctoResult("budget_exceeded")
         level: dict[tuple, tuple[tuple[MergeStep, ...], tuple, dict]] = {}
         goals = []
-        for history, rows, groups in frontier:
+        for history, rows, names_by_axis in frontier:
             for axis, lines in ((COLS, tuple(zip(*rows))), (ROWS, rows)):
-                names = _names(groups[axis])
+                names = names_by_axis[axis]
                 for a in range(len(lines)):
                     for c in range(a + 1, len(lines)):
                         new_history = history + (MergeStep(axis, names[a], names[c]),)
@@ -277,46 +258,42 @@ def solve_octo(
                             continue
                         kept = level.get(key)
                         if kept is None or new_history < kept[0]:
-                            new_groups = {**groups, axis: _merge(groups[axis], a, c)}
-                            level[key] = (new_history, new_rows, new_groups)
+                            new_names = {**names_by_axis, axis: names[:c] + names[c + 1 :]}
+                            level[key] = (new_history, new_rows, new_names)
         if goals:
             return OctoResult("solved", depth, min(goals))
         states += len(level)
-        if states > state_limit:
+        if states > STATE_LIMIT:
             return OctoResult("limit_exceeded")
         seen.update(level)
         frontier = sorted(level.values(), key=lambda item: item[0])
     raise RuntimeError("search exhausted without reaching the one-filled matrix")
 
 
-def _replay(
-    shape: tuple[int, int], steps: Sequence[MergeStep]
-) -> tuple[list[tuple[str, int, int]], dict[str, tuple]]:
+def _replay(shape: tuple[int, int], steps: Sequence[MergeStep]) -> list[tuple[str, int, int]]:
     """Check a merge history against a matrix of ``shape`` (rows, columns).
 
     Returns each step's line positions ``(axis, a, c)`` with a < c at the
-    time the step applies, and the final groups of each axis as 0/1
-    membership lines over the original indices.  Raises ``ValueError``
-    unless every step names two distinct current representatives.
+    time the step applies.  Raises ``ValueError`` unless every step names
+    two distinct current representatives.
     """
-    groups = _singletons(*shape)
+    names = {ROWS: list(range(shape[0])), COLS: list(range(shape[1]))}
     moves = []
     for step in steps:
-        names = _names(groups[step.axis]) if step.axis in (ROWS, COLS) else []
-        if step.i not in names or step.j not in names:
+        current = names.get(step.axis, [])
+        if step.i not in current or step.j not in current:
             raise ValueError(f"step {step} names a line that is not a group representative")
         if step.i == step.j:
             raise ValueError("cannot combine a line with itself")
-        a, c = sorted((names.index(step.i), names.index(step.j)))
-        groups[step.axis] = _merge(groups[step.axis], a, c)
+        a, c = sorted((current.index(step.i), current.index(step.j)))
+        del current[c]
         moves.append((step.axis, a, c))
-    return moves, groups
+    return moves
 
 
 def apply_sequence(b: BinaryMatrix, steps: Sequence[MergeStep]) -> BinaryMatrix:
     """Replay a merge history on the original matrix."""
-    moves, _ = _replay((b.n_rows, b.n_cols), steps)
-    for axis, a, c in moves:
+    for axis, a, c in _replay((b.n_rows, b.n_cols), steps):
         b = or_combine(b, axis, a, c)
     return b
 

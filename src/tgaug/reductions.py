@@ -356,8 +356,10 @@ def dsc_steps_to_witness(
                 kept = trial
     if any(step.axis != COLS for step in kept):
         raise ValueError("history still contains a meaningful row merge")
-    _, groups = _replay((red.matrix.n_rows, red.matrix.n_cols), kept)
-    parts = tuple(tuple(j for j, x in enumerate(group) if x) for group in groups[COLS])
+    members = [[j] for j in range(red.matrix.n_cols)]
+    for _, a, c in _replay((red.matrix.n_rows, red.matrix.n_cols), kept):
+        members[a] += members.pop(c)
+    parts = tuple(tuple(sorted(part)) for part in members)
     universe = set(range(inst.universe_size))
     if not all(set().union(*(inst.subsets[j] for j in part)) >= universe for part in parts):
         raise ValueError("a column group does not cover the universe")

@@ -6,10 +6,10 @@ edge weight: 0 for an edge that is free to use, 1 for an edge to pay for.
 Journeys of the temporal graph correspond to directed paths between layer
 copies.  The non-strict variant additionally links gates of same-time
 edges that share an endpoint, so a path may chain several hops inside one
-time step.  On top of the expansion sits an exact solver for pair-demand
-instances (fewest paid gates satisfying at least B of the p demands, found
-by the subset search of :mod:`tgaug.augmentation`) and the DOT and JSON
-writers.
+time step.  On top of the expansion sit an exact solver for pair-demand
+instances (fewest paid gates meeting B of the p demands, by the subset
+search of :mod:`tgaug.augmentation`), which takes any requirement through
+its demand pairs, and the DOT and JSON writers.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from .augmentation import (
     COST_EDGE,
     AugmentationProblem,
     Infeasible,
-    Pairs,
     Solution,
     SolveOutcome,
     _cheapest_subset,
+    _demand_pairs,
+    _demands_met,
     verify_solution,
 )
 from .temporal_graph import (
@@ -120,18 +121,18 @@ class ExpansionGraph:
             out[src].append((dst, w, positive[self._gate_edge(src)] if w else -1))
         return tuple(tuple(lst) for lst in out)
 
-    def reachable_from(self, start: int, open_gates: frozenset[int]) -> set[int]:
-        """Nodes reachable from ``start`` with the positive gates outside ``open_gates`` closed."""
+    def reachable_from(self, start: int, open_gates: frozenset[int]) -> int:
+        """The mask of nodes ``start`` reaches, positive gates outside ``open_gates`` shut."""
         adjacency = self.adjacency
-        seen = {start}
+        seen = 1 << start
         stack = [start]
         while stack:
             x = stack.pop()
             for dst, _, gate in adjacency[x]:
                 if gate >= 0 and gate not in open_gates:
                     continue
-                if dst not in seen:
-                    seen.add(dst)
+                if not seen >> dst & 1:
+                    seen |= 1 << dst
                     stack.append(dst)
         return seen
 
@@ -193,47 +194,37 @@ class ConnectionResult:
     selected: tuple[TemporalEdge, ...]
 
 
-def _satisfied_count(
-    exp: ExpansionGraph, pairs: Sequence[tuple[int, int]], open_gates: frozenset[int]
-) -> int:
-    hit = 0
-    reach_cache: dict[int, set[int]] = {}
-    for src, dst in pairs:
-        if src not in reach_cache:
-            reach_cache[src] = exp.reachable_from(src, open_gates)
-        hit += dst in reach_cache[src]
-    return hit
-
-
 class _GateSpace:
     """The subset search's states for a connection search: sets of open positive gates.
 
     The free edges of the footprint are the zero-weight edges.  When every
-    pair is demanded, the vertices of each pair of copy nodes are demanded
-    in one component (copy node x belongs to vertex x // (T+1)).
+    pair is demanded, each pair of copy nodes links its two vertices (copy
+    node x belongs to vertex x // (T+1)).
     """
 
     def __init__(self, exp: ExpansionGraph, pairs: Sequence[tuple[int, int]], demand: int):
-        self.exp, self.pairs, self.required = exp, pairs, demand
+        self.exp, self.entries, self.required = exp, [(s, 1 << d) for s, d in pairs], demand
         gates = exp.positive_gate_edges
         positive = set(gates)
         self.start: frozenset[int] = frozenset()
         self.n = exp.n
         self.unit_pairs = [e.pair for e in gates]
         self.free_pairs = [e.pair for e in exp.edges if e not in positive]
-        self.demand_pairs: list[tuple[int, int]] = []
+        self.demand_links: list[int] = []
         if demand == len(pairs):
             layers = exp.lifespan + 1
             copies = exp.n * layers
-            self.demand_pairs = [
-                (s // layers, d // layers) for s, d in pairs if s < copies and d < copies
+            self.demand_links = [
+                1 << s // layers | 1 << d // layers for s, d in pairs if s < copies and d < copies
             ]
 
     def add(self, open_gates: frozenset[int], gate: int) -> frozenset[int]:
         return open_gates | {gate}
 
     def holds(self, open_gates: frozenset[int]) -> bool:
-        return _satisfied_count(self.exp, self.pairs, open_gates) >= self.required
+        return _demands_met(
+            self.entries, self.required, lambda s: self.exp.reachable_from(s, open_gates)
+        )
 
 
 def min_weight_connection(
@@ -264,25 +255,20 @@ def min_weight_connection(
 
 
 def problem_instance(problem: AugmentationProblem) -> TGSteinerInstance:
-    """The pair-demand instance of ``problem``: base edges weigh 0, candidates 1."""
-    req = problem.requirement
+    """The instance of ``problem``'s demand pairs: base edges weigh 0, candidates 1."""
+    pairs, demand = _demand_pairs(problem.requirement, problem.base.n)
     full = problem.base.augment(problem.candidates)
     weights = {e: (1 if e in problem.candidates else 0) for e in full.edges}
-    return TGSteinerInstance.from_weights(
-        full, weights, req.pairs, demand=req.effective_demand, budget=problem.budget
-    )
+    return TGSteinerInstance.from_weights(full, weights, pairs, demand, problem.budget)
 
 
 def solve_tpca_via_expansion(problem: AugmentationProblem) -> SolveOutcome:
-    """Solve a pair-demand augmentation problem through the expansion.
+    """Solve an edge-cost augmentation problem, any requirement, through its demand pairs.
 
     Base edges get weight 0 and candidates weight 1, so the minimum
     connection weight equals the minimum number of candidates to add; the
     selected positive gates map straight back to the temporal edges.
     """
-    req = problem.requirement
-    if not isinstance(req, Pairs):
-        raise ValueError("expansion solving requires a Pairs requirement")
     if problem.cost_model != COST_EDGE:
         raise ValueError("expansion solving supports the per-edge cost model only")
     inst = problem_instance(problem)

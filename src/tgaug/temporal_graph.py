@@ -515,8 +515,11 @@ def parse_tg(text: str) -> TemporalGraph:
             if n is not None:
                 raise ParseError("T record must precede V", lineno)
             override = _parse_int(parts, 1, lineno, "lifespan")
+            override_line = lineno
             if len(parts) != 2:
                 raise ParseError("T record takes exactly one value", lineno)
+            if override < 0:
+                raise ParseError("lifespan must be non-negative", lineno)
         elif kind == "E":
             if n is None:
                 raise ParseError("edge record before V", lineno)
@@ -529,7 +532,9 @@ def parse_tg(text: str) -> TemporalGraph:
         raise ParseError("missing V record")
     max_t = max((e.t for e in edges), default=0)
     if override is not None and override < max_t:
-        raise ParseError(f"declared lifespan {override} is below the maximum edge time {max_t}")
+        raise ParseError(
+            f"declared lifespan {override} is below the maximum edge time {max_t}", override_line
+        )
     return TemporalGraph.build(n, edges, lifespan=override if override is not None else None)
 
 

@@ -12,7 +12,7 @@ import heapq
 import itertools
 from typing import Iterable, Sequence
 
-from tgaug.augmentation import AugmentationProblem, verify_solution
+from tgaug.augmentation import All, AugmentationProblem, Source, verify_solution
 from tgaug.steiner_expansion import ExpansionGraph
 from tgaug.temporal_graph import (
     NON_STRICT,
@@ -77,6 +77,27 @@ def journey_reach(g: TemporalGraph, source: int, semantics: str) -> set[int]:
 
 def journey_connected(g: TemporalGraph, semantics: str) -> bool:
     return all(journey_reach(g, s, semantics) == set(range(g.n)) for s in range(g.n))
+
+
+def journey_requirement_holds(
+    problem: AugmentationProblem, selected: Iterable[TemporalEdge]
+) -> bool:
+    """Whether adding ``selected`` meets the requirement, read off its definition.
+
+    Uses :func:`journey_reach` and no demand code of the library: All needs
+    every vertex to reach every vertex, Source its vertex to reach every
+    vertex, and Pairs at least its demand of the listed entries, each
+    duplicate counted, to have a journey.
+    """
+    g = problem.base.augment(selected)
+    req = problem.requirement
+    everyone = set(range(g.n))
+    if isinstance(req, All):
+        return all(journey_reach(g, s, problem.semantics) == everyone for s in everyone)
+    if isinstance(req, Source):
+        return journey_reach(g, req.vertex, problem.semantics) == everyone
+    met = sum(v in journey_reach(g, u, problem.semantics) for u, v in req.pairs)
+    return met >= (len(req.pairs) if req.demand is None else req.demand)
 
 
 def brute_min_cost(problem: AugmentationProblem, cap: int | None = None) -> int | None:

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -14,6 +14,7 @@ from oracles import (
     brute_spanner_min,
     journey_connected,
     journey_reach,
+    journey_requirement_holds,
     random_graph,
 )
 from tgaug.augmentation import (
@@ -187,6 +188,69 @@ class TestEvaluatorAgreesWithVerify:
                 state = space.add(state, i)
             subset = [e for i in picked for e in units[i]]
             assert space.holds(state) == verify_solution(problem, subset)
+
+
+@st.composite
+def demand_problems(draw):
+    """Problems on 0 to 5 vertices; Pairs lists repeat entries and name (u, u) pairs."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    lifespan = draw(st.integers(min_value=1, max_value=3))
+    slots = [
+        (u, v, t) for u in range(n) for v in range(u + 1, n) for t in range(1, lifespan + 1)
+    ]
+    # each slot is absent, a base edge or a candidate
+    roles = draw(st.lists(st.sampled_from("-bc"), min_size=len(slots), max_size=len(slots)))
+    base = TemporalGraph.build(
+        n, [E(*s) for s, role in zip(slots, roles) if role == "b"], lifespan=lifespan
+    )
+    candidates = frozenset(E(*s) for s, role in zip(slots, roles) if role == "c")
+    kind = draw(st.sampled_from(["all", "source", "pairs"])) if n else "all"
+    if kind == "all":
+        req = All()
+    elif kind == "source":
+        req = Source(draw(st.integers(min_value=0, max_value=n - 1)))
+    else:
+        vertex = st.integers(min_value=0, max_value=n - 1)
+        entries = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=3))
+        pairs = entries + draw(st.lists(st.sampled_from(entries), max_size=2))
+        demand = draw(st.sampled_from([None, *range(len(pairs) + 1)]))
+        req = Pairs(tuple(pairs), demand)
+    semantics = draw(st.sampled_from([STRICT, NON_STRICT]))
+    return AugmentationProblem(base, candidates, req, semantics)
+
+
+class TestVerifyAgreesWithJourneyOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(demand_problems(), st.randoms(use_true_random=False))
+    @example(AugmentationProblem(G(0, lifespan=1), frozenset()), random.Random(0))
+    @example(
+        AugmentationProblem(
+            G(3, (0, 1, 1), lifespan=2),
+            frozenset({E(1, 2, 2)}),
+            Pairs(((1, 1), (0, 2), (0, 2), (2, 0)), demand=0),
+        ),
+        random.Random(0),
+    )
+    @example(  # a duplicate entry counts twice
+        AugmentationProblem(
+            G(3, (0, 1, 1), lifespan=2),
+            frozenset({E(1, 2, 2)}),
+            Pairs(((0, 2), (0, 2), (2, 0), (1, 1)), demand=3),
+        ),
+        random.Random(0),
+    )
+    @example(  # a failed entry does not settle a B-of-p list while enough entries are left
+        AugmentationProblem(
+            G(3, (0, 1, 1), lifespan=2), frozenset({E(1, 2, 2)}), Pairs(((2, 0), (0, 2)), demand=1)
+        ),
+        random.Random(0),
+    )
+    def test_random_selections(self, problem, rng):
+        for _ in range(4):
+            selected = [e for e in problem.candidates_sorted if rng.random() < 0.5]
+            assert verify_solution(problem, selected) == journey_requirement_holds(
+                problem, selected
+            )
 
 
 class TestFootprintBound:
@@ -394,6 +458,9 @@ class TestOnePlusOne:
         g = G(3, (0, 1, 1), (1, 2, 1))
         assert solve_one_plus_one(g) == frozenset()
 
+    def test_empty_vertex_set_needs_nothing(self):
+        assert solve_one_plus_one(TemporalGraph.build(0, [], lifespan=1)) == frozenset()
+
     def test_contract_error_on_wrong_lifespan(self):
         with pytest.raises(ValueError):
             solve_one_plus_one(G(3, (0, 1, 1), (1, 2, 2)))
@@ -432,6 +499,9 @@ class TestComponentCountBound:
     def test_contract_error(self):
         with pytest.raises(ValueError):
             component_count_bound_check(G(2, (0, 1, 1)))
+
+    def test_empty_vertex_set_holds_vacuously(self):
+        assert component_count_bound_check(TemporalGraph.build(0, [], lifespan=2))
 
     def test_every_connected_lifespan2_graph_passes(self):
         from oracles import all_graphs

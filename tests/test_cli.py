@@ -62,6 +62,13 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: manifest ")
 
+    @pytest.mark.parametrize("engine", ["auto", "subset"])
+    def test_empty_vertex_set_costs_0(self, tmp_path, capsys, engine):
+        path = write_bundle(tmp_path, tca(), candidates="", graph="T 1\nV 0\n")
+        assert main(["solve", path, "--engine", engine]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["feasible"] and out["cost"] == 0 and out["selected"] == []
+
     @pytest.mark.parametrize(
         "manifest, flags",
         [
@@ -170,22 +177,26 @@ class TestSolutionCheck:
         assert capsys.readouterr().err.startswith("error: internal: engine disagreement: ")
 
     @pytest.mark.parametrize(
-        "fields, message",
-        [
-            ({}, "requires a Pairs requirement"),
-            ({"requirement": {"type": "source", "vertex": 0}}, "requires a Pairs requirement"),
-            (
-                {"requirement": {"type": "pairs", "pairs": [[0, 2]]}, "cost_model": "group"},
-                "per-edge cost model",
-            ),
-        ],
+        "requirement", [{"type": "all"}, {"type": "source", "vertex": 0}], ids=["all", "source"]
     )
-    def test_cross_check_without_an_expansion_instance_is_2(
-        self, tmp_path, capsys, fields, message
-    ):
-        assert main(["solve", write_bundle(tmp_path, tca(**fields)), "--cross-check"]) == 2
+    def test_cross_check_takes_every_requirement(self, tmp_path, capsys, requirement):
+        path = write_bundle(tmp_path, tca(requirement=requirement))
+        outputs = {}
+        for engine in ("subset", "expansion"):
+            assert main(["solve", path, "--engine", engine, "--cross-check"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert data.pop("engine") == engine
+            outputs[engine] = data
+        assert outputs["expansion"] == outputs["subset"]
+        assert outputs["subset"]["selected"] == [{"u": 1, "v": 2, "t": 1}]
+        assert main(["expand", path, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["node_count"] == 3 * 2 + 2 * 2
+
+    def test_cross_check_without_an_expansion_instance_is_2(self, tmp_path, capsys):
+        manifest = tca(requirement={"type": "pairs", "pairs": [[0, 2]]}, cost_model="group")
+        assert main(["solve", write_bundle(tmp_path, manifest), "--cross-check"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and message in captured.err
+        assert captured.out == "" and "per-edge cost model" in captured.err
 
     def test_engines_agree_past_twenty_gates(self, tmp_path, capsys):
         graph = "V 8\nE 0 1 1\nE 1 2 2\n"

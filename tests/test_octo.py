@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_min_cost, brute_octo_min
+from tgaug import octo
 from tgaug.augmentation import AugmentationProblem, solve_exact, unrestricted_candidates
 from tgaug.octo import (
     COLS,
@@ -201,9 +202,10 @@ class TestSolveOcto:
         r = solve_octo(M([[1, 1], [0, 0]]))
         assert r.solved and r.min_combinations == 1
 
-    def test_state_limit(self):
+    def test_state_limit(self, monkeypatch):
+        monkeypatch.setattr(octo, "STATE_LIMIT", 3)
         b = M([[1 if i == j else 0 for j in range(6)] for i in range(6)])
-        assert solve_octo(b, state_limit=3).status == "limit_exceeded"
+        assert solve_octo(b).status == "limit_exceeded"
 
     def test_witness_replays_to_one_filled(self):
         rng = random.Random(13)

@@ -5,13 +5,17 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_least_selection, brute_min_cost, dijkstra_weight, random_graph
 from tgaug.augmentation import (
+    All,
     AugmentationProblem,
     Infeasible,
     Pairs,
     Solution,
+    Source,
     solution_to_json,
     solve_exact,
     unrestricted_candidates,
@@ -42,7 +46,38 @@ def random_pairs_problem(rng, semantics, with_budget):
     return AugmentationProblem(base, cands, Pairs(pairs, demand), semantics, budget=budget)
 
 
+@st.composite
+def all_or_source_problems(draw):
+    """Edge-cost All and Source problems: n <= 5, T <= 3, at most 10 candidates."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    lifespan = draw(st.integers(min_value=1, max_value=3))
+    slots = [
+        TemporalEdge(u, v, t)
+        for t in range(1, lifespan + 1)
+        for u, v in itertools.combinations(range(n), 2)
+    ]
+    # each slot is absent, a base edge or a candidate
+    roles = draw(st.lists(st.sampled_from("-bc"), min_size=len(slots), max_size=len(slots)))
+    base = [e for e, role in zip(slots, roles) if role == "b"]
+    cands = [e for e, role in zip(slots, roles) if role == "c"][:10]
+    req = draw(st.sampled_from([All(), Source(draw(st.integers(min_value=0, max_value=n - 1)))]))
+    return AugmentationProblem(
+        TemporalGraph.build(n, base, lifespan=lifespan),
+        frozenset(cands),
+        req,
+        draw(st.sampled_from(SEMANTICS)),
+        budget=draw(st.sampled_from([None, 0, 1, 2, 3])),
+    )
+
+
 class TestSolver:
+    @settings(max_examples=150, deadline=None)
+    @given(all_or_source_problems())
+    def test_all_and_source_agree_with_the_subset_engine(self, problem):
+        ours = solve_tpca_via_expansion(problem)
+        theirs = solve_exact(problem, with_certificate=False)
+        assert solution_to_json(ours, problem) == solution_to_json(theirs, problem)
+
     @pytest.mark.parametrize("semantics", SEMANTICS)
     @pytest.mark.parametrize("with_budget", [False, True])
     def test_matches_subset_search_and_brute_force(self, semantics, with_budget):
@@ -135,7 +170,8 @@ class TestReachability:
                     reached = exp.reachable_from(exp.copy_index(u, 1), open_gates)
                     mask = sweep(sub._layers(semantics), strict, 1 << u)
                     for v in range(n):
-                        assert (exp.copy_index(v, lifespan + 1) in reached) == bool(mask >> v & 1)
+                        sink = exp.copy_index(v, lifespan + 1)
+                        assert reached >> sink & 1 == mask >> v & 1
 
 
 GOLDEN_DOT = """\

@@ -336,6 +336,11 @@ class TestFormats:
             parse_tg("# nothing\n")
         with pytest.raises(ParseError):
             parse_tg("V 2\nE 0 1 1\nT 4\n")  # T after V
+        with pytest.raises(ParseError, match="^line 1: lifespan must be non-negative$"):
+            parse_tg("T -1\nV 2\n")
+        with pytest.raises(ParseError, match="^line 2: declared lifespan 1 is below") as exc:
+            parse_tg("# horizon\nT 1\nV 2\nE 0 1 3\n")
+        assert exc.value.line == 2
 
     @settings(max_examples=100, deadline=None)
     @given(temporal_graphs())
