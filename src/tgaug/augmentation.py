@@ -90,6 +90,8 @@ class AugmentationProblem:
             raise ValueError(f"unknown cost model {self.cost_model!r}")
         if self.budget is not None and self.budget < 0:
             raise ValueError("budget must be non-negative")
+        if self.lifespan is not None and self.lifespan < 0:
+            raise ValueError("lifespan must be non-negative")
         n = self.base.n
         overlap = self.candidates & self.base.edges
         if overlap:
@@ -166,10 +168,15 @@ def _demands(req: Requirement, n: int) -> tuple[list[tuple[int, int]], int]:
         if not 0 <= req.vertex < n:
             raise ValueError(f"source vertex {req.vertex} out of range 0..{n - 1}")
         return [(req.vertex, full ^ 1 << req.vertex)], 1
-    for u, v in req.pairs:
+    _check_pairs(req.pairs, n)
+    return [(u, 1 << v) for u, v in req.pairs], req.effective_demand
+
+
+def _check_pairs(pairs: Iterable[tuple[int, int]], n: int) -> None:
+    """Raise ``ValueError`` when a pair names a vertex outside 0..n-1."""
+    for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"pair ({u},{v}) out of range 0..{n - 1}")
-    return [(u, 1 << v) for u, v in req.pairs], req.effective_demand
 
 
 def _demand_pairs(req: Requirement, n: int) -> tuple[list[tuple[int, int]], int]:

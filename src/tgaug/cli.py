@@ -40,7 +40,7 @@ def _dump(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def _read(path: str) -> str:
+def _read(path: str | Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -54,60 +54,45 @@ def _is_int(value) -> bool:
 _JSON_TYPES = {str: "a string", int: "an integer", dict: "an object", list: "a list"}
 
 
-def _field(data: dict, key: str, kind: type, required: bool = False):
-    """``data[key]``, checked to have JSON type ``kind``; None if optional and absent or null."""
+def _field(data: dict, key: str, kind: type, default=None, required: bool = False):
+    """``data[key]`` of JSON type ``kind``; absent or null gives ``default`` unless ``required``."""
     value = data.get(key)
     if value is None:
         if required:
             raise ParseError(f"manifest field {key!r} is required")
-        return None
+        return default
     if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise ParseError(f"manifest field {key!r} must be {_JSON_TYPES[kind]}, got {value!r}")
     return value
 
 
-def _load_manifest(path: str) -> dict:
-    """The manifest at ``path``, with every field the CLI reads type-checked."""
+def _load_manifest(path: str) -> tuple[dict, str]:
+    """The manifest at ``path`` and its kind; each other field is checked where it is read."""
     try:
         data = json.loads(_read(path))
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("manifest must be a JSON object")
-    kind = data.get("kind", "tca")
-    _field(data, "budget", int)
-    if kind == "octo":
-        _field(data, "matrix", str, required=True)
-        return data
-    if kind != "tca":
+    kind = _field(data, "kind", str, "tca")
+    if kind not in ("tca", "octo"):
         raise ParseError(f"unknown manifest kind {kind!r}")
-    _field(data, "graph", str, required=True)
-    for key in ("candidates", "semantics", "cost_model"):
-        _field(data, key, str)
-    _field(data, "lifespan", int)
-    req = _field(data, "requirement", dict) or {"type": "all"}
-    kind = req.get("type")
-    if kind == "source":
-        _field(req, "vertex", int, required=True)
-    elif kind == "pairs":
-        pairs = _field(req, "pairs", list, required=True)
-        if not all(isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in pairs):
-            raise ParseError(
-                f"manifest field 'pairs' must hold [u, v] integer pairs, got {pairs!r}"
-            )
-        _field(req, "demand", int)
-    elif kind != "all":
-        raise ParseError(f"unknown requirement type {kind!r}")
-    return data
+    return data, kind
 
 
-def _requirement_from_manifest(spec: dict) -> aug.Requirement:
-    kind = spec["type"]
+def _requirement_from_manifest(manifest: dict) -> aug.Requirement:
+    spec = _field(manifest, "requirement", dict) or {"type": "all"}
+    kind = _field(spec, "type", str, required=True)
     if kind == "all":
         return aug.All()
     if kind == "source":
-        return aug.Source(spec["vertex"])
-    return aug.Pairs(tuple(map(tuple, spec["pairs"])), spec.get("demand"))
+        return aug.Source(_field(spec, "vertex", int, required=True))
+    if kind != "pairs":
+        raise ParseError(f"unknown requirement type {kind!r}")
+    pairs = _field(spec, "pairs", list, required=True)
+    if not all(isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in pairs):
+        raise ParseError(f"manifest field 'pairs' must hold [u, v] integer pairs, got {pairs!r}")
+    return aug.Pairs(tuple(map(tuple, pairs)), _field(spec, "demand", int))
 
 
 def _requirement_to_manifest(req: aug.Requirement) -> dict:
@@ -124,7 +109,9 @@ def _requirement_to_manifest(req: aug.Requirement) -> dict:
 
 def _budget(manifest: dict, args) -> int | None:
     """The ``--budget`` flag when given, else the manifest's budget; never negative."""
-    budget = manifest.get("budget") if getattr(args, "budget", None) is None else args.budget
+    budget = _field(manifest, "budget", int)
+    if getattr(args, "budget", None) is not None:
+        budget = args.budget
     if budget is not None and budget < 0:
         raise ParseError("budget must be non-negative")
     return budget
@@ -132,24 +119,23 @@ def _budget(manifest: dict, args) -> int | None:
 
 def _problem_from_manifest(manifest: dict, manifest_path: str, args) -> aug.AugmentationProblem:
     root = Path(manifest_path).parent
-    base = parse_tg(_read(str(root / manifest["graph"])))
-    candidates = ()
-    if manifest.get("candidates"):
-        candidates = parse_candidates(_read(str(root / manifest["candidates"])))
-    semantics = manifest.get("semantics", NON_STRICT)
+    base = parse_tg(_read(root / _field(manifest, "graph", str, required=True)))
+    cand_path = _field(manifest, "candidates", str)
+    candidates = parse_candidates(_read(root / cand_path)) if cand_path else ()
+    semantics = _field(manifest, "semantics", str, NON_STRICT)
     if getattr(args, "semantics", None):
         semantics = _SEMANTICS_FLAG[args.semantics]
-    cost = manifest.get("cost_model", aug.COST_EDGE)
+    cost = _field(manifest, "cost_model", str, aug.COST_EDGE)
     if getattr(args, "cost", None):
         cost = {"edge": aug.COST_EDGE, "group": aug.COST_GROUP}[args.cost]
     return aug.AugmentationProblem(
         base,
         frozenset(candidates),
-        _requirement_from_manifest(manifest.get("requirement") or {"type": "all"}),
+        _requirement_from_manifest(manifest),
         semantics,
         cost,
         _budget(manifest, args),
-        manifest.get("lifespan"),
+        _field(manifest, "lifespan", int),
     )
 
 
@@ -230,10 +216,10 @@ def _solve_tca(problem: aug.AugmentationProblem, args) -> tuple[dict, int]:
 
 
 def cmd_solve(args) -> int:
-    manifest = _load_manifest(args.manifest)
-    if manifest.get("kind", "tca") == "octo":
-        root = Path(args.manifest).parent
-        matrix = octo_mod.parse_matrix(_read(str(root / manifest["matrix"])))
+    manifest, kind = _load_manifest(args.manifest)
+    if kind == "octo":
+        matrix_path = Path(args.manifest).parent / _field(manifest, "matrix", str, required=True)
+        matrix = octo_mod.parse_matrix(_read(matrix_path))
         result = octo_mod.solve_octo(matrix, _budget(manifest, args))
         data = octo_mod.octo_result_to_json(result)
         print(_dump(data))
@@ -311,8 +297,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    manifest = _load_manifest(args.manifest)
-    if manifest.get("kind", "tca") != "tca":
+    manifest, kind = _load_manifest(args.manifest)
+    if kind != "tca":
         raise ParseError("expansion needs a tca manifest")
     problem = _problem_from_manifest(manifest, args.manifest, args)
     exp, _ = exp_mod.build_expansion(exp_mod.problem_instance(problem), problem.semantics)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .temporal_graph import ParseError, TemporalEdge, TemporalGraph, _parse_int, _records
+from .temporal_graph import ParseError, TemporalEdge, TemporalGraph, _ints, _records
 
 ROWS = "rows"
 COLS = "cols"
@@ -72,22 +72,16 @@ def parse_matrix(text: str) -> BinaryMatrix:
     if not lines:
         raise ParseError("empty matrix file")
     no, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2:
+    if len(header) != 2:
         raise ParseError("expected '<rows> <cols>' header", no)
-    n_rows = _parse_int(parts, 0, no, "row count")
-    n_cols = _parse_int(parts, 1, no, "column count")
+    n_rows, n_cols = _ints(header, no, "row or column count", 1)
     if len(lines) - 1 != n_rows:
         raise ParseError(f"expected {n_rows} rows, found {len(lines) - 1}", no)
     rows = []
-    for no, line in lines[1:]:
-        values = line.split()
+    for no, values in lines[1:]:
         if len(values) != n_cols:
             raise ParseError(f"expected {n_cols} entries", no)
-        try:
-            row = tuple(int(x) for x in values)
-        except ValueError:
-            raise ParseError("entries must be 0 or 1", no) from None
+        row = tuple(_ints(values, no, "entry"))
         if any(x not in (0, 1) for x in row):
             raise ParseError("entries must be 0 or 1", no)
         rows.append(row)

@@ -31,8 +31,10 @@ from .temporal_graph import (
     ParseError,
     TemporalEdge,
     TemporalGraph,
+    _count,
+    _endpoints,
+    _ints,
     _mask_to_block,
-    _parse_int,
     _records,
     sweep,
 )
@@ -500,21 +502,13 @@ def parse_static_graph(text: str, budget: int) -> StaticGraphInstance:
     """Edge-list format: ``V <n>`` then one ``E <u> <v>`` per line, '#' comments."""
     n: int | None = None
     edges = set()
-    for lineno, line in _records(text):
-        parts = line.split()
-        if parts[0] == "V" and len(parts) == 2:
-            if n is not None:
-                raise ParseError("duplicate V record", lineno)
-            n = _parse_int(parts, 1, lineno, "vertex count")
-            if n < 0:
-                raise ParseError("vertex count must be non-negative", lineno)
-        elif parts[0] == "E" and len(parts) == 3:
+    for lineno, fields in _records(text):
+        if fields[0] == "V":
+            n = _count(fields, lineno, n, "vertex count")
+        elif fields[0] == "E" and len(fields) == 3:
             if n is None:
                 raise ParseError("edge before V record", lineno)
-            u = _parse_int(parts, 1, lineno, "endpoint")
-            v = _parse_int(parts, 2, lineno, "endpoint")
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise ParseError("invalid edge", lineno)
+            u, v, _ = _endpoints(fields, lineno, n)
             edges.add((min(u, v), max(u, v)))
         else:
             raise ParseError("expected 'V <n>' or 'E <u> <v>'", lineno)
@@ -527,26 +521,16 @@ def parse_set_system(text: str, budget: int) -> SetSystemInstance:
     """Set-list format: ``U <n>`` then one ``S <i>: <e> <e> ...`` per line."""
     n: int | None = None
     subsets: list[frozenset[int]] = []
-    for lineno, line in _records(text):
-        if line.startswith("U"):
-            parts = line.split()
-            if n is not None or len(parts) != 2:
-                raise ParseError("expected a single 'U <n>' record", lineno)
-            n = _parse_int(parts, 1, lineno, "universe size")
-            if n < 0:
-                raise ParseError("universe size must be non-negative", lineno)
-        elif line.startswith("S"):
+    for lineno, fields in _records(text):
+        if fields[0] == "U":
+            n = _count(fields, lineno, n, "universe size")
+        elif fields[0] == "S":
             if n is None:
                 raise ParseError("set before U record", lineno)
-            head, _, tail = line.partition(":")
-            head_parts = head.split()
-            if len(head_parts) != 2 or not _:
+            head, colon, tail = " ".join(fields[1:]).partition(":")
+            if len(head.split()) != 1 or not colon:
                 raise ParseError("expected 'S <i>: <e> <e> ...'", lineno)
-            try:
-                idx = int(head_parts[1])
-                elements = [int(tok) for tok in tail.split()]
-            except ValueError:
-                raise ParseError("indices and elements must be integers", lineno) from None
+            idx, *elements = _ints([head, *tail.split()], lineno, "set index or element")
             if idx != len(subsets):
                 raise ParseError(f"expected set index {len(subsets)}", lineno)
             if any(not 0 <= e < n for e in elements):
@@ -564,24 +548,22 @@ def parse_set_system(text: str, budget: int) -> SetSystemInstance:
 def parse_dimacs(text: str) -> CnfInstance:
     """Standard DIMACS CNF; clauses shorter than 3 pad by repeating a literal.
 
-    ``c`` lines are comments, and so, as in the other formats, is
-    everything after a ``#``.
+    A line whose first character is ``c`` is a comment, and so, as in the
+    other formats, is everything after a ``#``.
     """
     n_vars: int | None = None
     n_clauses = header_line = 0
     clauses: list[tuple[int, int, int]] = []
     pending: list[int] = []
-    for lineno, line in _records(text):
-        if line.startswith("c"):
+    for lineno, fields in _records(text):
+        if fields[0][0] == "c":
             continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+        if fields[0] == "p":
+            if len(fields) != 4 or fields[1] != "cnf":
                 raise ParseError("expected 'p cnf <vars> <clauses>'", lineno)
             if n_vars is not None:
                 raise ParseError("duplicate problem line", lineno)
-            n_vars = _parse_int(parts, 2, lineno, "variable count")
-            n_clauses = _parse_int(parts, 3, lineno, "clause count")
+            n_vars, n_clauses = _ints(fields[2:], lineno, "variable or clause count")
             if n_vars < 1:
                 raise ParseError("need at least one variable", lineno)
             if n_clauses < 1:
@@ -590,11 +572,7 @@ def parse_dimacs(text: str) -> CnfInstance:
             continue
         if n_vars is None:
             raise ParseError("clause before the problem line", lineno)
-        try:
-            values = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise ParseError("literals must be integers", lineno) from None
-        for value in values:
+        for value in _ints(fields, lineno, "literal"):
             if value == 0:
                 if not pending:
                     raise ParseError("empty clause", lineno)

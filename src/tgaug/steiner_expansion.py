@@ -25,6 +25,7 @@ from .augmentation import (
     Infeasible,
     Solution,
     SolveOutcome,
+    _check_pairs,
     _cheapest_subset,
     _demand_pairs,
     _demands_met,
@@ -63,6 +64,7 @@ class TGSteinerInstance:
             raise ValueError("weights must be 0 or 1")
         if not 0 <= self.demand <= len(self.pairs):
             raise ValueError("demand must lie between 0 and the number of pairs")
+        _check_pairs(self.pairs, self.graph.n)
 
     @classmethod
     def from_weights(
@@ -213,10 +215,7 @@ class _GateSpace:
         self.demand_links: list[int] = []
         if demand == len(pairs):
             layers = exp.lifespan + 1
-            copies = exp.n * layers
-            self.demand_links = [
-                1 << s // layers | 1 << d // layers for s, d in pairs if s < copies and d < copies
-            ]
+            self.demand_links = [1 << s // layers | 1 << d // layers for s, d in pairs]
 
     def add(self, open_gates: frozenset[int], gate: int) -> frozenset[int]:
         return open_gates | {gate}

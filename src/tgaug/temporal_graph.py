@@ -12,6 +12,11 @@ layer the tuple of edge bit pairs.  Traced, one sweep per source yields
 the whole foremost-journey tree, from which :func:`find_journey` and the
 certificates of the solvers read their journeys.
 
+Every text format of the package shares one record grammar: :func:`_records`
+yields each line's fields once ``#`` comments go, :func:`_ints` reads
+integers, :func:`_count` a ``<keyword> <count>`` header that may appear
+once, and :func:`_endpoints` checks the endpoints of an ``E`` record.
+
 Everything in this module is immutable after construction and safe to
 share between threads; all operations are pure functions of their inputs.
 """
@@ -498,36 +503,22 @@ def parse_tg(text: str) -> TemporalGraph:
     override: int | None = None
     edges: list[TemporalEdge] = []
     seen: set[tuple[int, int, int]] = set()
-    for lineno, line in _records(text):
-        parts = line.split()
-        kind = parts[0]
-        if kind == "V":
-            if n is not None:
-                raise ParseError("duplicate V record", lineno)
-            n = _parse_int(parts, 1, lineno, "vertex count")
-            if len(parts) != 2:
-                raise ParseError("V record takes exactly one value", lineno)
-            if n < 0:
-                raise ParseError("vertex count must be non-negative", lineno)
-        elif kind == "T":
-            if override is not None:
-                raise ParseError("duplicate T record", lineno)
-            if n is not None:
-                raise ParseError("T record must precede V", lineno)
-            override = _parse_int(parts, 1, lineno, "lifespan")
-            override_line = lineno
-            if len(parts) != 2:
-                raise ParseError("T record takes exactly one value", lineno)
-            if override < 0:
-                raise ParseError("lifespan must be non-negative", lineno)
-        elif kind == "E":
+    for lineno, fields in _records(text):
+        if fields[0] == "E":
             if n is None:
                 raise ParseError("edge record before V", lineno)
-            if len(parts) < 4:
+            if len(fields) < 4:
                 raise ParseError("edge record needs two endpoints and at least one time", lineno)
-            edges += _edge_record(parts, lineno, n, seen)
+            edges += _edge_record(fields, lineno, n, seen)
+        elif fields[0] == "V":
+            n = _count(fields, lineno, n, "vertex count")
+        elif fields[0] == "T":
+            if n is not None:
+                raise ParseError("T record must precede V", lineno)
+            override = _count(fields, lineno, override, "lifespan")
+            override_line = lineno
         else:
-            raise ParseError(f"unknown record type {kind!r}", lineno)
+            raise ParseError(f"unknown record type {fields[0]!r}", lineno)
     if n is None:
         raise ParseError("missing V record")
     max_t = max((e.t for e in edges), default=0)
@@ -535,50 +526,65 @@ def parse_tg(text: str) -> TemporalGraph:
         raise ParseError(
             f"declared lifespan {override} is below the maximum edge time {max_t}", override_line
         )
-    return TemporalGraph.build(n, edges, lifespan=override if override is not None else None)
+    return TemporalGraph.build(n, edges, lifespan=override)
 
 
-def _records(text: str) -> Iterator[tuple[int, str]]:
-    """(1-based line number, content) of each line left non-blank once ``#`` comments go."""
+def _records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, fields) of each line left non-blank once ``#`` comments go."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            yield lineno, fields
 
 
-def _parse_int(parts: list[str], idx: int, lineno: int, what: str) -> int:
+def _ints(fields: list[str], lineno: int, what: str, low: int | None = None) -> list[int]:
+    """``fields`` as integers, each at least ``low`` when given."""
     try:
-        return int(parts[idx])
-    except (IndexError, ValueError):
+        values = list(map(int, fields))
+    except ValueError:
         raise ParseError(f"expected integer {what}", lineno) from None
+    if low is not None and min(values) < low:
+        bound = "non-negative" if low == 0 else f"at least {low}"
+        raise ParseError(f"{what} must be {bound}", lineno)
+    return values
 
 
-def _edge_record(
-    parts: list[str], lineno: int, n: int | None, seen: set[tuple[int, int, int]]
-) -> list[TemporalEdge]:
-    """The temporal edges of one ``E <u> <v> <t> ...`` record, one per listed time.
+def _count(fields: list[str], lineno: int, declared: int | None, what: str) -> int:
+    """The count of a ``<keyword> <count>`` header; ``declared`` is the one read before, if any."""
+    if declared is not None:
+        raise ParseError(f"duplicate {fields[0]} record", lineno)
+    if len(fields) != 2:
+        raise ParseError(f"{fields[0]} record takes exactly one value", lineno)
+    return _ints(fields[1:], lineno, what, 0)[0]
 
-    ``n`` bounds the endpoints of a ``.tg`` record and is None for a
-    ``.cand`` record, whose file declares no vertex count.  ``seen`` holds
-    the ``(min endpoint, max endpoint, time)`` keys read so far and gains
-    this record's keys; a key read twice is an error.
+
+def _endpoints(fields: list[str], lineno: int, n: int | None) -> tuple[int, int, list[int]]:
+    """The checked endpoints of an ``E <u> <v> ...`` record and the integers after them.
+
+    ``n`` bounds the endpoints and is None for a ``.cand`` record, whose
+    file declares no vertex count.
     """
-    u = _parse_int(parts, 1, lineno, "endpoint")
-    v = _parse_int(parts, 2, lineno, "endpoint")
+    u, v, *rest = _ints(fields[1:], lineno, "endpoint or time")
     if n is not None and not (0 <= u < n and 0 <= v < n):
         raise ParseError(f"endpoint out of range 0..{n - 1}", lineno)
     if u == v:
         raise ParseError("self-loops are not allowed", lineno)
+    return u, v, rest
+
+
+def _edge_record(
+    fields: list[str], lineno: int, n: int | None, seen: set[tuple[int, int, int]]
+) -> list[TemporalEdge]:
+    """One edge per time of an ``E`` record; ``seen`` gains each key, and a repeat is an error."""
+    u, v, times = _endpoints(fields, lineno, n)
     edges = []
-    for idx in range(3, len(parts)):
-        t = _parse_int(parts, idx, lineno, "time")
+    for t in times:
         if t < 1:
             raise ParseError("time steps must be >= 1", lineno)
         key = (u, v, t) if u < v else (v, u, t)
         if key in seen:
-            if n is None:
-                raise ParseError(f"duplicate candidate {{{key[0]},{key[1]}}}@{t}", lineno)
-            raise ParseError(f"duplicate temporal edge {{{u},{v}}}@{t}", lineno)
+            what = "candidate" if n is None else "temporal edge"
+            raise ParseError(f"duplicate {what} {{{key[0]},{key[1]}}}@{t}", lineno)
         seen.add(key)
         edges.append(TemporalEdge(u, v, t))
     return edges
@@ -602,11 +608,10 @@ def parse_candidates(text: str) -> tuple[TemporalEdge, ...]:
     """Parse the ``.cand`` candidate set format: one ``E <u> <v> <t>`` per line."""
     edges: list[TemporalEdge] = []
     seen: set[tuple[int, int, int]] = set()
-    for lineno, line in _records(text):
-        parts = line.split()
-        if parts[0] != "E" or len(parts) != 4:
+    for lineno, fields in _records(text):
+        if fields[0] != "E" or len(fields) != 4:
             raise ParseError("expected 'E <u> <v> <t>'", lineno)
-        edges += _edge_record(parts, lineno, None, seen)
+        edges += _edge_record(fields, lineno, None, seen)
     return sorted_edges(edges)
 
 

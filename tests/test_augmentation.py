@@ -79,6 +79,10 @@ class TestProblemModel:
         p = AugmentationProblem(G(2, (0, 1, 1)), frozenset({E(0, 1, 5)}))
         assert p.effective_lifespan == 5
 
+    def test_negative_lifespan_is_rejected(self):
+        with pytest.raises(ValueError, match="^lifespan must be non-negative$"):
+            AugmentationProblem(G(2, (0, 1, 1)), frozenset(), lifespan=-4)
+
 
 class TestVerifySolution:
     def test_connected_base_needs_nothing(self):

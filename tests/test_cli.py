@@ -2,17 +2,21 @@ import importlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tgaug import steiner_expansion as exp_mod
 from tgaug.augmentation import Infeasible, Solution
 from tgaug.cli import main
+from tgaug.octo import parse_matrix
 from tgaug.reductions import parse_dimacs, parse_set_system, parse_static_graph
-from tgaug.temporal_graph import ParseError, TemporalEdge
+from tgaug.temporal_graph import ParseError, TemporalEdge, parse_candidates, parse_tg
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BENCHMARKS = SRC.parent / "benchmarks"
@@ -103,6 +107,23 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: manifest field")
+
+    @pytest.mark.parametrize(
+        "field", ["kind", "semantics", "cost_model", "budget", "lifespan", "candidates", "requirement"]
+    )
+    def test_null_field_means_absent(self, tmp_path, capsys, field):
+        absent = tca(requirement={"type": "pairs", "pairs": [[0, 2]]})
+        absent.pop(field, None)
+        runs = []
+        for manifest in (absent, {**absent, field: None}):
+            code = main(["solve", write_bundle(tmp_path, manifest)])
+            runs.append((code, capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] in (0, 1) and runs[0][1].err == ""
+
+    def test_negative_lifespan_is_2(self, tmp_path, capsys):
+        assert main(["solve", write_bundle(tmp_path, tca(lifespan=-4))]) == 2
+        assert capsys.readouterr() == ("", "error: lifespan must be non-negative\n")
 
 
 class TestSolutionCheck:
@@ -296,6 +317,60 @@ class TestSourceParsers:
     def test_dimacs_clause_count_must_match(self, clauses, given):
         with pytest.raises(ParseError, match=f"line 1: 2 clauses declared, {given} given"):
             parse_dimacs("p cnf 3 2\n" + clauses)
+
+
+READERS = {
+    "tg": parse_tg,
+    "cand": parse_candidates,
+    "static": lambda text: parse_static_graph(text, 1),
+    "sets": lambda text: parse_set_system(text, 1),
+    "dimacs": parse_dimacs,
+    "matrix": parse_matrix,
+}
+
+TOKENS = st.one_of(
+    st.sampled_from(["V", "T", "E", "U", "S", "p", "c", "cnf", ":", "#", "0:", "Universe", "px"]),
+    st.integers(-3, 6).map(str),
+    st.sampled_from([str(-(10**30)), str(10**30), "1.5", "0x1", "x"]),
+    st.text(max_size=3),
+)
+RECORD_TEXTS = st.lists(st.lists(TOKENS, max_size=6).map(" ".join), max_size=8).map("\n".join)
+
+
+class TestRecordReaders:
+    """Every text reader: only ``ValueError`` escapes, keywords and counts are exact."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(RECORD_TEXTS)
+    def test_only_value_errors_escape(self, text):
+        for parse in READERS.values():
+            try:
+                parse(text)
+            except ValueError:
+                pass
+
+    @pytest.mark.parametrize(
+        "reader, text, line, message",
+        [
+            ("sets", "Universe 2\nS 0: 0 1\n", 1, "expected 'U <n>' or 'S <i>: ...'"),
+            ("sets", "U 2\nSet 0: 0 1\n", 2, "expected 'U <n>' or 'S <i>: ...'"),
+            ("dimacs", "px cnf 3 1\n1 2 3 0\n", 1, "clause before the problem line"),
+            ("dimacs", "p cnf 3 1\npx cnf 3 1\n1 2 3 0\n", 2, "expected integer literal"),
+            ("matrix", "-1 2\n", 1, "row or column count must be at least 1"),
+            ("matrix", "0 0\n", 1, "row or column count must be at least 1"),
+            ("matrix", "2 0\n", 1, "row or column count must be at least 1"),
+        ],
+    )
+    def test_keywords_and_counts_are_exact(self, reader, text, line, message):
+        with pytest.raises(ParseError, match=f"^line {line}: {re.escape(message)}$"):
+            READERS[reader](text)
+
+    def test_inexact_keyword_exits_2(self, tmp_path, capsys):
+        (tmp_path / "sets.txt").write_text("Universe 2\nSet 0: 0 1\n")
+        out = tmp_path / "out"
+        assert main(["reduce", "hs", str(tmp_path / "sets.txt"), "1", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: line 1: expected 'U <n>' or 'S <i>: ...'\n")
+        assert not (out / "manifest.json").exists()
 
 
 GOLDEN_FILES = {

@@ -304,6 +304,12 @@ class TestInstance:
             inst = TGSteinerInstance.from_weights(g, {TemporalEdge(0, 1, 1): w}, [(0, 1)])
             assert inst.weights == {TemporalEdge(0, 1, 1): w}
 
+    @pytest.mark.parametrize("pair", [(0, 5), (-1, 1)])
+    def test_pairs_name_vertices_of_the_graph(self, pair):
+        g = TemporalGraph.build(2, [TemporalEdge(0, 1, 1)])
+        with pytest.raises(ValueError, match=rf"^pair \({pair[0]},{pair[1]}\) out of range 0\.\.1$"):
+            TGSteinerInstance.from_weights(g, {TemporalEdge(0, 1, 1): 1}, [pair])
+
     def test_problem_instance_weighs_candidates_one(self):
         base = TemporalGraph.build(3, [TemporalEdge(0, 1, 1)])
         cand = TemporalEdge(1, 2, 1)
