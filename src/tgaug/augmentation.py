@@ -293,7 +293,8 @@ class _LayerSpace:
     reachability is a function of the per-time component partitions).
     The free edges of the footprint are the base edges.  Each demand
     entry links its source with the vertices it needs when every entry
-    must be met, and a B-of-p demand links nothing.
+    must be met, and a B-of-p demand links nothing.  The two-time bound
+    ``need`` applies to non-strict All with two layers and one-edge units.
     """
 
     def __init__(self, problem: AugmentationProblem, units: Sequence[tuple[TemporalEdge, ...]]):
@@ -310,6 +311,9 @@ class _LayerSpace:
         self.demand_links = []
         if self.required == len(self.entries):
             self.demand_links = [1 << s | need for s, need in self.entries]
+        two_time = len(times) == 2 and all(len(unit) == 1 for unit in units)
+        nonstrict_all = not self.strict and isinstance(problem.requirement, All)
+        self.need = _two_time_need if two_time and nonstrict_all else None
 
     def add(self, layers: Sequence[tuple], unit: int) -> list[tuple]:
         layers = list(layers)
@@ -321,6 +325,26 @@ class _LayerSpace:
         return _demands_met(
             self.entries, self.required, lambda s: sweep(layers, self.strict, 1 << s)
         )
+
+
+def _two_time_need(layers: Sequence[tuple[int, ...]]) -> int:
+    """How many more single-edge units two non-strict sweep layers need at least.
+
+    With two times, every vertex reaches every other exactly when each
+    component at the first time meets each component at the second.  Let
+    z(A) count the second-time components that component A misses.  A
+    second-time merge lowers z(A) by at most 1, and k first-time merges
+    touch at most 2k components, so some untouched A still has the
+    (2k+1)-th largest z to clear by second-time merges alone.  So at least
+    the least k + z_(2k+1) over all k is needed, and its mirror with the
+    two times swapped; the larger of the two is returned.
+    """
+    need = 0
+    for rows, cols in (layers, layers[::-1]):
+        misses = sorted([[r & c for c in cols].count(0) for r in rows], reverse=True) + [0]
+        p = len(rows)
+        need = max(need, min([k + misses[min(2 * k, p)] for k in range(p // 2 + 2)]))
+    return need
 
 
 def _group_items(problem: AugmentationProblem) -> list[tuple[TemporalEdge, ...]]:
@@ -370,12 +394,14 @@ def solve_exact(
     first and lexicographically least within a size, so among minimum-cost
     solutions the lexicographically least under canonical edge ordering is
     returned.  It skips only subsets that the footprint bound proves
-    infeasible, which leaves that answer unchanged.  On non-strict runs two
-    prunings keep it too: units that join vertices already in one snapshot
-    component are dropped, and units with identical component-merge effects
-    are collapsed to their least representative.  A given budget caps the
-    search; "budget_exceeded" is reported distinctly from true
-    infeasibility.
+    infeasible, or, for non-strict All over two times, the two-time bound:
+    a unit merges at most two components at its time, so a component that
+    misses z components at the other time needs z more merges there.  This
+    leaves that answer unchanged.  On non-strict runs two prunings keep it
+    too: units that join vertices already in one snapshot component are
+    dropped, and units with identical component-merge effects are collapsed
+    to their least representative.  A given budget caps the search;
+    "budget_exceeded" is reported distinctly from true infeasibility.
 
     Each search node extends its parent's sweep layers by one unit, so a
     tested subset costs only the requirement's sweeps: one per demand
@@ -411,7 +437,11 @@ def _cheapest_subset(space, budget: int | None) -> tuple[int, ...] | Infeasible:
     search picks units in increasing index order, so subsets are visited
     lexicographically within a size.  Each node carries its state and its
     footprint, and a node whose footprint needs more units than are left
-    to pick is cut, since no extension of it can be accepted.  Acceptance
+    to pick is cut, since no extension of it can be accepted.  When
+    ``space.need`` is not None it is a second such bound on a state, the
+    admissible two-time bound of :func:`_two_time_need`: nodes it puts at
+    or past the units left are cut too, and the sizes start at the larger
+    of the two bounds at the root.  Acceptance
     is monotone in the subset, so the answer is the least accepted subset
     of the least accepted size, exactly as plain enumeration would find
     it.  ``Infeasible("infeasible")`` when not even all units together are
@@ -424,7 +454,8 @@ def _cheapest_subset(space, budget: int | None) -> tuple[int, ...] | Infeasible:
     if not space.holds(everything):
         return Infeasible("infeasible")
     max_size = len(links) if budget is None else min(budget, len(links))
-    for size in range(len(footprint) - len(target), max_size + 1):
+    need = 0 if space.need is None else space.need(space.start)
+    for size in range(max(len(footprint) - len(target), need), max_size + 1):
         found = _first_of_size(space, size, links, footprint, target)
         if found is not None:
             return found
@@ -439,7 +470,7 @@ def _first_of_size(
     """The lexicographically least accepted subset of exactly ``size`` units, or None."""
     if size == 0:
         return () if space.holds(space.start) else None
-    add, holds = space.add, space.holds
+    add, holds, need = space.add, space.holds, space.need
     count = len(links)
     chosen: list[int] = []
     # one frame per chosen unit plus the root: [state, footprint, target, next unit to try]
@@ -459,6 +490,8 @@ def _first_of_size(
         if len(child_footprint) - len(child_target) >= left:
             continue
         child = add(state, i)
+        if need is not None and need(child) >= left:
+            continue
         if left == 1:
             if holds(child):
                 return (*chosen, i)

@@ -7,20 +7,23 @@ temporal edge merges two same-time components, which on the matrix is an
 entrywise OR of two rows or two columns.  The matrix is all-ones exactly
 when the graph is non-strict temporally connected, so the minimum number
 of edge additions equals the minimum number of OR-combinations reaching
-the one-filled matrix (the OCTO problem solved here by breadth-first
-search over canonicalized matrix states).
+the one-filled matrix (the OCTO problem).  OCTO is therefore solved by the
+augmentation subset search on a graph that realizes the matrix, and its
+witness is that search's least minimum selection: zero lines merge first,
+then row merges come before column merges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
+from .augmentation import All, AugmentationProblem, Infeasible, solve_exact
 from .temporal_graph import ParseError, TemporalEdge, TemporalGraph, _ints, _records
 
 ROWS = "rows"
 COLS = "cols"
-STATE_LIMIT = 200_000  # distinct states solve_octo keeps before it reports "limit_exceeded"
 
 
 @dataclass(frozen=True)
@@ -119,29 +122,14 @@ def matrix_to_graph(b: BinaryMatrix) -> TemporalGraph:
     for j in range(b.n_cols):
         if not any(row[j] for row in b.rows):
             raise ValueError(f"column {j} is all zeros")
-    ids: dict[tuple[int, int], int] = {}
-    for i, row in enumerate(b.rows):
-        for j, x in enumerate(row):
-            if x:
-                ids[(i, j)] = len(ids)
-    edges = []
-    for i in range(b.n_rows):
-        members = [ids[(i, j)] for j in range(b.n_cols) if (i, j) in ids]
-        edges.extend(
-            TemporalEdge(a, c, 1) for k, a in enumerate(members) for c in members[k + 1 :]
-        )
-    for j in range(b.n_cols):
-        members = [ids[(i, j)] for i in range(b.n_rows) if (i, j) in ids]
-        edges.extend(
-            TemporalEdge(a, c, 2) for k, a in enumerate(members) for c in members[k + 1 :]
-        )
-    return TemporalGraph.build(len(ids), edges, lifespan=2)
-
-
-def _merge(lines: tuple, a: int, c: int) -> tuple:
-    """The one merge rule: lines a < c become their entrywise OR at position a; c goes."""
-    merged = tuple(x | y for x, y in zip(lines[a], lines[c]))
-    return lines[:a] + (merged,) + lines[a + 1 : c] + lines[c + 1 :]
+    ones = [(i, j) for i, row in enumerate(b.rows) for j, x in enumerate(row) if x]
+    edges = [
+        TemporalEdge(a, c, t)
+        for (a, p), (c, q) in combinations(enumerate(ones), 2)
+        for t in (1, 2)
+        if p[t - 1] == q[t - 1]
+    ]
+    return TemporalGraph.build(len(ones), edges, lifespan=2)
 
 
 def or_combine(b: BinaryMatrix, axis: str, i: int, j: int) -> BinaryMatrix:
@@ -160,12 +148,13 @@ def or_combine(b: BinaryMatrix, axis: str, i: int, j: int) -> BinaryMatrix:
         if not 0 <= k < size:
             raise ValueError(f"index {k} out of range 0..{size - 1}")
     lo, hi = min(i, j), max(i, j)
-    if axis == ROWS:
-        return BinaryMatrix(_merge(b.rows, lo, hi))
-    return BinaryMatrix(_merge(b.transpose().rows, lo, hi)).transpose()
+    lines = b.rows if axis == ROWS else b.transpose().rows
+    merged = tuple(x | y for x, y in zip(lines[lo], lines[hi]))
+    b = BinaryMatrix(lines[:lo] + (merged,) + lines[lo + 1 : hi] + lines[hi + 1 :])
+    return b if axis == ROWS else b.transpose()
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class MergeStep:
     """One OR-combination, named by original line indices.
 
@@ -174,8 +163,7 @@ class MergeStep:
     order, so representatives increase with position and the merged group
     is named by the representative of the lower line.  A history can thus
     be replayed on the original matrix regardless of how intermediate
-    merges renumbered the lines.  Ordering is (axis, i, j), which puts
-    column merges before row merges.
+    merges renumbered the lines.
     """
 
     axis: str
@@ -185,7 +173,7 @@ class MergeStep:
 
 @dataclass(frozen=True)
 class OctoResult:
-    status: str  # "solved" | "budget_exceeded" | "limit_exceeded" | "infeasible"
+    status: str  # "solved" | "budget_exceeded" | "infeasible"
     min_combinations: int | None = None
     sequence: tuple[MergeStep, ...] | None = None
 
@@ -194,74 +182,48 @@ class OctoResult:
         return self.status == "solved"
 
 
-def _canonical(rows: tuple[tuple[int, ...], ...]) -> tuple:
-    """Permutation-stable key: alternately sort rows and columns to a fixpoint.
-
-    Sorting is itself a row/column permutation, so two states with equal
-    keys are genuinely permutation-equivalent (and thus share their minimum).
-    """
-    prev = None
-    while rows != prev:
-        prev = rows
-        rows = tuple(sorted(rows))
-        rows = tuple(zip(*sorted(zip(*rows))))
-    return rows
-
-
 def solve_octo(b: BinaryMatrix, budget: int | None = None) -> OctoResult:
     """Minimum number of OR-combinations reaching the all-ones matrix.
 
-    Level-synchronized breadth-first search over matrix states, memoized by
-    a permutation-canonical form (minima are invariant under row/column
-    permutation).  The witness is the lexicographically least merge history
-    among minimum-length ones, with column merges ordered before row merges.
-    Always terminates: merging everything down to 1x1 takes at most
-    (rows-1)+(cols-1) steps and succeeds whenever the matrix has any 1.
+    A zero line costs exactly one merge, since ORing it into a line changes
+    nothing, so each merges into the first nonzero line of its axis first
+    and comes off the budget.  The rest is non-strict All on
+    :func:`matrix_to_graph`, with one time-1 (time-2) candidate per pair of
+    rows (columns) joining their first vertices, and the witness is the
+    least minimum selection of :func:`~tgaug.augmentation.solve_exact`:
+    row merges come before column merges.
     """
-    if b.count_ones() == 0:
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be non-negative")
+    ones = [(i, j) for i, row in enumerate(b.rows) for j, x in enumerate(row) if x]
+    if not ones:
         return OctoResult("infeasible")
-    if b.is_one_filled:
-        if budget is not None and budget < 0:
-            return OctoResult("budget_exceeded")
-        return OctoResult("solved", 0, ())
-
-    max_depth = (b.n_rows - 1) + (b.n_cols - 1)
-    start = ((), b.rows, {ROWS: tuple(range(b.n_rows)), COLS: tuple(range(b.n_cols))})
-    frontier: list[tuple[tuple[MergeStep, ...], tuple, dict]] = [start]
-    seen = {_canonical(b.rows)}
-    states = 1
-    for depth in range(1, max_depth + 1):
-        if budget is not None and depth > budget:
-            return OctoResult("budget_exceeded")
-        level: dict[tuple, tuple[tuple[MergeStep, ...], tuple, dict]] = {}
-        goals = []
-        for history, rows, names_by_axis in frontier:
-            for axis, lines in ((COLS, tuple(zip(*rows))), (ROWS, rows)):
-                names = names_by_axis[axis]
-                for a in range(len(lines)):
-                    for c in range(a + 1, len(lines)):
-                        new_history = history + (MergeStep(axis, names[a], names[c]),)
-                        new_rows = _merge(lines, a, c)
-                        if axis == COLS:
-                            new_rows = tuple(zip(*new_rows))
-                        if all(all(row) for row in new_rows):
-                            goals.append(new_history)
-                            continue
-                        key = _canonical(new_rows)
-                        if key in seen:
-                            continue
-                        kept = level.get(key)
-                        if kept is None or new_history < kept[0]:
-                            new_names = {**names_by_axis, axis: names[:c] + names[c + 1 :]}
-                            level[key] = (new_history, new_rows, new_names)
-        if goals:
-            return OctoResult("solved", depth, min(goals))
-        states += len(level)
-        if states > STATE_LIMIT:
-            return OctoResult("limit_exceeded")
-        seen.update(level)
-        frontier = sorted(level.values(), key=lambda item: item[0])
-    raise RuntimeError("search exhausted without reaching the one-filled matrix")
+    head = {}  # (axis, line) -> the line's first vertex, numbered as matrix_to_graph does
+    for v, (i, j) in reversed(list(enumerate(ones))):
+        head[ROWS, i] = head[COLS, j] = v
+    live = {axis: sorted(k for a, k in head if a == axis) for axis in (ROWS, COLS)}
+    sizes = {ROWS: b.n_rows, COLS: b.n_cols}
+    merges = [(a, k, live[a][0]) for a in live for k in range(sizes[a]) if (a, k) not in head]
+    if budget is not None and budget < len(merges):
+        return OctoResult("budget_exceeded")
+    lines = {
+        TemporalEdge(head[axis, a], head[axis, c], t): (axis, a, c)
+        for axis, t in ((ROWS, 1), (COLS, 2))
+        for a, c in combinations(live[axis], 2)
+    }
+    kept = BinaryMatrix(tuple(tuple(b.rows[i][j] for j in live[COLS]) for i in live[ROWS]))
+    rest = None if budget is None else budget - len(merges)
+    problem = AugmentationProblem(matrix_to_graph(kept), frozenset(lines), All(), budget=rest)
+    outcome = solve_exact(problem, with_certificate=False)
+    if isinstance(outcome, Infeasible):
+        return OctoResult(outcome.reason)
+    names = {axis: list(range(size)) for axis, size in sizes.items()}
+    steps = []
+    for axis, a, c in merges + [lines[e] for e in outcome.selected]:
+        lo, hi = sorted((names[axis][a], names[axis][c]))  # relabel to the smaller one
+        steps.append(MergeStep(axis, lo, hi))
+        names[axis] = [lo if x == hi else x for x in names[axis]]
+    return OctoResult("solved", len(steps), tuple(steps))
 
 
 def _replay(shape: tuple[int, int], steps: Sequence[MergeStep]) -> list[tuple[str, int, int]]:

@@ -209,6 +209,7 @@ class _GateSpace:
         gates = exp.positive_gate_edges
         positive = set(gates)
         self.start: frozenset[int] = frozenset()
+        self.need = None  # the two-time bound is for sweep layers only
         self.n = exp.n
         self.unit_pairs = [e.pair for e in gates]
         self.free_pairs = [e.pair for e in exp.edges if e not in positive]

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -179,6 +179,19 @@ def budgeted_problems(draw):
     return dataclasses.replace(problem, budget=draw(st.sampled_from([None, 0, 1, 2, 3])))
 
 
+@st.composite
+def two_time_problems(draw):
+    """Non-strict All edge-cost problems whose edges and candidates span times 1 and 2."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    slots = [(u, v, t) for u in range(n) for v in range(u + 1, n) for t in (1, 2)]
+    base_set = draw(st.sets(st.sampled_from(slots)))
+    rest = [s for s in slots if s not in base_set]
+    cand_set = draw(st.sets(st.sampled_from(rest), max_size=8)) if rest else set()
+    assume({t for _, _, t in base_set | cand_set} == {1, 2})
+    base = TemporalGraph.build(n, [E(*s) for s in base_set], lifespan=2)
+    return AugmentationProblem(base, frozenset(E(*s) for s in cand_set), All(), NON_STRICT)
+
+
 class TestEvaluatorAgreesWithVerify:
     @settings(max_examples=120, deadline=None)
     @given(problems(), st.randoms(use_true_random=False))
@@ -265,6 +278,24 @@ class TestFootprintBound:
         best = brute_min_cost(problem)
         if best is not None:
             assert len(footprint) - len(target) <= best
+
+    @settings(max_examples=120, deadline=None)
+    @given(two_time_problems())
+    def test_two_time_need_is_admissible(self, problem):
+        outcome = solve_exact(problem, with_certificate=False)
+        chosen = outcome.selected if isinstance(outcome, Solution) else ()
+        for k in range(len(chosen) + 1):
+            # the state after the first k units of the selection, as a problem of its own
+            sub = dataclasses.replace(
+                problem,
+                base=problem.base.augment(chosen[:k]),
+                candidates=problem.candidates - set(chosen[:k]),
+            )
+            space = _LayerSpace(sub, _group_items(sub))
+            assert space.need is not None
+            best = brute_min_cost(sub)
+            if best is not None:
+                assert space.need(space.start) <= best
 
     @staticmethod
     def _count_tests(monkeypatch):

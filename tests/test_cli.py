@@ -478,8 +478,8 @@ class TestGoldenOutput:
         assert run("solve", "octo.json") == (
             0,
             '{"feasible":true,"min_combinations":3,"schema":1,"sequence":['
-            '{"axis":"cols","i":0,"j":3},{"axis":"rows","i":0,"j":2},'
-            '{"axis":"rows","i":0,"j":3}],"status":"solved"}\n',
+            '{"axis":"rows","i":0,"j":3},{"axis":"rows","i":0,"j":1},'
+            '{"axis":"rows","i":0,"j":2}],"status":"solved"}\n',
         )
 
     def test_reduce_dsc_then_solve(self, run):
@@ -537,3 +537,11 @@ class TestBenchmarkReplay:
             written = {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()}
             assert replay.replay(argv, replay.Tracer()) == (code, out)
             assert {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()} == written
+
+    def test_negative_octo_budget_is_2(self, replay, tmp_path, capsys, monkeypatch):
+        write_golden_files(tmp_path, monkeypatch)
+        (tmp_path / "m.mat").write_text("2 2\n1 0\n0 1\n")
+        argv = ["solve", "octo.json", "--budget", "-3"]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+        assert replay.replay(argv, replay.Tracer()) == (2, "")

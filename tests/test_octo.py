@@ -1,12 +1,12 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_min_cost, brute_octo_min
-from tgaug import octo
 from tgaug.augmentation import AugmentationProblem, solve_exact, unrestricted_candidates
 from tgaug.octo import (
     COLS,
@@ -193,7 +193,8 @@ class TestSolveOcto:
         assert full.min_combinations == 2
         assert solve_octo(b, budget=1).status == "budget_exceeded"
         assert solve_octo(b, budget=2).solved
-        assert solve_octo(M([[1]]), budget=-1).status == "budget_exceeded"
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            solve_octo(M([[1]]), budget=-1)
 
     def test_zero_matrix_infeasible(self):
         assert solve_octo(M([[0, 0], [0, 0]])).status == "infeasible"
@@ -201,11 +202,6 @@ class TestSolveOcto:
     def test_zero_line_forces_merges(self):
         r = solve_octo(M([[1, 1], [0, 0]]))
         assert r.solved and r.min_combinations == 1
-
-    def test_state_limit(self, monkeypatch):
-        monkeypatch.setattr(octo, "STATE_LIMIT", 3)
-        b = M([[1 if i == j else 0 for j in range(6)] for i in range(6)])
-        assert solve_octo(b).status == "limit_exceeded"
 
     def test_witness_replays_to_one_filled(self):
         rng = random.Random(13)
@@ -225,16 +221,35 @@ class TestSolveOcto:
 
     def test_matches_raw_bfs_oracle(self):
         rng = random.Random(17)
-        for _ in range(120):
+        for _ in range(240):
             r = rng.randint(1, 3)
             c = rng.randint(1, 4)
-            rows = tuple(tuple(rng.randint(0, 1) for _ in range(c)) for _ in range(r))
+            density = rng.choice([0.25, 0.5, 0.75])  # the sparse ones have zero lines
+            rows = tuple(tuple(int(rng.random() < density) for _ in range(c)) for _ in range(r))
+            budget = rng.choice([None, 0, 1, 2, 3])
             expected = brute_octo_min(rows)
-            result = solve_octo(BinaryMatrix(rows))
+            b = BinaryMatrix(rows)
+            result = solve_octo(b, budget)
             if expected is None:
                 assert result.status == "infeasible"
+            elif budget is not None and expected > budget:
+                assert result.status == "budget_exceeded"
             else:
-                assert result.min_combinations == expected
+                assert result.solved and result.min_combinations == expected
+                assert len(result.sequence) == expected
+                assert apply_sequence(b, result.sequence).is_one_filled
+
+    # minima pinned from an independent solver: the breadth-first search over
+    # matrix states that solve_octo used before it ran on the subset search
+    @pytest.mark.parametrize("seed, minimum", [(1, 5), (2, 6), (3, 6), (4, 5)])
+    def test_seven_by_seven_wall(self, seed, minimum):
+        rng = random.Random(seed)
+        b = M([[int(rng.random() < 0.35) for _ in range(7)] for _ in range(7)])
+        start = time.perf_counter()
+        result = solve_octo(b)
+        assert time.perf_counter() - start < 0.5
+        assert result.min_combinations == minimum
+        assert apply_sequence(b, result.sequence).is_one_filled
 
     def test_transpose_invariance(self):
         rng = random.Random(19)

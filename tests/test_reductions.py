@@ -321,13 +321,13 @@ class TestOctoWitnessEdges:
         )
         result = solve_octo(component_intersection_matrix(g))
         assert result.sequence == (
-            MergeStep(COLS, 0, 1),
             MergeStep(COLS, 0, 2),
+            MergeStep(COLS, 0, 1),
             MergeStep(COLS, 0, 3),
         )
         assert sequence_to_edges(g, result.sequence) == (
-            TemporalEdge(0, 1, 2),
             TemporalEdge(0, 3, 2),
+            TemporalEdge(0, 1, 2),
             TemporalEdge(0, 4, 2),
         )
 
