@@ -24,6 +24,7 @@ from .temporal_graph import (
     TemporalGraph,
     sorted_edges,
     sweep,
+    sweep_all,
     _check_semantics,
     _journey_tree,
 )
@@ -193,7 +194,10 @@ def _demands_met(
 
     Calls ``reach`` once per source and stops once the answer is settled.
     The entry that settles a failure moves to the front, to be tried first
-    when a search checks the same list again.
+    when a search checks the same list again.  The per-node test of the
+    subset search passes one :func:`~tgaug.temporal_graph.sweep` per call,
+    since it mostly fails on its first entry; :func:`verify_solution` and
+    the search's root tests pass :func:`_reach_all`.
     """
     met = 0
     reached: dict[int, int] = {}
@@ -210,6 +214,20 @@ def _demands_met(
     return met >= required
 
 
+def _reach_all(
+    layers: Sequence[tuple], strict: bool, n: int, entries: list[tuple[int, int]]
+) -> Callable[[int], int]:
+    """``reach`` for :func:`_demands_met` when every source of ``entries`` may be asked.
+
+    Entries with several distinct sources read them all off one
+    :func:`~tgaug.temporal_graph.sweep_all`; a single source takes one
+    :func:`~tgaug.temporal_graph.sweep`, which is cheaper.
+    """
+    if len({source for source, _ in entries}) > 1:
+        return sweep_all(layers, strict, n).__getitem__
+    return lambda s: sweep(layers, strict, 1 << s)
+
+
 def verify_solution(problem: AugmentationProblem, selected: Iterable[TemporalEdge]) -> bool:
     """True iff adding ``selected`` (a subset of the candidates) meets the requirement."""
     chosen = frozenset(selected)
@@ -220,10 +238,9 @@ def verify_solution(problem: AugmentationProblem, selected: Iterable[TemporalEdg
         )
     augmented = problem.base.augment(chosen)
     layers = augmented._layers(problem.semantics)
-    strict = problem.semantics == STRICT
-    return _demands_met(
-        *_demands(problem.requirement, augmented.n), lambda s: sweep(layers, strict, 1 << s)
-    )
+    entries, required = _demands(problem.requirement, augmented.n)
+    reach = _reach_all(layers, problem.semantics == STRICT, augmented.n, entries)
+    return _demands_met(entries, required, reach)
 
 
 def unrestricted_candidates(g: TemporalGraph, lifespan: int | None = None) -> frozenset[TemporalEdge]:
@@ -326,6 +343,11 @@ class _LayerSpace:
             self.entries, self.required, lambda s: sweep(layers, self.strict, 1 << s)
         )
 
+    def root_holds(self, layers: Sequence[tuple]) -> bool:
+        """:meth:`holds` for the search's root tests, which rarely stop at the first source."""
+        reach = _reach_all(layers, self.strict, self.n, self.entries)
+        return _demands_met(self.entries, self.required, reach)
+
 
 def _two_time_need(layers: Sequence[tuple[int, ...]]) -> int:
     """How many more single-edge units two non-strict sweep layers need at least.
@@ -407,7 +429,10 @@ def solve_exact(
     tested subset costs only the requirement's sweeps: one per demand
     entry's source, stopping once the answer is settled, and starting with
     the entry that failed the last test, which subsets tested in a row
-    tend to fail alike.  The optional
+    tend to fail alike.  The two root tests, all units together and the
+    empty subset, read every source off one
+    :func:`~tgaug.temporal_graph.sweep_all` instead when the entries name
+    more than one source, as :func:`verify_solution` does.  The optional
     certificate takes one traced sweep per distinct source and reads every
     witness journey off that source's foremost-journey tree, with the tie
     breaks :func:`~tgaug.temporal_graph.find_journey` documents.
@@ -430,8 +455,10 @@ def solve_exact(
 def _cheapest_subset(space, budget: int | None) -> tuple[int, ...] | Infeasible:
     """Indices of the first unit subset of at most ``budget`` units that ``space`` accepts.
 
-    ``space`` gives the search states (``start``, ``add(state, unit)`` and
-    the requirement test ``holds(state)``) and the footprint bound's data
+    ``space`` gives the search states (``start``, ``add(state, unit)``,
+    the requirement test ``holds(state)`` of a search node and the same
+    test ``root_holds(state)`` for the two root tests, all units together
+    and the empty subset) and the footprint bound's data
     (``n``, ``unit_pairs``, ``free_pairs`` and ``demand_links``; see
     :func:`_footprint`).  For each size, smallest first, a depth-first
     search picks units in increasing index order, so subsets are visited
@@ -451,7 +478,7 @@ def _cheapest_subset(space, budget: int | None) -> tuple[int, ...] | Infeasible:
     everything = space.start
     for i in range(len(links)):
         everything = space.add(everything, i)
-    if not space.holds(everything):
+    if not space.root_holds(everything):
         return Infeasible("infeasible")
     max_size = len(links) if budget is None else min(budget, len(links))
     need = 0 if space.need is None else space.need(space.start)
@@ -469,7 +496,7 @@ def _first_of_size(
 ) -> tuple[int, ...] | None:
     """The lexicographically least accepted subset of exactly ``size`` units, or None."""
     if size == 0:
-        return () if space.holds(space.start) else None
+        return () if space.root_holds(space.start) else None
     add, holds, need = space.add, space.holds, space.need
     count = len(links)
     chosen: list[int] = []

@@ -13,6 +13,7 @@ or an exhausted search.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -309,7 +310,9 @@ def cmd_expand(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="tgaug", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -226,6 +226,8 @@ class _GateSpace:
             self.entries, self.required, lambda s: self.exp.reachable_from(s, open_gates)
         )
 
+    root_holds = holds  # the expansion graph has no all-sources kernel
+
 
 def min_weight_connection(
     exp: ExpansionGraph,

@@ -5,12 +5,18 @@ edges that each exist at a single integer time step.  Journeys traverse
 edges in non-decreasing ("non-strict") or strictly increasing ("strict")
 time order; most connectivity notions here come in both flavours.
 
-Every reachability question in the package goes through one kernel,
-:func:`sweep`: a single pass over per-time layers in increasing time order.
-A non-strict layer is the tuple of snapshot component masks, a strict
-layer the tuple of edge bit pairs.  Traced, one sweep per source yields
-the whole foremost-journey tree, from which :func:`find_journey` and the
-certificates of the solvers read their journeys.
+Every reachability question in the package goes through one of two
+kernels over the same per-time layers: a non-strict layer is the tuple of
+snapshot component masks, a strict layer the tuple of edge bit pairs.
+:func:`sweep` passes over the layers in increasing time order and gives
+what one source reaches.  It pays when one source is asked about, or
+when a test over many sources tends to fail on the first it tries;
+traced, it yields the source's whole foremost-journey tree, from which
+:func:`find_journey` and the certificates of the solvers read their
+journeys.  :func:`sweep_all` passes over the layers once in decreasing
+time order and gives what every vertex reaches, for the cost of a few
+sweeps rather than one per vertex; it pays for questions that must look
+at many sources, such as temporal connectivity.
 
 Every text format of the package shares one record grammar: :func:`_records`
 yields each line's fields once ``#`` comments go, :func:`_ints` reads
@@ -26,7 +32,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 STRICT = "strict"
 NON_STRICT = "non-strict"
@@ -308,23 +314,23 @@ class TemporalGraph:
             self._layer_cache[strict] = layers
         return layers
 
-    def _reach_mask(self, source: int, semantics: str) -> int:
-        return sweep(self._layers(semantics), semantics == STRICT, 1 << source)
-
     def reachable_set(self, source: int, semantics: str = NON_STRICT) -> frozenset[int]:
         """Vertices reachable from ``source`` by a journey (always contains it)."""
         _check_semantics(semantics)
         if not 0 <= source < self.n:
             raise ValueError(f"vertex {source} out of range 0..{self.n - 1}")
-        return frozenset(_mask_to_block(self._reach_mask(source, semantics)))
+        reach = sweep(self._layers(semantics), semantics == STRICT, 1 << source)
+        return frozenset(_mask_to_block(reach))
 
     def is_temporally_connected(self, semantics: str = NON_STRICT) -> bool:
-        """True iff every vertex reaches every other; n <= 1 counts as connected."""
+        """True iff every vertex reaches every other; n <= 1 counts as connected.
+
+        One :func:`sweep_all` gives every vertex's reach at once.
+        """
         _check_semantics(semantics)
-        if self.n <= 1:
-            return True
         full = self._full_mask
-        return all(self._reach_mask(s, semantics) == full for s in range(self.n))
+        reach = sweep_all(self._layers(semantics), semantics == STRICT, self.n)
+        return all(mask == full for mask in reach)
 
     def check_property_p(self) -> bool:
         """Chain-of-overlapping-components test, equivalent to non-strict connectivity.
@@ -368,12 +374,10 @@ class TemporalGraph:
 
 def _mask_to_block(mask: int) -> tuple[int, ...]:
     block = []
-    v = 0
     while mask:
-        if mask & 1:
-            block.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        block.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(block)
 
 
@@ -382,7 +386,7 @@ def sweep(
 ) -> int:
     """Mask of the vertices reachable from ``start_mask`` through time-ordered ``layers``.
 
-    The one reachability kernel of the package.  A non-strict layer is the
+    The single-source reachability kernel.  A non-strict layer is the
     tuple of disjoint component masks of one snapshot: a journey may take
     any number of hops within a time step, so every component touching the
     reached set joins it.  A strict layer is a tuple of ``(1 << u, 1 << v)``
@@ -407,6 +411,43 @@ def sweep(
         if trace is not None:
             trace.append(reach & ~before)
     return reach
+
+
+def sweep_all(layers: Sequence[tuple], strict: bool, n: int) -> list[int]:
+    """The mask of the vertices each of 0..n-1 reaches through time-ordered ``layers``.
+
+    Entry s equals ``sweep(layers, strict, 1 << s)``, read for every s from
+    one pass over the layers latest first.  ``into[x]`` starts as x alone,
+    and after the layers at times t and later it is what x reaches using
+    those times alone.  A journey from x over times >= t either skips time
+    t, or starts with its hops at t and goes on from where they end over
+    times after t, which ``into`` held before the layer at t.  Strict: a
+    journey takes at most one hop at t, so each edge ``(u, v)`` ORs the
+    value ``into[v]`` had before the layer into ``into[u]``, and the other
+    way round.  Non-strict: the hops at t may go anywhere in x's snapshot
+    component, so every member of a component gets the OR of its members'
+    values (the components are disjoint, so these are still the values of
+    before the layer).  Costs one pass, against one :func:`sweep` per
+    source.
+    """
+    into = [1 << v for v in range(n)]
+    for layer in reversed(layers):
+        if strict:
+            before = into[:]
+            for bu, bv in layer:
+                u, v = bu.bit_length() - 1, bv.bit_length() - 1
+                into[u] |= before[v]
+                into[v] |= before[u]
+            continue
+        for m in layer:
+            if m & m - 1:  # a singleton component changes nothing
+                members = _mask_to_block(m)
+                joint = 0
+                for x in members:
+                    joint |= into[x]
+                for x in members:
+                    into[x] = joint
+    return into
 
 
 def _journey_tree(

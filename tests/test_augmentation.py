@@ -17,6 +17,7 @@ from oracles import (
     journey_requirement_holds,
     random_graph,
 )
+from tgaug import augmentation as aug_mod
 from tgaug.augmentation import (
     COST_EDGE,
     COST_GROUP,
@@ -44,6 +45,7 @@ from tgaug.temporal_graph import (
     InvalidCandidateError,
     TemporalEdge,
     TemporalGraph,
+    sweep_all,
     validate_journey,
 )
 
@@ -196,6 +198,7 @@ class TestEvaluatorAgreesWithVerify:
     @settings(max_examples=120, deadline=None)
     @given(problems(), st.randoms(use_true_random=False))
     def test_random_subsets(self, problem, rng):
+        """The per-node test, the root tests and verify agree with the journey oracle."""
         units = _group_items(problem)
         space = _LayerSpace(problem, units)
         for _ in range(6):
@@ -204,7 +207,37 @@ class TestEvaluatorAgreesWithVerify:
             for i in picked:
                 state = space.add(state, i)
             subset = [e for i in picked for e in units[i]]
-            assert space.holds(state) == verify_solution(problem, subset)
+            expected = journey_requirement_holds(problem, subset)
+            assert space.holds(state) == expected
+            assert space.root_holds(state) == expected
+            assert verify_solution(problem, subset) == expected
+
+    @pytest.mark.parametrize(
+        "requirement, several",
+        [
+            (All(), True),
+            (Pairs(((0, 1), (2, 0))), True),
+            (Source(1), False),
+            (Pairs(((1, 0), (1, 2), (1, 1))), False),
+        ],
+    )
+    def test_kernel_follows_the_sources(self, requirement, several, monkeypatch):
+        """Root tests and verify take sweep_all for several sources; per-node tests never do."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return sweep_all(*args)
+
+        monkeypatch.setattr(aug_mod, "sweep_all", counting)
+        candidates = frozenset({E(1, 2, 2), E(0, 2, 1)})
+        problem = AugmentationProblem(G(3, (0, 1, 1)), candidates, requirement)
+        space = _LayerSpace(problem, _group_items(problem))
+        space.holds(space.start)
+        assert calls == []
+        space.root_holds(space.start)
+        verify_solution(problem, [E(1, 2, 2)])
+        assert len(calls) == (2 if several else 0)
 
 
 @st.composite

@@ -240,6 +240,60 @@ class TestSolutionCheck:
         assert outputs["subset"]["selected"] == [{"u": 0, "v": 7, "t": 1}]
 
 
+class TestSuccessiveCalls:
+    """``main`` reuses one argument parser; no call may see a flag of the one before."""
+
+    @staticmethod
+    def fresh(argv, cwd):
+        """Exit code, stdout and stderr of ``argv`` in a new process."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tgaug.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=cwd,
+            timeout=120,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    @pytest.fixture
+    def bundle(self, tmp_path, monkeypatch):
+        # non-strict connected, strict not; the solve costs one edge, so budget 0 falls short
+        (tmp_path / "g").write_text("V 3\nE 0 1 1\nE 1 2 1\n")
+        (tmp_path / "h.tg").write_text("V 3\nE 0 1 1\n")
+        (tmp_path / "c.cand").write_text("E 1 2 1\nE 0 2 2\n")
+        (tmp_path / "m").write_text(json.dumps({"graph": "h.tg", "candidates": "c.cand"}))
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    def test_each_call_matches_a_fresh_process(self, bundle, capsys):
+        runs = [
+            ["solve", "m", "--budget", "0"],
+            ["solve", "m"],
+            ["check", "g", "--semantics", "strict"],
+            ["check", "g"],
+        ]
+        outputs = []
+        for argv in runs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            outputs.append((code, captured.out, captured.err))
+        assert [code for code, _, _ in outputs] == [1, 0, 1, 0]
+        assert outputs == [self.fresh(argv, bundle) for argv in runs]
+
+    def test_a_usage_error_leaves_the_next_call_intact(self, bundle, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "g", "--semantics", "strict", "--no-such-flag"])
+        assert exc.value.code == 2
+        assert "--no-such-flag" in capsys.readouterr().err
+        code = main(["check", "g"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == self.fresh(["check", "g"], bundle)
+        assert code == 0
+
+
 class TestReduce:
     def test_3sat_sets_its_own_budget(self, tmp_path, capsys):
         (tmp_path / "f.cnf").write_text("p cnf 3 2\n1 -2 3 0\n-1 2 3 0\n")

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import journey_reach, union_find_components
+from oracles import journey_connected, journey_reach, union_find_components
 from tgaug.temporal_graph import (
     NON_STRICT,
+    SEMANTICS,
     STRICT,
     InvalidCandidateError,
     Journey,
@@ -18,6 +19,8 @@ from tgaug.temporal_graph import (
     format_tg,
     parse_candidates,
     parse_tg,
+    sweep,
+    sweep_all,
     validate_journey,
 )
 
@@ -166,6 +169,60 @@ class TestReachability:
             )
             static_connected = len(union_find_components(n, pairs)) == 1
             assert g.is_temporally_connected(NON_STRICT) == static_connected
+
+
+def random_graph(rng, n, lifespan, density):
+    slots = [(u, v, t) for u in range(n) for v in range(u + 1, n) for t in range(1, lifespan + 1)]
+    edges = [TemporalEdge(*slot) for slot in slots if rng.random() < density]
+    return TemporalGraph.build(n, edges, lifespan=lifespan)
+
+
+class TestSweepAll:
+    """The reversed all-sources kernel against the forward sweep and journey enumeration."""
+
+    @staticmethod
+    def assert_agrees(g):
+        for semantics in SEMANTICS:
+            strict = semantics == STRICT
+            layers = g._layers(semantics)
+            reach = sweep_all(layers, strict, g.n)
+            assert len(reach) == g.n
+            for s, mask in enumerate(reach):
+                assert mask == sweep(layers, strict, 1 << s)
+                assert {v for v in range(g.n) if mask >> v & 1} == journey_reach(g, s, semantics)
+            assert g.is_temporally_connected(semantics) == journey_connected(g, semantics)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            G(0),
+            G(0, lifespan=2),
+            G(1),
+            G(1, lifespan=3),
+            G(4),
+            G(5, lifespan=3),
+            G(2, (0, 1, 1)),
+            G(3, (0, 1, 1), (1, 2, 1)),
+            G(3, (0, 1, 1), (1, 2, 2)),
+            G(3, (1, 2, 1), (0, 1, 2)),
+            G(4, (0, 1, 1), (2, 3, 1), (0, 2, 2), (1, 3, 2)),
+        ],
+        ids=repr,
+    )
+    def test_small_cases(self, g):
+        self.assert_agrees(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(temporal_graphs(max_n=7, max_t=4))
+    def test_random_graphs(self, g):
+        self.assert_agrees(g)
+
+    @pytest.mark.parametrize("lifespan", [1, 2, 4])
+    @pytest.mark.parametrize("density", [0.15, 0.5, 0.9, 1.0])
+    def test_seeded_densities(self, lifespan, density):
+        rng = random.Random(lifespan * 100 + int(density * 100))
+        for _ in range(12):
+            self.assert_agrees(random_graph(rng, rng.randint(0, 8), lifespan, density))
 
 
 class TestPropertyP:
