@@ -26,6 +26,7 @@ from .temporal_graph import (
     sweep,
     sweep_all,
     _check_semantics,
+    _components,
     _journey_tree,
 )
 
@@ -243,18 +244,15 @@ def verify_solution(problem: AugmentationProblem, selected: Iterable[TemporalEdg
     return _demands_met(entries, required, reach)
 
 
-def unrestricted_candidates(g: TemporalGraph, lifespan: int | None = None) -> frozenset[TemporalEdge]:
+def unrestricted_candidates(g: TemporalGraph) -> frozenset[TemporalEdge]:
     """Every absent temporal edge over the vertex set and 1..T."""
-    horizon = g.lifespan if lifespan is None else lifespan
-    if horizon < 1:
+    if g.lifespan < 1:
         raise ValueError("requires lifespan >= 1")
-    if horizon < g.lifespan:
-        raise ValueError("horizon below the graph lifespan")
     return frozenset(
         TemporalEdge(u, v, t)
         for u in range(g.n)
         for v in range(u + 1, g.n)
-        for t in range(1, horizon + 1)
+        for t in range(1, g.lifespan + 1)
         if TemporalEdge(u, v, t) not in g.edges
     )
 
@@ -273,14 +271,6 @@ def _joined(masks: tuple[int, ...], link: int) -> tuple[int, ...]:
         else:
             rest.append(m)
     return (hit, *rest)
-
-
-def _components(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """Component masks of the static graph on vertices 0..n-1 with edges ``pairs``."""
-    masks = tuple(1 << v for v in range(n))
-    for u, v in pairs:
-        masks = _joined(masks, 1 << u | 1 << v)
-    return masks
 
 
 def _footprint(space) -> tuple[list[int], tuple[int, ...], tuple[int, ...]]:
@@ -433,9 +423,9 @@ def solve_exact(
     empty subset, read every source off one
     :func:`~tgaug.temporal_graph.sweep_all` instead when the entries name
     more than one source, as :func:`verify_solution` does.  The optional
-    certificate takes one traced sweep per distinct source and reads every
-    witness journey off that source's foremost-journey tree, with the tie
-    breaks :func:`~tgaug.temporal_graph.find_journey` documents.
+    certificate builds one foremost-journey tree per distinct source and
+    reads every witness journey off it, with the tie breaks
+    :func:`~tgaug.temporal_graph.find_journey` documents.
     """
     units = _group_items(problem)
     if problem.semantics == NON_STRICT:

@@ -206,6 +206,9 @@ def _solve_tca(problem: aug.AugmentationProblem, args) -> tuple[dict, int]:
         )
         mine = aug.solution_to_json(outcome, problem)
         theirs = aug.solution_to_json(other, problem)
+        if engine_used == "one-plus-one":  # an optimum, not the least one: compare the cost
+            mine.pop("selected", None)
+            theirs.pop("selected", None)
         if mine != theirs:
             raise RuntimeError(f"engine disagreement: {_dump(mine)} != {_dump(theirs)}")
 
@@ -244,13 +247,13 @@ def cmd_reduce(args) -> int:
             print("note: 3sat sets its own budget; ignoring the given one", file=sys.stderr)
     elif args.budget is None:
         raise ParseError(f"reduce {args.kind} needs a budget")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)  # made just before the first write, so a failed reduce leaves none
     text = _read(args.source)
     notes = {}
     if args.kind == "dsc":
         inst = red_mod.parse_set_system(text, args.budget)
         reduction = red_mod.reduce_dsc(inst)
+        out.mkdir(parents=True, exist_ok=True)
         (out / "instance.mat").write_text(octo_mod.format_matrix(reduction.matrix))
         manifest = {
             "schema": 1,
@@ -276,6 +279,7 @@ def cmd_reduce(args) -> int:
         reduction = red_mod.reduce_3sat(cnf)
         problem = reduction.problem
         notes = {"standard_budget": reduction.standard_budget}
+    out.mkdir(parents=True, exist_ok=True)
     (out / "instance.tg").write_text(format_tg(problem.base))
     (out / "instance.cand").write_text(format_candidates(problem.candidates))
     manifest = {
@@ -333,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cross-check",
         action="store_true",
         help="also solve with the other of the subset and expansion engines and exit 3 if the "
-        "outcomes differ; the expansion engine needs the edge cost model",
+        "outcomes differ (after one-plus-one, only in cost or feasibility); the expansion "
+        "engine needs the edge cost model",
     )
     p_solve.set_defaults(func=cmd_solve)
 

@@ -22,6 +22,7 @@ from .augmentation import (
     AugmentationProblem,
     Pairs,
     Source,
+    _joined,
     unrestricted_candidates,
 )
 from .octo import COLS, ROWS, BinaryMatrix, MergeStep, _replay, apply_sequence
@@ -31,12 +32,12 @@ from .temporal_graph import (
     ParseError,
     TemporalEdge,
     TemporalGraph,
+    _components,
     _count,
     _endpoints,
     _ints,
     _mask_to_block,
     _records,
-    sweep,
 )
 
 MODE_SIMPLE = "simple"
@@ -173,9 +174,8 @@ def ds_edges_to_witness(red: DominatingSetReduction, selected: Iterable[Temporal
     star = {e.v if e.u == x else e.u for e in chosen if x in (e.u, e.v)}
     star.discard(y)
     # the star spreads over every component of the time-2 edges it touches
-    late = frozenset(e for e in chosen if x not in (e.u, e.v) and e.t == 2)
-    hops = TemporalGraph(1 + max((e.v for e in late), default=0), late, 2)
-    reached = sweep(hops._layers(NON_STRICT), False, sum(1 << v for v in star))
+    late = [e.pair for e in chosen if x not in (e.u, e.v) and e.t == 2]
+    reached = _joined(_components(red.problem.base.n, late), sum(1 << v for v in star))[0]
     witness = frozenset(_mask_to_block(reached)) - {y}
     if len(witness) > len(chosen):
         raise ValueError("normalization exceeded the witness size")

@@ -10,13 +10,16 @@ kernels over the same per-time layers: a non-strict layer is the tuple of
 snapshot component masks, a strict layer the tuple of edge bit pairs.
 :func:`sweep` passes over the layers in increasing time order and gives
 what one source reaches.  It pays when one source is asked about, or
-when a test over many sources tends to fail on the first it tries;
-traced, it yields the source's whole foremost-journey tree, from which
-:func:`find_journey` and the certificates of the solvers read their
-journeys.  :func:`sweep_all` passes over the layers once in decreasing
-time order and gives what every vertex reaches, for the cost of a few
-sweeps rather than one per vertex; it pays for questions that must look
-at many sources, such as temporal connectivity.
+when a test over many sources tends to fail on the first it tries.
+:func:`sweep_all` passes over the layers once in decreasing time order
+and gives what every vertex reaches, for the cost of a few sweeps rather
+than one per vertex; it pays for questions that must look at many
+sources, such as temporal connectivity.  A third kernel,
+:func:`_components`, builds every partition from scratch: the snapshot
+components of the non-strict layers, the footprint of the subset search
+and the spread of a dominating-set witness.  :func:`find_journey` reads
+its journeys off the foremost-journey tree that :func:`_journey_tree`
+builds in one walk over the edge times.
 
 Every text format of the package shares one record grammar: :func:`_records`
 yields each line's fields once ``#`` comments go, :func:`_ints` reads
@@ -227,10 +230,6 @@ class TemporalGraph:
         return tuple(sorted(self._edges_by_time))
 
     @cached_property
-    def _full_mask(self) -> int:
-        return (1 << self.n) - 1
-
-    @cached_property
     def _adjacency(self) -> dict[int, dict[int, tuple[int, ...]]]:
         """Per edge time: each non-isolated vertex's snapshot neighbours, sorted."""
         adj: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
@@ -269,27 +268,10 @@ class TemporalGraph:
         t >= 1 (steps past the last edge are all-singleton).
         """
         cached = self._comp_cache.get(t)
-        if cached is not None:
-            return cached
-        adj = self._adjacency.get(t, {})
-        masks: list[int] = []
-        seen = 0
-        for start in range(self.n):
-            if seen >> start & 1:
-                continue
-            mask = 1 << start
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in adj.get(x, ()):
-                    if not mask >> y & 1:
-                        mask |= 1 << y
-                        stack.append(y)
-            seen |= mask
-            masks.append(mask)
-        result = tuple(masks)
-        self._comp_cache[t] = result
-        return result
+        if cached is None:
+            pairs = (e.pair for e in self._edges_by_time.get(t, ()))
+            cached = self._comp_cache[t] = _components(self.n, pairs)
+        return cached
 
     def snapshot_components(self, t: int) -> SnapshotComponents:
         """Connected components of the snapshot at time t as a partition."""
@@ -328,7 +310,7 @@ class TemporalGraph:
         One :func:`sweep_all` gives every vertex's reach at once.
         """
         _check_semantics(semantics)
-        full = self._full_mask
+        full = (1 << self.n) - 1
         reach = sweep_all(self._layers(semantics), semantics == STRICT, self.n)
         return all(mask == full for mask in reach)
 
@@ -343,10 +325,8 @@ class TemporalGraph:
         """
         if self.lifespan < 1:
             raise ValueError("requires lifespan >= 1")
-        layers = self._layers(NON_STRICT)
-        return all(
-            sweep(layers, False, m & -m) == self._full_mask for m in self._component_masks(1)
-        )
+        layers, full = self._layers(NON_STRICT), (1 << self.n) - 1
+        return all(sweep(layers, False, m & -m) == full for m in self._component_masks(1))
 
     # -- augmentation ----------------------------------------------------
 
@@ -381,9 +361,7 @@ def _mask_to_block(mask: int) -> tuple[int, ...]:
     return tuple(block)
 
 
-def sweep(
-    layers: Iterable[tuple], strict: bool, start_mask: int, trace: list[int] | None = None
-) -> int:
+def sweep(layers: Iterable[tuple], strict: bool, start_mask: int) -> int:
     """Mask of the vertices reachable from ``start_mask`` through time-ordered ``layers``.
 
     The single-source reachability kernel.  A non-strict layer is the
@@ -391,9 +369,7 @@ def sweep(
     any number of hops within a time step, so every component touching the
     reached set joins it.  A strict layer is a tuple of ``(1 << u, 1 << v)``
     edge bit pairs: a journey takes at most one hop per time step, so only
-    vertices reached before the step may use its edges.  When ``trace`` is
-    a list, the mask of the vertices first reached in each layer is
-    appended to it, which gives every vertex its earliest arrival.
+    vertices reached before the step may use its edges.
     """
     reach = start_mask
     for layer in layers:
@@ -408,8 +384,6 @@ def sweep(
             for m in layer:
                 if m & before:
                     reach |= m
-        if trace is not None:
-            trace.append(reach & ~before)
     return reach
 
 
@@ -450,55 +424,63 @@ def sweep_all(layers: Sequence[tuple], strict: bool, n: int) -> list[int]:
     return into
 
 
+def _components(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Component masks of the static graph on vertices 0..n-1 with edges ``pairs``.
+
+    ``comp[v]`` is the mask of v's component so far; an edge between two
+    components writes their union to every member.  Read in vertex order,
+    the masks come smallest member first.
+    """
+    comp = [1 << v for v in range(n)]
+    for u, v in pairs:
+        if not comp[u] >> v & 1:
+            merged = comp[u] | comp[v]
+            for x in _mask_to_block(merged):
+                comp[x] = merged
+    return tuple(dict.fromkeys(comp))
+
+
 def _journey_tree(
     g: TemporalGraph, source: int, semantics: str
 ) -> dict[int, tuple[tuple[int, int, int], ...]]:
     """Hops of the foremost journey from ``source`` to every vertex it reaches.
 
-    One traced :func:`sweep` fixes each vertex's earliest arrival; the
-    journey into a vertex first reached at time t then continues a journey
-    already in the tree.  Strict: the first edge at t in canonical order
-    whose other endpoint was reached strictly earlier.  Non-strict: from the
-    smallest vertex of the absorbing component reached before t, the
-    breadth-first path within the snapshot, smallest neighbour first.
+    Walks the edge times in order; the journey into a vertex first reached
+    at time t continues a journey already in the tree.  Strict: the first
+    edge at t in canonical order whose other endpoint was reached before t.
+    Non-strict: from the smallest vertex of the snapshot component reached
+    before t, the breadth-first path within the snapshot, smallest
+    neighbour first.
     """
     strict = semantics == STRICT
-    layers = g._layers(semantics)
-    trace: list[int] = []
-    sweep(layers, strict, 1 << source, trace)
     hops = {source: ()}
-    before = 1 << source
-    for t, layer, new in zip(g._edge_times, layers, trace):
-        if not new:
-            continue
+    reached = 1 << source
+    for t in g._edge_times:
+        before = reached
         if strict:
             for e in g._edges_by_time[t]:
                 for a, b in ((e.u, e.v), (e.v, e.u)):
-                    if new >> b & 1 and before >> a & 1 and b not in hops:
+                    if before >> a & 1 and b not in hops:
                         hops[b] = hops[a] + ((a, b, t),)
-        else:
-            adj = g._adjacency[t]
-            for m in layer:
-                if not m & new:
-                    continue
-                inter = m & before
-                anchor = (inter & -inter).bit_length() - 1
-                prev = {anchor: anchor}
-                queue = deque([anchor])
-                while queue:
-                    x = queue.popleft()
-                    for y in adj[x]:
-                        if y not in prev:
-                            prev[y] = x
-                            queue.append(y)
-                for v in _mask_to_block(m & new):
-                    path = []
-                    x = v
-                    while x != anchor:
-                        path.append((prev[x], x, t))
-                        x = prev[x]
-                    hops[v] = hops[anchor] + tuple(reversed(path))
-        before |= new
+                        reached |= 1 << b
+            continue
+        adj = g._adjacency[t]
+        for m in g._component_masks(t):
+            inter = m & before
+            if not inter or inter == m:
+                continue
+            anchor = (inter & -inter).bit_length() - 1
+            path = {anchor: hops[anchor]}
+            queue = deque([anchor])
+            while queue:
+                x = queue.popleft()
+                for y in adj[x]:
+                    if y not in path:
+                        path[y] = path[x] + ((x, y, t),)
+                        queue.append(y)
+            for v in _mask_to_block(m & ~before):
+                hops[v] = path[v]
+            reached |= m
     return hops
 
 
@@ -514,12 +496,13 @@ def find_journey(
 ) -> Journey | None:
     """An explicit witness journey from source to target, or None.
 
-    A lookup in the foremost-journey tree that one traced :func:`sweep`
-    from ``source`` builds.  Deterministic: the journey arrives at every
-    vertex on it as early as possible, and ties break toward the
-    canonically first edge (strict) or the smallest already-reached vertex
-    and smallest neighbours (non-strict), so equal inputs give equal
-    journeys.
+    A lookup in the foremost-journey tree of ``source``, which
+    :func:`_journey_tree` builds in one walk over the edge times.
+    Deterministic: the journey arrives at the target as early as possible
+    (strict: at every vertex on it; non-strict: a snapshot path may pass a
+    vertex reached earlier), and ties break toward the canonically first
+    edge (strict) or the smallest already-reached vertex and smallest
+    neighbours (non-strict), so equal inputs give equal journeys.
     """
     _check_semantics(semantics)
     for v in (source, target):

@@ -185,6 +185,24 @@ class TestSolutionCheck:
         assert captured.out == ""
         assert captured.err.startswith("error: internal: engine disagreement: ")
 
+    def test_cross_check_takes_any_one_plus_one_optimum(self, tmp_path, capsys, monkeypatch):
+        # one-plus-one picks {0,1},{1,2}; the expansion engine's least optimum is {0,1},{0,2}
+        candidates = "E 0 1 2\nE 0 2 2\nE 1 2 2\n"
+        path = write_bundle(tmp_path, tca(), candidates, graph="T 1\nV 3\nE 0 2 1\n")
+        assert main(["solve", path]) == 0
+        plain = capsys.readouterr()
+        assert main(["solve", path, "--cross-check"]) == 0
+        assert capsys.readouterr() == plain
+        data = json.loads(plain.out)
+        assert (data["engine"], data["cost"]) == ("one-plus-one", 2)
+        assert data["selected"] == [{"u": 0, "v": 1, "t": 2}, {"u": 1, "v": 2, "t": 2}]
+        other = Solution(tuple(TemporalEdge(u, v, 2) for u, v in ((0, 1), (0, 2), (1, 2))), 3)
+        monkeypatch.setattr(exp_mod, "solve_tpca_via_expansion", lambda problem: other)
+        assert main(["solve", path, "--cross-check"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal: engine disagreement: ")
+
     def test_cross_check_runs_whatever_the_size(self, tmp_path, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(
@@ -325,7 +343,28 @@ class TestReduce:
         out = tmp_path / "out"
         assert main(["reduce", "dsc", str(tmp_path / "sets.txt"), "5", "--out", str(out)]) == 2
         assert capsys.readouterr() == ("", "error: cover target 5 exceeds the 2 sets\n")
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, text, budget",
+        [
+            ("ds", None, "2"),  # the source cannot be read
+            ("ds", "V 2\nE 0 x\n", "1"),
+            ("hs", "U 2\nS 0: 0 1\nS 0: 1\n", "1"),
+            ("ds", "V 2\nE 0 1\n", "-1"),
+            ("hs", "U 2\nS 0: 0 1\n", "-1"),
+        ],
+        ids=["unreadable", "ds-parse-error", "hs-parse-error", "ds-negative", "hs-negative"],
+    )
+    def test_a_failed_reduce_leaves_no_out_directory(self, tmp_path, capsys, kind, text, budget):
+        source = tmp_path / "src.txt"
+        if text is not None:
+            source.write_text(text)
+        out = tmp_path / "out"
+        assert main(["reduce", kind, str(source), budget, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestSourceParsers:

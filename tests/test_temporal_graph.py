@@ -14,6 +14,8 @@ from tgaug.temporal_graph import (
     ParseError,
     TemporalEdge,
     TemporalGraph,
+    _components,
+    _mask_to_block,
     find_journey,
     format_candidates,
     format_tg,
@@ -106,7 +108,12 @@ class TestSnapshot:
             g = TemporalGraph.build(n, [TemporalEdge(u, v, 1) for u, v in pairs])
             if not pairs:
                 g = g.with_lifespan(1)
-            assert g.snapshot_components(1).blocks == tuple(union_find_components(n, pairs))
+            blocks = tuple(union_find_components(n, pairs))
+            assert g.snapshot_components(1).blocks == blocks
+            # the kernel on its own, fed repeats, reversed pairs and another order
+            repeated = pairs + [(v, u) for u, v in pairs if rng.random() < 0.5] + pairs[::2]
+            rng.shuffle(repeated)
+            assert tuple(map(_mask_to_block, _components(n, repeated))) == blocks
 
 
 class TestReachability:
@@ -354,6 +361,26 @@ class TestJourneys:
         for semantics in (STRICT, NON_STRICT):
             assert find_journey(g, 0, 2, semantics) is None
             assert find_journey(g, 2, 0, semantics) == Journey(((2, 1, 1), (1, 0, 2)), semantics)
+
+    @settings(max_examples=100, deadline=None)
+    @given(temporal_graphs(max_n=6, max_t=4))
+    def test_journeys_are_foremost(self, g):
+        for semantics in SEMANTICS:
+            for s in range(g.n):
+                # arrival[v]: the least t at which the edges at times <= t take s to v
+                arrival = {s: 0}
+                for t in range(1, g.lifespan + 1):
+                    prefix = TemporalGraph(g.n, frozenset(e for e in g.edges if e.t <= t), t)
+                    for v in journey_reach(prefix, s, semantics):
+                        arrival.setdefault(v, t)
+                for v in range(g.n):
+                    j = find_journey(g, s, v, semantics)
+                    if v not in arrival:
+                        assert j is None
+                    elif v == s:
+                        assert j.hops == ()
+                    else:
+                        assert j.hops[-1][2] == arrival[v]
 
     @settings(max_examples=100, deadline=None)
     @given(temporal_graphs(max_n=6, max_t=3))
