@@ -27,6 +27,7 @@ from .temporal_graph import (
     sweep_all,
     _check_semantics,
     _components,
+    _joined,
     _journey_tree,
 )
 
@@ -255,22 +256,6 @@ def unrestricted_candidates(g: TemporalGraph) -> frozenset[TemporalEdge]:
         for t in range(1, g.lifespan + 1)
         if TemporalEdge(u, v, t) not in g.edges
     )
-
-
-def _joined(masks: tuple[int, ...], link: int) -> tuple[int, ...]:
-    """The disjoint ``masks`` with every mask that meets ``link`` merged into one.
-
-    ``masks`` must cover every bit of ``link``.  Serves both the component
-    masks of a non-strict sweep layer and the static footprint of a subset.
-    """
-    hit = 0
-    rest = []
-    for m in masks:
-        if m & link:
-            hit |= m
-        else:
-            rest.append(m)
-    return (hit, *rest)
 
 
 def _footprint(space) -> tuple[list[int], tuple[int, ...], tuple[int, ...]]:

@@ -26,15 +26,17 @@ from .temporal_graph import (
     NON_STRICT,
     STRICT,
     ParseError,
-    TemporalEdge,
     TemporalGraph,
     format_candidates,
     format_tg,
     parse_candidates,
     parse_tg,
+    sorted_edges,
 )
 
 _SEMANTICS_FLAG = {"strict": STRICT, "nonstrict": NON_STRICT}
+# the solve flags that shape a tca problem or its output, at their unset values
+_TCA_ONLY = dict(engine="auto", semantics=None, cost=None, format="json", cross_check=False)
 
 
 def _dump(data: dict) -> str:
@@ -82,7 +84,7 @@ def _load_manifest(path: str) -> tuple[dict, str]:
 
 
 def _requirement_from_manifest(manifest: dict) -> aug.Requirement:
-    spec = _field(manifest, "requirement", dict) or {"type": "all"}
+    spec = _field(manifest, "requirement", dict, {"type": "all"})
     kind = _field(spec, "type", str, required=True)
     if kind == "all":
         return aug.All()
@@ -128,7 +130,7 @@ def _problem_from_manifest(manifest: dict, manifest_path: str, args) -> aug.Augm
         semantics = _SEMANTICS_FLAG[args.semantics]
     cost = _field(manifest, "cost_model", str, aug.COST_EDGE)
     if getattr(args, "cost", None):
-        cost = {"edge": aug.COST_EDGE, "group": aug.COST_GROUP}[args.cost]
+        cost = args.cost
     return aug.AugmentationProblem(
         base,
         frozenset(candidates),
@@ -160,27 +162,22 @@ def cmd_check(args) -> int:
         print(_dump(report))
     else:
         print(f"n={g.n} lifespan={g.lifespan} semantics={semantics}")
-        for t in range(1, g.lifespan + 1):
-            blocks = " ".join(
-                "{" + ",".join(map(str, b)) + "}" for b in g.snapshot_components(t).blocks
-            )
-            print(f"t={t}: {blocks}")
+        for t, blocks in components.items():
+            print(f"t={t}: " + " ".join("{" + ",".join(map(str, b)) + "}" for b in blocks))
         print("connected" if connected else "not connected")
     return 0 if connected else 1
 
 
 def _detect_one_plus_one(problem: aug.AugmentationProblem) -> bool:
+    """True iff ``problem`` is non-strict edge-cost All, lifespan 1 plus every pair at time 2."""
     if not isinstance(problem.requirement, aug.All):
         return False
     if problem.semantics != NON_STRICT or problem.cost_model != aug.COST_EDGE:
         return False
-    base = problem.base
-    if base.lifespan != 1:
+    n = problem.base.n
+    if problem.base.lifespan != 1 or len(problem.candidates) != n * (n - 1) // 2:
         return False
-    wanted = {
-        TemporalEdge(u, v, 2) for u in range(base.n) for v in range(u + 1, base.n)
-    }
-    return problem.candidates == frozenset(wanted)
+    return all(e.t == 2 for e in problem.candidates)  # distinct pairs: the count fixes the set
 
 
 def _solve_tca(problem: aug.AugmentationProblem, args) -> tuple[dict, int]:
@@ -189,7 +186,7 @@ def _solve_tca(problem: aug.AugmentationProblem, args) -> tuple[dict, int]:
         if problem.budget is not None and len(selected) > problem.budget:
             outcome: aug.SolveOutcome = aug.Infeasible("budget_exceeded")
         else:
-            outcome = aug.Solution(tuple(sorted(selected, key=lambda e: e.key)), len(selected))
+            outcome = aug.Solution(sorted_edges(selected), len(selected))
         engine_used = "one-plus-one"
     elif args.engine == "expansion":
         outcome = exp_mod.solve_tpca_via_expansion(problem)
@@ -222,6 +219,10 @@ def _solve_tca(problem: aug.AugmentationProblem, args) -> tuple[dict, int]:
 def cmd_solve(args) -> int:
     manifest, kind = _load_manifest(args.manifest)
     if kind == "octo":
+        given = [key for key, unset in _TCA_ONLY.items() if getattr(args, key) != unset]
+        if given:
+            flags = ", ".join("--" + key.replace("_", "-") for key in given)
+            raise ParseError(f"an octo manifest takes none of {flags}")
         matrix_path = Path(args.manifest).parent / _field(manifest, "matrix", str, required=True)
         matrix = octo_mod.parse_matrix(_read(matrix_path))
         result = octo_mod.solve_octo(matrix, _budget(manifest, args))
@@ -247,57 +248,51 @@ def cmd_reduce(args) -> int:
             print("note: 3sat sets its own budget; ignoring the given one", file=sys.stderr)
     elif args.budget is None:
         raise ParseError(f"reduce {args.kind} needs a budget")
-    out = Path(args.out)  # made just before the first write, so a failed reduce leaves none
     text = _read(args.source)
-    notes = {}
     if args.kind == "dsc":
-        inst = red_mod.parse_set_system(text, args.budget)
-        reduction = red_mod.reduce_dsc(inst)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "instance.mat").write_text(octo_mod.format_matrix(reduction.matrix))
-        manifest = {
-            "schema": 1,
-            "kind": "octo",
-            "matrix": "instance.mat",
-            "budget": reduction.budget,
-        }
-        (out / "manifest.json").write_text(_dump(manifest) + "\n")
-        print(
+        reduction = red_mod.reduce_dsc(red_mod.parse_set_system(text, args.budget))
+        files = {"instance.mat": octo_mod.format_matrix(reduction.matrix)}
+        manifest = {"kind": "octo", "matrix": "instance.mat", "budget": reduction.budget}
+        summary = (
             f"matrix {reduction.matrix.n_rows}x{reduction.matrix.n_cols} "
             f"budget {reduction.budget}"
         )
-        return 0
-
-    if args.kind == "ds":
-        inst = red_mod.parse_static_graph(text, args.budget)
-        problem = red_mod.reduce_dominating_set(inst, args.mode).problem
-    elif args.kind == "hs":
-        system = red_mod.parse_set_system(text, args.budget)
-        problem = red_mod.reduce_hitting_set(system, args.mode).problem
-    else:  # 3sat
-        cnf = red_mod.parse_dimacs(text)
-        reduction = red_mod.reduce_3sat(cnf)
-        problem = reduction.problem
-        notes = {"standard_budget": reduction.standard_budget}
+    else:
+        notes = {}
+        if args.kind == "ds":
+            inst = red_mod.parse_static_graph(text, args.budget)
+            problem = red_mod.reduce_dominating_set(inst, args.mode).problem
+        elif args.kind == "hs":
+            system = red_mod.parse_set_system(text, args.budget)
+            problem = red_mod.reduce_hitting_set(system, args.mode).problem
+        else:  # 3sat
+            reduction = red_mod.reduce_3sat(red_mod.parse_dimacs(text))
+            problem = reduction.problem
+            notes = {"standard_budget": reduction.standard_budget}
+        files = {
+            "instance.tg": format_tg(problem.base),
+            "instance.cand": format_candidates(problem.candidates),
+        }
+        manifest = {
+            "kind": "tca",
+            "graph": "instance.tg",
+            "candidates": "instance.cand",
+            "requirement": _requirement_to_manifest(problem.requirement),
+            "semantics": problem.semantics,
+            "cost_model": problem.cost_model,
+            "budget": problem.budget,
+            **notes,
+        }
+        summary = (
+            f"{problem.base.n} vertices, {len(problem.base.edges)} base edges, "
+            f"{len(problem.candidates)} candidates, budget {problem.budget}"
+        )
+    out = Path(args.out)  # made only now, so a failed reduce leaves none
     out.mkdir(parents=True, exist_ok=True)
-    (out / "instance.tg").write_text(format_tg(problem.base))
-    (out / "instance.cand").write_text(format_candidates(problem.candidates))
-    manifest = {
-        "schema": 1,
-        "kind": "tca",
-        "graph": "instance.tg",
-        "candidates": "instance.cand",
-        "requirement": _requirement_to_manifest(problem.requirement),
-        "semantics": problem.semantics,
-        "cost_model": problem.cost_model,
-        "budget": problem.budget,
-        **notes,
-    }
-    (out / "manifest.json").write_text(_dump(manifest) + "\n")
-    print(
-        f"{problem.base.n} vertices, {len(problem.base.edges)} base edges, "
-        f"{len(problem.candidates)} candidates, budget {problem.budget}"
-    )
+    for name, content in files.items():
+        (out / name).write_text(content)
+    (out / "manifest.json").write_text(_dump({"schema": 1, **manifest}) + "\n")
+    print(summary)
     return 0
 
 
@@ -330,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("manifest")
     p_solve.add_argument("--engine", choices=["subset", "expansion", "auto"], default="auto")
     p_solve.add_argument("--semantics", choices=sorted(_SEMANTICS_FLAG))
-    p_solve.add_argument("--cost", choices=["edge", "group"])
+    p_solve.add_argument("--cost", choices=aug.COST_MODELS)
     p_solve.add_argument("--budget", type=int)
     p_solve.add_argument("--format", choices=["json", "text"], default="json")
     p_solve.add_argument(

@@ -22,7 +22,6 @@ from .augmentation import (
     AugmentationProblem,
     Pairs,
     Source,
-    _joined,
     unrestricted_candidates,
 )
 from .octo import COLS, ROWS, BinaryMatrix, MergeStep, _replay, apply_sequence
@@ -36,6 +35,7 @@ from .temporal_graph import (
     _count,
     _endpoints,
     _ints,
+    _joined,
     _mask_to_block,
     _records,
 )

@@ -257,9 +257,10 @@ def min_weight_connection(
 
 
 def problem_instance(problem: AugmentationProblem) -> TGSteinerInstance:
-    """The instance of ``problem``'s demand pairs: base edges weigh 0, candidates 1."""
-    pairs, demand = _demand_pairs(problem.requirement, problem.base.n)
-    full = problem.base.augment(problem.candidates)
+    """``problem``'s demand pairs over its lifespan: base edges weigh 0, candidates 1."""
+    base = problem.base
+    pairs, demand = _demand_pairs(problem.requirement, base.n)
+    full = TemporalGraph(base.n, base.edges | problem.candidates, problem.effective_lifespan)
     weights = {e: (1 if e in problem.candidates else 0) for e in full.edges}
     return TGSteinerInstance.from_weights(full, weights, pairs, demand, problem.budget)
 

@@ -14,10 +14,12 @@ when a test over many sources tends to fail on the first it tries.
 :func:`sweep_all` passes over the layers once in decreasing time order
 and gives what every vertex reaches, for the cost of a few sweeps rather
 than one per vertex; it pays for questions that must look at many
-sources, such as temporal connectivity.  A third kernel,
-:func:`_components`, builds every partition from scratch: the snapshot
-components of the non-strict layers, the footprint of the subset search
-and the spread of a dominating-set witness.  :func:`find_journey` reads
+sources, such as temporal connectivity.  Every vertex partition goes
+through two more kernels: :func:`_components` builds one from scratch
+(the snapshot components of the non-strict layers, the footprint of the
+subset search, the spread of a dominating-set witness) and
+:func:`_joined` merges the blocks that one link meets, as the subset
+search does at every node.  :func:`find_journey` reads
 its journeys off the foremost-journey tree that :func:`_journey_tree`
 builds in one walk over the edge times.
 
@@ -242,10 +244,6 @@ class TemporalGraph:
     def _comp_cache(self) -> dict[int, tuple[int, ...]]:
         return {}
 
-    @cached_property
-    def _layer_cache(self) -> dict[bool, tuple]:
-        return {}
-
     def with_lifespan(self, lifespan: int) -> "TemporalGraph":
         """Same graph with an explicit lifespan override."""
         return TemporalGraph(self.n, self.edges, lifespan)
@@ -288,13 +286,9 @@ class TemporalGraph:
         return self._component_masks(t)
 
     def _layers(self, semantics: str) -> tuple[tuple, ...]:
-        """Sweep layers of every edge time, in time order; cached per semantics."""
+        """Sweep layers of every edge time, in time order."""
         strict = semantics == STRICT
-        layers = self._layer_cache.get(strict)
-        if layers is None:
-            layers = tuple(self._layer(t, strict) for t in self._edge_times)
-            self._layer_cache[strict] = layers
-        return layers
+        return tuple(self._layer(t, strict) for t in self._edge_times)
 
     def reachable_set(self, source: int, semantics: str = NON_STRICT) -> frozenset[int]:
         """Vertices reachable from ``source`` by a journey (always contains it)."""
@@ -438,6 +432,23 @@ def _components(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
             for x in _mask_to_block(merged):
                 comp[x] = merged
     return tuple(dict.fromkeys(comp))
+
+
+def _joined(masks: tuple[int, ...], link: int) -> tuple[int, ...]:
+    """The disjoint ``masks`` with every mask that meets ``link`` merged into one.
+
+    ``masks`` must cover every bit of ``link``.  Extends a partition of
+    :func:`_components` by one more link: a non-strict sweep layer patched
+    by an added edge, the footprint of a subset, a dominating set's spread.
+    """
+    hit = 0
+    rest = []
+    for m in masks:
+        if m & link:
+            hit |= m
+        else:
+            rest.append(m)
+    return (hit, *rest)
 
 
 def _journey_tree(

@@ -1,7 +1,9 @@
+import argparse
 import importlib
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tgaug import steiner_expansion as exp_mod
-from tgaug.augmentation import Infeasible, Solution
-from tgaug.cli import main
+from tgaug.augmentation import COST_EDGE, All, Infeasible, Solution
+from tgaug.cli import _detect_one_plus_one, _problem_from_manifest, main
 from tgaug.octo import parse_matrix
 from tgaug.reductions import parse_dimacs, parse_set_system, parse_static_graph
-from tgaug.temporal_graph import ParseError, TemporalEdge, parse_candidates, parse_tg
+from tgaug.temporal_graph import NON_STRICT, ParseError, TemporalEdge, parse_candidates, parse_tg
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BENCHMARKS = SRC.parent / "benchmarks"
@@ -93,6 +95,7 @@ class TestExitCodes:
             tca(budget="3"),
             tca(lifespan="3"),
             tca(requirement=[1]),
+            tca(requirement={}),
             tca(requirement={"type": "source", "vertex": [0]}),
             tca(graph=5),
             tca(budget=True),
@@ -124,6 +127,158 @@ class TestExitCodes:
     def test_negative_lifespan_is_2(self, tmp_path, capsys):
         assert main(["solve", write_bundle(tmp_path, tca(lifespan=-4))]) == 2
         assert capsys.readouterr() == ("", "error: lifespan must be non-negative\n")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--cross-check"],
+            ["--engine", "expansion"],
+            ["--engine", "subset"],
+            ["--semantics", "strict"],
+            ["--cost", "group"],
+            ["--format", "text"],
+            ["--format", "text", "--cross-check", "--budget", "1"],
+        ],
+    )
+    def test_octo_rejects_the_tca_flags(self, tmp_path, capsys, flags):
+        path = write_bundle(tmp_path, {"kind": "octo", "matrix": "m.mat"})
+        assert main(["solve", path, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: an octo manifest takes none of ")
+        named = [flag for flag in flags if flag.startswith("--") and flag != "--budget"]
+        assert all(flag in captured.err for flag in named)
+
+    def test_octo_takes_the_budget_flag(self, tmp_path, capsys):
+        path = write_bundle(tmp_path, {"kind": "octo", "matrix": "m.mat"})
+        assert main(["solve", path, "--budget", "0"]) == 1
+        assert json.loads(capsys.readouterr().out)["feasible"] is False
+        assert main(["solve", path, "--budget", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["min_combinations"] == 1
+
+
+class TestDeclaredLifespan:
+    """A manifest's ``lifespan`` reaches the expansion engine and ``expand``."""
+
+    @staticmethod
+    def bundle(tmp_path, lifespan):
+        manifest = tca(requirement={"type": "pairs", "pairs": [[0, 2]]}, lifespan=lifespan)
+        return write_bundle(tmp_path, manifest, candidates="E 1 2 2\n")
+
+    def test_expand_spans_the_declared_lifespan(self, tmp_path, capsys):
+        assert main(["expand", self.bundle(tmp_path, 5), "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        # 3 vertices in 6 layers plus two 2-node gates; 3 x 5 waiting arcs plus 2 x 5 gate arcs
+        assert (data["lifespan"], data["node_count"], data["arc_count"]) == (5, 22, 25)
+
+    def test_the_expansion_engine_answers_as_without_it(self, tmp_path, capsys):
+        runs = []
+        for lifespan in (None, 5):
+            path = self.bundle(tmp_path, lifespan)
+            code = main(["solve", path, "--engine", "expansion", "--cross-check"])
+            runs.append((code, capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][1].err == ""
+        assert json.loads(runs[0][1].out)["selected"] == [{"u": 1, "v": 2, "t": 2}]
+
+
+def one_plus_one_by_set(problem) -> bool:
+    """The one-plus-one case by definition: candidates are exactly every pair at time 2."""
+    n = problem.base.n
+    every_pair = frozenset(TemporalEdge(u, v, 2) for u, v in itertools.combinations(range(n), 2))
+    return (
+        isinstance(problem.requirement, All)
+        and problem.semantics == NON_STRICT
+        and problem.cost_model == COST_EDGE
+        and problem.base.lifespan == 1
+        and problem.candidates == every_pair
+    )
+
+
+def near_one_plus_one(rng: random.Random) -> tuple[str, str, dict]:
+    """Graph text, candidate text and manifest of a problem at or near the one-plus-one case."""
+    n = rng.randrange(6)
+    pairs = list(itertools.combinations(range(n), 2))
+    base = [(u, v, 1) for u, v in pairs if rng.random() < 0.3]
+    candidates = {(u, v, 2) for u, v in pairs}
+    change = rng.choice(["none", "none", "missing", "extra", "missing and extra"])
+    if "missing" in change and candidates:
+        candidates.remove(rng.choice(sorted(candidates)))
+    free = [(u, v, t) for u, v in pairs for t in (1, 3) if (u, v, t) not in base]
+    if "extra" in change and free:
+        candidates.add(rng.choice(free))
+    manifest = tca()
+    if rng.random() < 0.2:
+        manifest["lifespan"] = 4
+    if rng.random() < 0.15:
+        manifest["semantics"] = "strict"
+    if rng.random() < 0.15:
+        manifest["cost_model"] = "group"
+    if n and rng.random() < 0.15:
+        manifest["requirement"] = {"type": "source", "vertex": 0}
+    base_lifespan = 2 if rng.random() < 0.1 else 1
+    graph = f"T {base_lifespan}\nV {n}\n" + "".join(f"E {u} {v} {t}\n" for u, v, t in base)
+    return graph, "".join(f"E {u} {v} {t}\n" for u, v, t in sorted(candidates)), manifest
+
+
+class TestOnePlusOneDetector:
+    """``auto`` picks one-plus-one exactly when the candidates are every pair at time 2."""
+
+    @staticmethod
+    def check(tmp_path, capsys, graph, candidates, manifest) -> bool:
+        path = write_bundle(tmp_path, manifest, candidates, graph)
+        problem = _problem_from_manifest(manifest, path, argparse.Namespace())
+        expected = one_plus_one_by_set(problem)
+        assert _detect_one_plus_one(problem) == expected
+        assert main(["solve", path]) in (0, 1)
+        assert (json.loads(capsys.readouterr().out)["engine"] == "one-plus-one") == expected
+        return expected
+
+    @pytest.mark.parametrize(
+        "graph, candidates, fields, expected",
+        [
+            ("T 1\nV 0\n", "", {}, True),
+            ("T 1\nV 1\n", "", {}, True),
+            ("V 3\nE 0 1 1\n", "E 0 1 2\nE 0 2 2\nE 1 2 2\n", {}, True),
+            ("V 3\nE 0 1 1\n", "E 0 1 2\nE 0 2 2\n", {}, False),
+            ("V 3\nE 0 1 1\n", "E 0 1 2\nE 0 2 2\nE 1 2 2\nE 1 2 1\n", {}, False),
+            ("V 3\nE 0 1 1\n", "E 0 1 2\nE 0 2 2\nE 1 2 2\nE 1 2 3\n", {}, False),
+            ("V 3\nE 0 1 1\n", "E 0 1 2\nE 0 2 2\nE 1 2 1\n", {}, False),
+            ("V 3\nE 0 1 1\n", "E 0 1 2\nE 0 2 2\nE 1 2 3\n", {}, False),
+            ("V 3\nE 0 1 1\n", "E 0 1 2\nE 0 2 2\nE 1 2 2\n", {"lifespan": 4}, True),
+            ("V 3\nE 0 1 1\n", "E 0 1 2\nE 0 2 2\nE 1 2 2\n", {"semantics": "strict"}, False),
+            ("V 3\nE 0 1 1\n", "E 0 1 2\nE 0 2 2\nE 1 2 2\n", {"cost_model": "group"}, False),
+            (
+                "V 3\nE 0 1 1\n",
+                "E 0 1 2\nE 0 2 2\nE 1 2 2\n",
+                {"requirement": {"type": "source", "vertex": 0}},
+                False,
+            ),
+            ("T 2\nV 3\nE 0 1 1\n", "E 0 1 2\nE 0 2 2\nE 1 2 2\n", {}, False),
+        ],
+        ids=[
+            "n0",
+            "n1",
+            "every-pair",
+            "one-missing",
+            "extra-at-1",
+            "extra-at-3",
+            "missing-plus-1",
+            "missing-plus-3",
+            "declared-lifespan",
+            "strict",
+            "group",
+            "source",
+            "base-lifespan-2",
+        ],
+    )
+    def test_named_cases(self, tmp_path, capsys, graph, candidates, fields, expected):
+        assert self.check(tmp_path, capsys, graph, candidates, tca(**fields)) == expected
+
+    def test_seeded_problems(self, tmp_path, capsys):
+        rng = random.Random(2502)
+        found = [self.check(tmp_path, capsys, *near_one_plus_one(rng)) for _ in range(200)]
+        assert 30 <= found.count(True) <= 170
 
 
 class TestSolutionCheck:
