@@ -217,7 +217,7 @@ def _demands_met(
 
 
 def _reach_all(
-    layers: Sequence[tuple], strict: bool, n: int, entries: list[tuple[int, int]]
+    layers: Sequence[tuple[int, ...]], n: int, entries: list[tuple[int, int]]
 ) -> Callable[[int], int]:
     """``reach`` for :func:`_demands_met` when every source of ``entries`` may be asked.
 
@@ -226,8 +226,8 @@ def _reach_all(
     :func:`~tgaug.temporal_graph.sweep`, which is cheaper.
     """
     if len({source for source, _ in entries}) > 1:
-        return sweep_all(layers, strict, n).__getitem__
-    return lambda s: sweep(layers, strict, 1 << s)
+        return sweep_all(layers, n).__getitem__
+    return lambda s: sweep(layers, 1 << s)
 
 
 def verify_solution(problem: AugmentationProblem, selected: Iterable[TemporalEdge]) -> bool:
@@ -241,7 +241,7 @@ def verify_solution(problem: AugmentationProblem, selected: Iterable[TemporalEdg
     augmented = problem.base.augment(chosen)
     layers = augmented._layers(problem.semantics)
     entries, required = _demands(problem.requirement, augmented.n)
-    reach = _reach_all(layers, problem.semantics == STRICT, augmented.n, entries)
+    reach = _reach_all(layers, augmented.n, entries)
     return _demands_met(entries, required, reach)
 
 
@@ -280,9 +280,10 @@ class _LayerSpace:
 
     The start state is the base graph's sweep layers over the base and
     candidate times.  Adding a unit patches only the slots of its edges'
-    times: a strict slot gets the edge bit pairs appended, a non-strict
-    slot gets its component masks merged by the edges (non-strict
-    reachability is a function of the per-time component partitions).
+    times: a strict slot gets each edge's two-vertex mask appended, a
+    non-strict slot gets its component masks merged by the edges
+    (non-strict reachability is a function of the per-time component
+    partitions); past that, the sweeps read both semantics alike.
     The free edges of the footprint are the base edges.  Each demand
     entry links its source with the vertices it needs when every entry
     must be met, and a B-of-p demand links nothing.  The two-time bound
@@ -297,7 +298,7 @@ class _LayerSpace:
         times = sorted(set(base._edge_times) | {e.t for e in problem.candidates})
         slot = {t: i for i, t in enumerate(times)}
         self.start = tuple(base._layer(t, self.strict) for t in times)
-        self.patches = [tuple((slot[e.t], 1 << e.u, 1 << e.v) for e in unit) for unit in units]
+        self.patches = [tuple((slot[e.t], 1 << e.u | 1 << e.v) for e in unit) for unit in units]
         self.unit_pairs = [unit[0].pair for unit in units]
         self.free_pairs = [e.pair for e in base.edges]
         self.demand_links = []
@@ -307,20 +308,18 @@ class _LayerSpace:
         nonstrict_all = not self.strict and isinstance(problem.requirement, All)
         self.need = _two_time_need if two_time and nonstrict_all else None
 
-    def add(self, layers: Sequence[tuple], unit: int) -> list[tuple]:
+    def add(self, layers: Sequence[tuple[int, ...]], unit: int) -> list[tuple[int, ...]]:
         layers = list(layers)
-        for i, bu, bv in self.patches[unit]:
-            layers[i] = layers[i] + ((bu, bv),) if self.strict else _joined(layers[i], bu | bv)
+        for i, link in self.patches[unit]:
+            layers[i] = layers[i] + (link,) if self.strict else _joined(layers[i], link)
         return layers
 
-    def holds(self, layers: Sequence[tuple]) -> bool:
-        return _demands_met(
-            self.entries, self.required, lambda s: sweep(layers, self.strict, 1 << s)
-        )
+    def holds(self, layers: Sequence[tuple[int, ...]]) -> bool:
+        return _demands_met(self.entries, self.required, lambda s: sweep(layers, 1 << s))
 
-    def root_holds(self, layers: Sequence[tuple]) -> bool:
+    def root_holds(self, layers: Sequence[tuple[int, ...]]) -> bool:
         """:meth:`holds` for the search's root tests, which rarely stop at the first source."""
-        reach = _reach_all(layers, self.strict, self.n, self.entries)
+        reach = _reach_all(layers, self.n, self.entries)
         return _demands_met(self.entries, self.required, reach)
 
 
@@ -401,11 +400,11 @@ def solve_exact(
     "budget_exceeded" is reported distinctly from true infeasibility.
 
     Each search node extends its parent's sweep layers by one unit, so a
-    tested subset costs only the requirement's sweeps: one per demand
-    entry's source, stopping once the answer is settled, and starting with
-    the entry that failed the last test, which subsets tested in a row
-    tend to fail alike.  The two root tests, all units together and the
-    empty subset, read every source off one
+    tested subset costs only the requirement's sweeps, the same kernels in
+    both semantics: one per demand entry's source, stopping once the answer
+    is settled, and starting with the entry that failed the last test,
+    which subsets tested in a row tend to fail alike.  The two root tests,
+    all units together and the empty subset, read every source off one
     :func:`~tgaug.temporal_graph.sweep_all` instead when the entries name
     more than one source, as :func:`verify_solution` does.  The optional
     certificate builds one foremost-journey tree per distinct source and

@@ -6,8 +6,11 @@ edges in non-decreasing ("non-strict") or strictly increasing ("strict")
 time order; most connectivity notions here come in both flavours.
 
 Every reachability question in the package goes through one of two
-kernels over the same per-time layers: a non-strict layer is the tuple of
-snapshot component masks, a strict layer the tuple of edge bit pairs.
+kernels over the same per-time layers.  A layer is a tuple of vertex
+masks, and a journey that has reached any vertex of a mask before the
+layer's time reaches every vertex of it by the end of that time: a
+non-strict layer holds the snapshot components, a strict layer one
+two-vertex mask per edge (a strict journey takes at most one hop per step).
 :func:`sweep` passes over the layers in increasing time order and gives
 what one source reaches.  It pays when one source is asked about, or
 when a test over many sources tends to fail on the first it tries.
@@ -279,13 +282,13 @@ class TemporalGraph:
 
     # -- reachability ----------------------------------------------------
 
-    def _layer(self, t: int, strict: bool) -> tuple:
-        """The :func:`sweep` layer of time t, valid for any t >= 1."""
+    def _layer(self, t: int, strict: bool) -> tuple[int, ...]:
+        """The :func:`sweep` layer of time t >= 1: strict, the edge masks; else the components."""
         if strict:
-            return tuple((1 << e.u, 1 << e.v) for e in self._edges_by_time.get(t, ()))
+            return tuple(1 << e.u | 1 << e.v for e in self._edges_by_time.get(t, ()))
         return self._component_masks(t)
 
-    def _layers(self, semantics: str) -> tuple[tuple, ...]:
+    def _layers(self, semantics: str) -> tuple[tuple[int, ...], ...]:
         """Sweep layers of every edge time, in time order."""
         strict = semantics == STRICT
         return tuple(self._layer(t, strict) for t in self._edge_times)
@@ -295,7 +298,7 @@ class TemporalGraph:
         _check_semantics(semantics)
         if not 0 <= source < self.n:
             raise ValueError(f"vertex {source} out of range 0..{self.n - 1}")
-        reach = sweep(self._layers(semantics), semantics == STRICT, 1 << source)
+        reach = sweep(self._layers(semantics), 1 << source)
         return frozenset(_mask_to_block(reach))
 
     def is_temporally_connected(self, semantics: str = NON_STRICT) -> bool:
@@ -305,7 +308,7 @@ class TemporalGraph:
         """
         _check_semantics(semantics)
         full = (1 << self.n) - 1
-        reach = sweep_all(self._layers(semantics), semantics == STRICT, self.n)
+        reach = sweep_all(self._layers(semantics), self.n)
         return all(mask == full for mask in reach)
 
     def check_property_p(self) -> bool:
@@ -320,7 +323,7 @@ class TemporalGraph:
         if self.lifespan < 1:
             raise ValueError("requires lifespan >= 1")
         layers, full = self._layers(NON_STRICT), (1 << self.n) - 1
-        return all(sweep(layers, False, m & -m) == full for m in self._component_masks(1))
+        return all(sweep(layers, m & -m) == full for m in self._component_masks(1))
 
     # -- augmentation ----------------------------------------------------
 
@@ -355,66 +358,56 @@ def _mask_to_block(mask: int) -> tuple[int, ...]:
     return tuple(block)
 
 
-def sweep(layers: Iterable[tuple], strict: bool, start_mask: int) -> int:
+def sweep(layers: Iterable[tuple[int, ...]], start_mask: int) -> int:
     """Mask of the vertices reachable from ``start_mask`` through time-ordered ``layers``.
 
-    The single-source reachability kernel.  A non-strict layer is the
-    tuple of disjoint component masks of one snapshot: a journey may take
-    any number of hops within a time step, so every component touching the
-    reached set joins it.  A strict layer is a tuple of ``(1 << u, 1 << v)``
-    edge bit pairs: a journey takes at most one hop per time step, so only
-    vertices reached before the step may use its edges.
+    The single-source reachability kernel.  Each layer is a tuple of
+    vertex masks, and every mask that meets the set reached before the
+    layer joins it: a non-strict layer's snapshot components, since a
+    journey may take any number of hops within a time step, or a strict
+    layer's edges, since only vertices reached before the step may use
+    them.
     """
     reach = start_mask
     for layer in layers:
         before = reach
-        if strict:
-            for bu, bv in layer:
-                if before & bu:
-                    reach |= bv
-                if before & bv:
-                    reach |= bu
-        else:
-            for m in layer:
-                if m & before:
-                    reach |= m
+        for m in layer:
+            if m & before:
+                reach |= m
     return reach
 
 
-def sweep_all(layers: Sequence[tuple], strict: bool, n: int) -> list[int]:
+def sweep_all(layers: Sequence[tuple[int, ...]], n: int) -> list[int]:
     """The mask of the vertices each of 0..n-1 reaches through time-ordered ``layers``.
 
-    Entry s equals ``sweep(layers, strict, 1 << s)``, read for every s from
-    one pass over the layers latest first.  ``into[x]`` starts as x alone,
-    and after the layers at times t and later it is what x reaches using
-    those times alone.  A journey from x over times >= t either skips time
-    t, or starts with its hops at t and goes on from where they end over
-    times after t, which ``into`` held before the layer at t.  Strict: a
-    journey takes at most one hop at t, so each edge ``(u, v)`` ORs the
-    value ``into[v]`` had before the layer into ``into[u]``, and the other
-    way round.  Non-strict: the hops at t may go anywhere in x's snapshot
-    component, so every member of a component gets the OR of its members'
-    values (the components are disjoint, so these are still the values of
-    before the layer).  Costs one pass, against one :func:`sweep` per
-    source.
+    Entry s equals ``sweep(layers, 1 << s)``, read for every s from one
+    pass over the layers latest first.  ``into[x]`` starts as x alone, and
+    after the layers at times t and later it is what x reaches using those
+    times alone.  A journey from x over times >= t either skips time t, or
+    reaches at t every vertex of a mask holding x and goes on from one of
+    them over times after t, which ``into`` held before the layer at t.  So
+    every member of a mask gains the OR of the members' values of before
+    the layer.  A mask of one or two vertices, such as every strict edge,
+    takes that step without listing its members.  Costs one pass, against
+    one :func:`sweep` per source.
     """
     into = [1 << v for v in range(n)]
     for layer in reversed(layers):
-        if strict:
-            before = into[:]
-            for bu, bv in layer:
-                u, v = bu.bit_length() - 1, bv.bit_length() - 1
-                into[u] |= before[v]
-                into[v] |= before[u]
-            continue
+        before = into[:]
         for m in layer:
-            if m & m - 1:  # a singleton component changes nothing
+            low = m & -m
+            high = m ^ low
+            if high & high - 1:
                 members = _mask_to_block(m)
                 joint = 0
                 for x in members:
-                    joint |= into[x]
+                    joint |= before[x]
                 for x in members:
-                    into[x] = joint
+                    into[x] |= joint
+            elif high:
+                u, v = low.bit_length() - 1, high.bit_length() - 1
+                into[u] |= before[v]
+                into[v] |= before[u]
     return into
 
 

@@ -45,6 +45,7 @@ from tgaug.temporal_graph import (
     InvalidCandidateError,
     TemporalEdge,
     TemporalGraph,
+    sorted_edges,
     sweep_all,
     validate_journey,
 )
@@ -238,6 +239,32 @@ class TestEvaluatorAgreesWithVerify:
         space.root_holds(space.start)
         verify_solution(problem, [E(1, 2, 2)])
         assert len(calls) == (2 if several else 0)
+
+
+class TestLayerPatching:
+    @pytest.mark.parametrize("cost_model", [COST_EDGE, COST_GROUP])
+    @pytest.mark.parametrize("semantics", [STRICT, NON_STRICT])
+    def test_patched_layers_equal_built_layers(self, semantics, cost_model):
+        """Units added from ``start`` give the augmented graph's own layers, slot by slot."""
+        rng = random.Random(f"{semantics} {cost_model}")
+        strict = semantics == STRICT
+        for _ in range(300):
+            n, lifespan = rng.randint(1, 6), rng.randint(1, 3)
+            base = random_graph(rng, n, lifespan, rng.random())
+            absent = sorted_edges(unrestricted_candidates(base.with_lifespan(lifespan + 1)))
+            candidates = frozenset(e for e in absent if rng.random() < 0.3)
+            problem = AugmentationProblem(base, candidates, All(), semantics, cost_model)
+            units = _group_items(problem)
+            space = _LayerSpace(problem, units)
+            picked = [i for i in range(len(units)) if rng.random() < 0.5]
+            state = space.start
+            for i in picked:
+                state = space.add(state, i)
+            augmented = base.augment(e for i in picked for e in units[i])
+            times = sorted(set(base._edge_times) | {e.t for e in candidates})
+            assert len(state) == len(times)
+            for layer, t in zip(state, times):
+                assert sorted(layer) == sorted(augmented._layer(t, strict))
 
 
 @st.composite

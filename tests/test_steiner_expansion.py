@@ -151,7 +151,6 @@ class TestReachability:
     @pytest.mark.parametrize("semantics", SEMANTICS)
     def test_reachable_from_agrees_with_sweep(self, semantics):
         rng = random.Random(71)
-        strict = semantics == STRICT
         for _ in range(25):
             n, lifespan = rng.randint(2, 5), rng.randint(1, 3)
             g = random_graph(rng, n, lifespan, 0.4)
@@ -168,7 +167,7 @@ class TestReachability:
                 sub = TemporalGraph.build(n, kept, lifespan=lifespan)
                 for u in range(n):
                     reached = exp.reachable_from(exp.copy_index(u, 1), open_gates)
-                    mask = sweep(sub._layers(semantics), strict, 1 << u)
+                    mask = sweep(sub._layers(semantics), 1 << u)
                     for v in range(n):
                         sink = exp.copy_index(v, lifespan + 1)
                         assert reached >> sink & 1 == mask >> v & 1

@@ -190,12 +190,11 @@ class TestSweepAll:
     @staticmethod
     def assert_agrees(g):
         for semantics in SEMANTICS:
-            strict = semantics == STRICT
             layers = g._layers(semantics)
-            reach = sweep_all(layers, strict, g.n)
+            reach = sweep_all(layers, g.n)
             assert len(reach) == g.n
             for s, mask in enumerate(reach):
-                assert mask == sweep(layers, strict, 1 << s)
+                assert mask == sweep(layers, 1 << s)
                 assert {v for v in range(g.n) if mask >> v & 1} == journey_reach(g, s, semantics)
             assert g.is_temporally_connected(semantics) == journey_connected(g, semantics)
 
@@ -218,6 +217,41 @@ class TestSweepAll:
     )
     def test_small_cases(self, g):
         self.assert_agrees(g)
+
+    @pytest.mark.parametrize(
+        "layers, expected",
+        [
+            # two edges at one time share vertex 1: a strict journey takes one of them
+            (((0b011, 0b110),), [0b011, 0b111, 0b110]),
+            # a three-vertex component, then an edge leaving it
+            (((0b0111,), (0b1100,)), [0b1111, 0b1111, 0b1111, 0b1100]),
+            # an edge, then a three-vertex component it meets
+            (((0b0011,), (0b1110,)), [0b1111, 0b1111, 0b1110, 0b1110]),
+            # two three-vertex masks at one time share vertex 2, which gains both
+            (((0b00111, 0b11100),), [0b00111, 0b00111, 0b11111, 0b11100, 0b11100]),
+            # an empty layer between two edges
+            (((0b011,), (), (0b110,)), [0b111, 0b111, 0b110]),
+            # singletons beside a two-vertex mask
+            (
+                ((0b0001, 0b0110, 0b1000), (0b0011, 0b0100, 0b1000)),
+                [0b0011, 0b0111, 0b0111, 0b1000],
+            ),
+        ],
+        ids=[
+            "edges-share-a-vertex",
+            "component-then-edge",
+            "edge-then-component",
+            "masks-share-a-vertex",
+            "empty-layer",
+            "singletons-beside-edge",
+        ],
+    )
+    def test_hand_built_layers(self, layers, expected):
+        """Both kernels on literal mask layers, pinning the two-vertex step and the general one."""
+        n = len(expected)
+        reach = sweep_all(layers, n)
+        for s in range(n):
+            assert reach[s] == sweep(layers, 1 << s) == expected[s]
 
     @settings(max_examples=150, deadline=None)
     @given(temporal_graphs(max_n=7, max_t=4))
