@@ -20,7 +20,6 @@ from .augmentation import (
     Solution,
     Source,
     build_certificate,
-    component_count_bound_check,
     solve_exact,
     solve_one_plus_one,
     spanner_via_tca,
@@ -88,7 +87,6 @@ __all__ = [
     "apply_sequence",
     "build_certificate",
     "build_expansion",
-    "component_count_bound_check",
     "component_intersection_matrix",
     "find_journey",
     "format_tg",

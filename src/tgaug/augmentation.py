@@ -85,7 +85,7 @@ class AugmentationProblem:
     semantics: str = NON_STRICT
     cost_model: str = COST_EDGE
     budget: int | None = None
-    lifespan: int | None = None  # declared horizon; defaults to what the edges span
+    lifespan: int | None = None  # declared horizon, at least the base's; else what the edges span
 
     def __post_init__(self):
         _check_semantics(self.semantics)
@@ -95,6 +95,10 @@ class AugmentationProblem:
             raise ValueError("budget must be non-negative")
         if self.lifespan is not None and self.lifespan < 0:
             raise ValueError("lifespan must be non-negative")
+        if self.lifespan is not None and self.lifespan < self.base.lifespan:
+            raise ValueError(
+                f"declared lifespan {self.lifespan} is below the base graph's lifespan {self.base.lifespan}"
+            )
         n = self.base.n
         overlap = self.candidates & self.base.edges
         if overlap:
@@ -113,7 +117,7 @@ class AugmentationProblem:
     def effective_lifespan(self) -> int:
         """The declared horizon when given, else whatever the edges span."""
         if self.lifespan is not None:
-            return max(self.base.lifespan, self.lifespan)
+            return self.lifespan
         return max(self.base.lifespan, max((e.t for e in self.candidates), default=0))
 
     @cached_property
@@ -544,22 +548,6 @@ def solve_one_plus_one(g: TemporalGraph) -> frozenset[TemporalEdge]:
         for j, v in enumerate(block):
             added.append(TemporalEdge(v, centers[j % len(centers)], 2))
     return frozenset(added)
-
-
-def component_count_bound_check(g: TemporalGraph) -> bool:
-    """Necessary condition for non-strict connectivity at lifespan 2.
-
-    The number of components at either time cannot exceed the size of the
-    smallest component at the other time (each component must meet all of
-    them).  It holds vacuously on the empty vertex set.
-    """
-    if g.lifespan != 2:
-        raise ValueError(f"requires lifespan exactly 2, got {g.lifespan}")
-    blocks1 = g.snapshot_components(1).blocks
-    blocks2 = g.snapshot_components(2).blocks
-    return len(blocks1) <= min(map(len, blocks2), default=0) and len(blocks2) <= min(
-        map(len, blocks1), default=0
-    )
 
 
 def spanner_via_tca(g: TemporalGraph, budget: int | None = None) -> AugmentationProblem:

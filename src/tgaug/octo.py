@@ -62,9 +62,6 @@ class BinaryMatrix:
     def transpose(self) -> "BinaryMatrix":
         return BinaryMatrix(tuple(zip(*self.rows)))
 
-    def count_ones(self) -> int:
-        return sum(sum(row) for row in self.rows)
-
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
 

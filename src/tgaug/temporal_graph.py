@@ -119,12 +119,6 @@ class SnapshotComponents:
     time: int
     blocks: tuple[tuple[int, ...], ...]
 
-    def block_of(self, v: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if v in b:
-                return b
-        raise ValueError(f"vertex {v} not covered by this partition")
-
 
 @dataclass(frozen=True)
 class Journey:
@@ -214,16 +208,6 @@ class TemporalGraph:
         return max((e.t for e in self.edges), default=0)
 
     @cached_property
-    def is_simple(self) -> bool:
-        """True iff every endpoint pair carries exactly one time label."""
-        seen: set[tuple[int, int]] = set()
-        for e in self.edges:
-            if e.pair in seen:
-                return False
-            seen.add(e.pair)
-        return True
-
-    @cached_property
     def _edges_by_time(self) -> dict[int, tuple[TemporalEdge, ...]]:
         buckets: dict[int, list[TemporalEdge]] = defaultdict(list)
         for e in self.edges_sorted:
@@ -247,20 +231,11 @@ class TemporalGraph:
     def _comp_cache(self) -> dict[int, tuple[int, ...]]:
         return {}
 
-    def with_lifespan(self, lifespan: int) -> "TemporalGraph":
-        """Same graph with an explicit lifespan override."""
-        return TemporalGraph(self.n, self.edges, lifespan)
-
     # -- snapshots and components ---------------------------------------
 
     def _check_time(self, t: int) -> None:
         if not 1 <= t <= self.lifespan:
             raise ValueError(f"time {t} out of range 1..{self.lifespan}")
-
-    def snapshot(self, t: int) -> tuple[tuple[int, int], ...]:
-        """Endpoint pairs of the edges present at time t, sorted."""
-        self._check_time(t)
-        return tuple(e.pair for e in self._edges_by_time.get(t, ()))
 
     def _component_masks(self, t: int) -> tuple[int, ...]:
         """Vertex bitmasks of the snapshot components at time t.
@@ -310,20 +285,6 @@ class TemporalGraph:
         full = (1 << self.n) - 1
         reach = sweep_all(self._layers(semantics), self.n)
         return all(mask == full for mask in reach)
-
-    def check_property_p(self) -> bool:
-        """Chain-of-overlapping-components test, equivalent to non-strict connectivity.
-
-        Every component of the first snapshot must link to every vertex
-        through later per-step components with pairwise non-empty
-        intersections.  That is one non-strict :func:`sweep` from any
-        single vertex of each first-step component (the sweep absorbs the
-        whole component at time 1), ending on all vertices.
-        """
-        if self.lifespan < 1:
-            raise ValueError("requires lifespan >= 1")
-        layers, full = self._layers(NON_STRICT), (1 << self.n) - 1
-        return all(sweep(layers, m & -m) == full for m in self._component_masks(1))
 
     # -- augmentation ----------------------------------------------------
 

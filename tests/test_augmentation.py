@@ -30,7 +30,6 @@ from tgaug.augmentation import (
     _footprint,
     _group_items,
     _LayerSpace,
-    component_count_bound_check,
     solution_to_json,
     solve_exact,
     solve_one_plus_one,
@@ -85,6 +84,13 @@ class TestProblemModel:
     def test_negative_lifespan_is_rejected(self):
         with pytest.raises(ValueError, match="^lifespan must be non-negative$"):
             AugmentationProblem(G(2, (0, 1, 1)), frozenset(), lifespan=-4)
+
+    def test_declared_lifespan_below_the_base_is_rejected(self):
+        base = G(3, (0, 1, 3))
+        with pytest.raises(ValueError, match="^declared lifespan 1 is below the base graph's lifespan 3$"):
+            AugmentationProblem(base, frozenset({E(1, 2, 2)}), lifespan=1)
+        p = AugmentationProblem(base, frozenset({E(1, 2, 2)}), lifespan=3)
+        assert p.effective_lifespan == 3
 
 
 class TestVerifySolution:
@@ -251,7 +257,7 @@ class TestLayerPatching:
         for _ in range(300):
             n, lifespan = rng.randint(1, 6), rng.randint(1, 3)
             base = random_graph(rng, n, lifespan, rng.random())
-            absent = sorted_edges(unrestricted_candidates(base.with_lifespan(lifespan + 1)))
+            absent = sorted_edges(unrestricted_candidates(TemporalGraph(n, base.edges, lifespan + 1)))
             candidates = frozenset(e for e in absent if rng.random() < 0.3)
             problem = AugmentationProblem(base, candidates, All(), semantics, cost_model)
             units = _group_items(problem)
@@ -575,35 +581,12 @@ class TestOnePlusOne:
             assert len(out) == n - smallest
             augmented = g.augment(out)
             assert journey_connected(augmented, NON_STRICT)
-            if augmented.lifespan == 2:
-                assert augmented.check_property_p()
-                assert component_count_bound_check(augmented)
+            assert augmented.is_temporally_connected(NON_STRICT)
             # no cheaper time-2 completion exists
             cands = frozenset(E(u, v, 2) for u in range(n) for v in range(u + 1, n))
             problem = AugmentationProblem(g, cands)
             expected = brute_min_cost(problem)
             assert expected == len(out)
-
-
-class TestComponentCountBound:
-    def test_violation_by_construction(self):
-        # k1 = 3 but a time-2 component of size 2
-        g = G(6, (0, 1, 1), (2, 3, 1), (4, 5, 1), (0, 2, 2), (1, 3, 2), (4, 5, 2))
-        assert not component_count_bound_check(g)
-
-    def test_contract_error(self):
-        with pytest.raises(ValueError):
-            component_count_bound_check(G(2, (0, 1, 1)))
-
-    def test_empty_vertex_set_holds_vacuously(self):
-        assert component_count_bound_check(TemporalGraph.build(0, [], lifespan=2))
-
-    def test_every_connected_lifespan2_graph_passes(self):
-        from oracles import all_graphs
-
-        for g in all_graphs(3, 2):
-            if g.is_temporally_connected(NON_STRICT):
-                assert component_count_bound_check(g)
 
 
 class TestSpannerBridge:

@@ -171,6 +171,12 @@ class TestDeclaredLifespan:
         # 3 vertices in 6 layers plus two 2-node gates; 3 x 5 waiting arcs plus 2 x 5 gate arcs
         assert (data["lifespan"], data["node_count"], data["arc_count"]) == (5, 22, 25)
 
+    @pytest.mark.parametrize("argv", [["solve"], ["expand"]])
+    def test_below_the_base_lifespan_is_2(self, tmp_path, capsys, argv):
+        path = write_bundle(tmp_path, tca(lifespan=1), "E 1 2 2\n", "V 3\nE 0 1 3\n")
+        assert main([*argv, path]) == 2
+        assert capsys.readouterr() == ("", "error: declared lifespan 1 is below the base graph's lifespan 3\n")
+
     def test_the_expansion_engine_answers_as_without_it(self, tmp_path, capsys):
         runs = []
         for lifespan in (None, 5):

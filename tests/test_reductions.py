@@ -288,7 +288,7 @@ class TestOctoWitnessEdges:
     @staticmethod
     def block_min(g, t, v):
         """Smallest vertex of the time-t component of g that holds v."""
-        return min(g.snapshot_components(t).block_of(v))
+        return min(next(b for b in g.snapshot_components(t).blocks if v in b))
 
     def test_each_edge_joins_the_smallest_vertices_of_the_merged_groups(self):
         rng = random.Random(53)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import journey_connected, journey_reach, union_find_components
+from oracles import all_graphs, journey_connected, journey_reach, union_find_components
 from tgaug.temporal_graph import (
     NON_STRICT,
     SEMANTICS,
@@ -70,26 +70,22 @@ class TestConstruction:
     def test_edgeless_lifespan_zero(self):
         assert G(3).lifespan == 0
 
-    def test_simple_flag(self):
-        assert G(3, (0, 1, 1), (1, 2, 1)).is_simple
-        assert not G(2, (0, 1, 1), (0, 1, 2)).is_simple
-
 
 class TestSnapshot:
     def test_filters_by_time(self):
         g = G(3, (0, 1, 1), (1, 2, 2))
-        assert g.snapshot(1) == ((0, 1),)
-        assert g.snapshot(2) == ((1, 2),)
+        assert g.snapshot_components(1).blocks == ((0, 1), (2,))
+        assert g.snapshot_components(2).blocks == ((0,), (1, 2))
 
     def test_empty_graph(self):
-        assert G(4, lifespan=2).snapshot(1) == ()
+        assert G(4, lifespan=2).snapshot_components(2).blocks == ((0,), (1,), (2,), (3,))
 
     def test_time_out_of_range(self):
         g = G(2, (0, 1, 1))
-        with pytest.raises(ValueError):
-            g.snapshot(2)
-        with pytest.raises(ValueError):
-            g.snapshot(0)
+        with pytest.raises(ValueError, match=r"^time 2 out of range 1\.\.1$"):
+            g.snapshot_components(2)
+        with pytest.raises(ValueError, match=r"^time 0 out of range 1\.\.1$"):
+            g.snapshot_components(0)
 
     def test_components_examples(self):
         assert G(3, (0, 1, 1)).snapshot_components(1).blocks == ((0, 1), (2,))
@@ -105,9 +101,7 @@ class TestSnapshot:
                 for v in range(u + 1, n)
                 if rng.random() < 0.4
             ]
-            g = TemporalGraph.build(n, [TemporalEdge(u, v, 1) for u, v in pairs])
-            if not pairs:
-                g = g.with_lifespan(1)
+            g = TemporalGraph.build(n, [TemporalEdge(u, v, 1) for u, v in pairs], lifespan=1)
             blocks = tuple(union_find_components(n, pairs))
             assert g.snapshot_components(1).blocks == blocks
             # the kernel on its own, fed repeats, reversed pairs and another order
@@ -143,6 +137,20 @@ class TestReachability:
         with pytest.raises(ValueError):
             G(2, (0, 1, 1)).reachable_set(2)
 
+    def test_lifespan_two_crossing_components(self):
+        # time-1 components {0,1},{2,3}; time-2 components {0,2},{1,3}: all intersect,
+        # and each pair is one edge apart or a time-1 edge then a time-2 edge apart, so strict too
+        g = G(4, (0, 1, 1), (2, 3, 1), (0, 2, 2), (1, 3, 2))
+        assert g.is_temporally_connected(NON_STRICT)
+        assert g.is_temporally_connected(STRICT)
+
+    def test_exhaustive_small_graphs(self):
+        for n in (1, 2, 3):
+            for lifespan in (1, 2, 3):
+                for g in all_graphs(n, lifespan):
+                    for semantics in SEMANTICS:
+                        assert g.is_temporally_connected(semantics) == journey_connected(g, semantics)
+
     @settings(max_examples=150, deadline=None)
     @given(temporal_graphs(max_n=7, max_t=4))
     def test_matches_journey_enumeration(self, g):
@@ -160,7 +168,7 @@ class TestReachability:
     @given(temporal_graphs(max_n=6, max_t=3))
     def test_waiting_closure(self, g):
         # extending the lifespan (pure waiting) never changes non-strict reach
-        extended = g.with_lifespan(g.lifespan + 2)
+        extended = TemporalGraph(g.n, g.edges, g.lifespan + 2)
         for s in range(g.n):
             assert g.reachable_set(s, NON_STRICT) == extended.reachable_set(s, NON_STRICT)
 
@@ -264,30 +272,6 @@ class TestSweepAll:
         rng = random.Random(lifespan * 100 + int(density * 100))
         for _ in range(12):
             self.assert_agrees(random_graph(rng, rng.randint(0, 8), lifespan, density))
-
-
-class TestPropertyP:
-    def test_lifespan_one_is_snapshot_connectivity(self):
-        assert G(2, (0, 1, 1)).check_property_p()
-        assert not TemporalGraph.build(3, [TemporalEdge(0, 1, 1)], lifespan=1).check_property_p()
-
-    def test_lifespan_two_crossing_components(self):
-        # time-1 components {0,1},{2,3}; time-2 components {0,2},{1,3}: all intersect
-        g = G(4, (0, 1, 1), (2, 3, 1), (0, 2, 2), (1, 3, 2))
-        assert g.check_property_p()
-        assert g.is_temporally_connected(NON_STRICT)
-
-    def test_requires_positive_lifespan(self):
-        with pytest.raises(ValueError):
-            G(2).check_property_p()
-
-    def test_exhaustive_equivalence_small(self):
-        from oracles import all_graphs
-
-        for n in (1, 2, 3):
-            for lifespan in (1, 2, 3):
-                for g in all_graphs(n, lifespan):
-                    assert g.check_property_p() == g.is_temporally_connected(NON_STRICT)
 
 
 class TestAugment:
