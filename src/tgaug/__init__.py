@@ -48,15 +48,12 @@ from .temporal_graph import (
     NON_STRICT,
     STRICT,
     InvalidCandidateError,
-    Journey,
     ParseError,
     SnapshotComponents,
     TemporalEdge,
     TemporalGraph,
-    find_journey,
     format_tg,
     parse_tg,
-    validate_journey,
 )
 
 __version__ = "0.1.0"
@@ -70,7 +67,6 @@ __all__ = [
     "ExpansionGraph",
     "Infeasible",
     "InvalidCandidateError",
-    "Journey",
     "MergeStep",
     "NON_STRICT",
     "OctoResult",
@@ -88,7 +84,6 @@ __all__ = [
     "build_certificate",
     "build_expansion",
     "component_intersection_matrix",
-    "find_journey",
     "format_tg",
     "matrix_to_graph",
     "min_weight_connection",
@@ -101,6 +96,5 @@ __all__ = [
     "solve_tpca_via_expansion",
     "spanner_via_tca",
     "unrestricted_candidates",
-    "validate_journey",
     "verify_solution",
 ]

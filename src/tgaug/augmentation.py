@@ -18,8 +18,8 @@ from typing import Callable, Iterable, Sequence
 from .temporal_graph import (
     NON_STRICT,
     STRICT,
+    Hops,
     InvalidCandidateError,
-    Journey,
     TemporalEdge,
     TemporalGraph,
     sorted_edges,
@@ -140,7 +140,7 @@ class Solution:
     selected: tuple[TemporalEdge, ...]
     cost: int
     groups: tuple[tuple[int, int], ...] | None = None
-    certificate: tuple[tuple[int, int, Journey], ...] = ()
+    certificate: tuple[tuple[int, int, Hops], ...] = ()
 
     @property
     def feasible(self) -> bool:
@@ -413,7 +413,7 @@ def solve_exact(
     more than one source, as :func:`verify_solution` does.  The optional
     certificate builds one foremost-journey tree per distinct source and
     reads every witness journey off it, with the tie breaks
-    :func:`~tgaug.temporal_graph.find_journey` documents.
+    :func:`~tgaug.temporal_graph._journey_tree` documents.
     """
     units = _group_items(problem)
     if problem.semantics == NON_STRICT:
@@ -508,19 +508,23 @@ def _first_of_size(
 
 def build_certificate(
     problem: AugmentationProblem, selected: Iterable[TemporalEdge]
-) -> tuple[tuple[int, int, Journey], ...]:
-    """Witness journeys, one per reachability obligation met by the selection."""
+) -> tuple[tuple[int, int, Hops], ...]:
+    """Witness journeys ``(u, v, hops)``, one per reachability obligation the selection meets.
+
+    ``hops`` is empty when u is v.  This, ``with_certificate`` of
+    :func:`solve_exact` and :attr:`Solution.certificate` stay only because
+    ``benchmarks/replay.py`` calls them.
+    """
     augmented = problem.base.augment(selected)
-    semantics = problem.semantics
     pairs, _ = _demand_pairs(problem.requirement, augmented.n)
-    trees: dict[int, dict[int, tuple]] = {}
+    trees: dict[int, dict[int, Hops]] = {}
     witnesses = []
     for u, v in pairs:
         if u not in trees:
-            trees[u] = _journey_tree(augmented, u, semantics)
+            trees[u] = _journey_tree(augmented, u, problem.semantics)
         hops = trees[u].get(v)
         if hops is not None:
-            witnesses.append((u, v, Journey(hops, semantics)))
+            witnesses.append((u, v, hops))
     return tuple(witnesses)
 
 

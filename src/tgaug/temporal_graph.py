@@ -22,9 +22,8 @@ through two more kernels: :func:`_components` builds one from scratch
 (the snapshot components of the non-strict layers, the footprint of the
 subset search, the spread of a dominating-set witness) and
 :func:`_joined` merges the blocks that one link meets, as the subset
-search does at every node.  :func:`find_journey` reads
-its journeys off the foremost-journey tree that :func:`_journey_tree`
-builds in one walk over the edge times.
+search does at every node.  :func:`_journey_tree` walks the sweep layers
+too, and keeps the foremost journey into each vertex one source reaches.
 
 Every text format of the package shares one record grammar: :func:`_records`
 yields each line's fields once ``#`` comments go, :func:`_ints` reads
@@ -45,6 +44,8 @@ from typing import Iterable, Iterator, Sequence
 STRICT = "strict"
 NON_STRICT = "non-strict"
 SEMANTICS = (STRICT, NON_STRICT)
+# a journey's (from, to, time) steps, in order
+Hops = tuple[tuple[int, int, int], ...]
 
 
 class InvalidCandidateError(ValueError):
@@ -118,45 +119,6 @@ class SnapshotComponents:
 
     time: int
     blocks: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class Journey:
-    """A hop sequence certifying reachability.
-
-    ``hops`` is a tuple of (from, to, time) triples; consecutive hops chain
-    and times are non-decreasing (non-strict) or strictly increasing
-    (strict) per the carried ``semantics`` tag.  The empty journey is a
-    valid journey from any vertex to itself.
-    """
-
-    hops: tuple[tuple[int, int, int], ...]
-    semantics: str = NON_STRICT
-
-    def __post_init__(self):
-        _check_semantics(self.semantics)
-        prev_to = None
-        prev_t = None
-        for frm, to, t in self.hops:
-            if prev_to is not None and frm != prev_to:
-                raise ValueError(f"hops do not chain: {prev_to} -> {frm}")
-            if prev_t is not None:
-                if self.semantics == STRICT and not prev_t < t:
-                    raise ValueError(f"strict journey needs increasing times, got {prev_t} then {t}")
-                if self.semantics == NON_STRICT and not prev_t <= t:
-                    raise ValueError(f"journey times must be non-decreasing, got {prev_t} then {t}")
-            prev_to, prev_t = to, t
-
-    def __len__(self) -> int:
-        return len(self.hops)
-
-    @property
-    def start(self) -> int | None:
-        return self.hops[0][0] if self.hops else None
-
-    @property
-    def end(self) -> int | None:
-        return self.hops[-1][1] if self.hops else None
 
 
 @dataclass(frozen=True)
@@ -405,34 +367,25 @@ def _joined(masks: tuple[int, ...], link: int) -> tuple[int, ...]:
     return (hit, *rest)
 
 
-def _journey_tree(
-    g: TemporalGraph, source: int, semantics: str
-) -> dict[int, tuple[tuple[int, int, int], ...]]:
+def _journey_tree(g: TemporalGraph, source: int, semantics: str) -> dict[int, Hops]:
     """Hops of the foremost journey from ``source`` to every vertex it reaches.
 
-    Walks the edge times in order; the journey into a vertex first reached
-    at time t continues a journey already in the tree.  Strict: the first
-    edge at t in canonical order whose other endpoint was reached before t.
-    Non-strict: from the smallest vertex of the snapshot component reached
-    before t, the breadth-first path within the snapshot, smallest
-    neighbour first.
+    Walks the :func:`sweep` layers under the sweep's rule: a mask that
+    meets the vertices reached before its time adds its members not yet
+    reached.  Each gets the breadth-first path within the mask, smallest
+    neighbour first, from the smallest vertex of the mask reached before,
+    appended to that vertex's journey.  A strict mask is one edge, so the
+    canonically first edge into a vertex wins.
     """
-    strict = semantics == STRICT
     hops = {source: ()}
     reached = 1 << source
-    for t in g._edge_times:
-        before = reached
-        if strict:
-            for e in g._edges_by_time[t]:
-                for a, b in ((e.u, e.v), (e.v, e.u)):
-                    if before >> a & 1 and b not in hops:
-                        hops[b] = hops[a] + ((a, b, t),)
-                        reached |= 1 << b
-            continue
+    for t, layer in zip(g._edge_times, g._layers(semantics)):
         adj = g._adjacency[t]
-        for m in g._component_masks(t):
+        before = reached
+        for m in layer:
             inter = m & before
-            if not inter or inter == m:
+            new = m & ~reached
+            if not inter or not new:
                 continue
             anchor = (inter & -inter).bit_length() - 1
             path = {anchor: hops[anchor]}
@@ -440,41 +393,13 @@ def _journey_tree(
             while queue:
                 x = queue.popleft()
                 for y in adj[x]:
-                    if y not in path:
+                    if m >> y & 1 and y not in path:
                         path[y] = path[x] + ((x, y, t),)
                         queue.append(y)
-            for v in _mask_to_block(m & ~before):
+            for v in _mask_to_block(new):
                 hops[v] = path[v]
-            reached |= m
+            reached |= new
     return hops
-
-
-def validate_journey(g: TemporalGraph, journey: Journey, start: int | None = None) -> bool:
-    """True iff ``journey`` is a valid journey of ``g`` (optionally from ``start``)."""
-    if start is not None and journey.hops and journey.start != start:
-        return False
-    return all(TemporalEdge(frm, to, t) in g.edges for frm, to, t in journey.hops)
-
-
-def find_journey(
-    g: TemporalGraph, source: int, target: int, semantics: str = NON_STRICT
-) -> Journey | None:
-    """An explicit witness journey from source to target, or None.
-
-    A lookup in the foremost-journey tree of ``source``, which
-    :func:`_journey_tree` builds in one walk over the edge times.
-    Deterministic: the journey arrives at the target as early as possible
-    (strict: at every vertex on it; non-strict: a snapshot path may pass a
-    vertex reached earlier), and ties break toward the canonically first
-    edge (strict) or the smallest already-reached vertex and smallest
-    neighbours (non-strict), so equal inputs give equal journeys.
-    """
-    _check_semantics(semantics)
-    for v in (source, target):
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
-    hops = _journey_tree(g, source, semantics).get(target)
-    return None if hops is None else Journey(hops, semantics)
 
 
 # -- text formats ---------------------------------------------------------

@@ -79,6 +79,32 @@ def journey_connected(g: TemporalGraph, semantics: str) -> bool:
     return all(journey_reach(g, s, semantics) == set(range(g.n)) for s in range(g.n))
 
 
+def is_journey(
+    g: TemporalGraph,
+    hops: Sequence[tuple[int, int, int]],
+    semantics: str,
+    source: int,
+    target: int,
+) -> bool:
+    """Whether ``hops`` is a journey of ``g`` from ``source`` to ``target``.
+
+    The (from, to, time) hops chain from ``source`` to ``target`` (no hops
+    exactly when the two are equal), each is an edge of ``g`` in either
+    direction, and the times never decrease (strict: always increase).
+    """
+    if (len(hops) == 0) != (source == target):
+        return False
+    present = {(e.u, e.v, e.t) for e in g.edges} | {(e.v, e.u, e.t) for e in g.edges}
+    at, last = source, 0
+    for frm, to, t in hops:
+        if frm != at or (frm, to, t) not in present:
+            return False
+        if t < last or (semantics == STRICT and t == last):
+            return False
+        at, last = to, t
+    return at == target
+
+
 def journey_requirement_holds(
     problem: AugmentationProblem, selected: Iterable[TemporalEdge]
 ) -> bool:

@@ -4,26 +4,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_graphs, journey_connected, journey_reach, union_find_components
+from oracles import (
+    all_graphs,
+    is_journey,
+    journey_connected,
+    journey_reach,
+    union_find_components,
+)
 from tgaug.temporal_graph import (
     NON_STRICT,
     SEMANTICS,
     STRICT,
     InvalidCandidateError,
-    Journey,
     ParseError,
     TemporalEdge,
     TemporalGraph,
     _components,
+    _journey_tree,
     _mask_to_block,
-    find_journey,
     format_candidates,
     format_tg,
     parse_candidates,
     parse_tg,
     sweep,
     sweep_all,
-    validate_journey,
 )
 
 
@@ -40,6 +44,20 @@ def temporal_graphs(draw, max_n=8, max_t=4):
     return TemporalGraph.build(
         n, [TemporalEdge(u, v, t) for u, v, t in chosen], lifespan=lifespan
     )
+
+
+@st.composite
+def matching_graphs(draw, max_n=8, max_t=4):
+    """Temporal graphs whose every snapshot is a matching."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    lifespan = draw(st.integers(min_value=1, max_value=max_t))
+    edges = []
+    for t in range(1, lifespan + 1):
+        order = draw(st.permutations(range(n)))
+        for u, v in zip(order[::2], order[1::2]):
+            if draw(st.booleans()):
+                edges.append(TemporalEdge(u, v, t))
+    return TemporalGraph.build(n, edges, lifespan=lifespan)
 
 
 class TestTemporalEdge:
@@ -311,17 +329,15 @@ class TestAugment:
 
 class TestJourneys:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Journey(((0, 1, 1), (2, 3, 1)))  # hops do not chain
-        with pytest.raises(ValueError):
-            Journey(((0, 1, 2), (1, 2, 1)))  # times decrease
-        with pytest.raises(ValueError):
-            Journey(((0, 1, 1), (1, 2, 1)), STRICT)  # strict needs increase
+        g = G(4, (0, 1, 1), (0, 1, 2), (1, 2, 1), (2, 3, 1))
+        assert not is_journey(g, ((0, 1, 1), (2, 3, 1)), NON_STRICT, 0, 3)  # hops do not chain
+        assert not is_journey(g, ((0, 1, 2), (1, 2, 1)), NON_STRICT, 0, 2)  # times decrease
+        assert not is_journey(g, ((0, 1, 1), (1, 2, 1)), STRICT, 0, 2)  # strict needs increase
+        assert is_journey(g, ((0, 1, 1), (1, 2, 1)), NON_STRICT, 0, 2)
 
     def test_empty_journey_reflexive(self):
-        g = G(1)
-        j = find_journey(g, 0, 0, NON_STRICT)
-        assert j == Journey((), NON_STRICT)
+        for semantics in SEMANTICS:
+            assert _journey_tree(G(1), 0, semantics) == {0: ()}
 
     @pytest.mark.parametrize(
         "g, source, target, hops",
@@ -341,7 +357,7 @@ class TestJourneys:
         ],
     )
     def test_strict_tie_breaks(self, g, source, target, hops):
-        assert find_journey(g, source, target, STRICT) == Journey(hops, STRICT)
+        assert _journey_tree(g, source, STRICT)[target] == hops
 
     @pytest.mark.parametrize(
         "g, source, target, hops",
@@ -372,13 +388,13 @@ class TestJourneys:
         ],
     )
     def test_nonstrict_tie_breaks(self, g, source, target, hops):
-        assert find_journey(g, source, target, NON_STRICT) == Journey(hops, NON_STRICT)
+        assert _journey_tree(g, source, NON_STRICT)[target] == hops
 
     def test_unreachable_target_has_no_journey(self):
         g = G(3, (0, 1, 2), (1, 2, 1))
         for semantics in (STRICT, NON_STRICT):
-            assert find_journey(g, 0, 2, semantics) is None
-            assert find_journey(g, 2, 0, semantics) == Journey(((2, 1, 1), (1, 0, 2)), semantics)
+            assert 2 not in _journey_tree(g, 0, semantics)
+            assert _journey_tree(g, 2, semantics)[0] == ((2, 1, 1), (1, 0, 2))
 
     @settings(max_examples=100, deadline=None)
     @given(temporal_graphs(max_n=6, max_t=4))
@@ -391,30 +407,28 @@ class TestJourneys:
                     prefix = TemporalGraph(g.n, frozenset(e for e in g.edges if e.t <= t), t)
                     for v in journey_reach(prefix, s, semantics):
                         arrival.setdefault(v, t)
-                for v in range(g.n):
-                    j = find_journey(g, s, v, semantics)
-                    if v not in arrival:
-                        assert j is None
-                    elif v == s:
-                        assert j.hops == ()
-                    else:
-                        assert j.hops[-1][2] == arrival[v]
+                tree = _journey_tree(g, s, semantics)
+                assert tree.keys() == arrival.keys()
+                for v, hops in tree.items():
+                    assert (hops[-1][2] if hops else 0) == arrival[v]
 
     @settings(max_examples=100, deadline=None)
     @given(temporal_graphs(max_n=6, max_t=3))
-    def test_find_journey_consistent_with_reachability(self, g):
+    def test_journey_tree_consistent_with_reachability(self, g):
         for semantics in (STRICT, NON_STRICT):
             for s in range(g.n):
-                reach = g.reachable_set(s, semantics)
-                for v in range(g.n):
-                    j = find_journey(g, s, v, semantics)
-                    if v in reach:
-                        assert j is not None
-                        assert validate_journey(g, j, s)
-                        assert j.semantics == semantics
-                        assert (j.end if j.hops else s) == v
-                    else:
-                        assert j is None
+                tree = _journey_tree(g, s, semantics)
+                assert tree.keys() == g.reachable_set(s, semantics)
+                for v, hops in tree.items():
+                    assert is_journey(g, hops, semantics, s, v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(matching_graphs())
+    def test_semantics_agree_on_matchings(self, g):
+        # a vertex meets at most one edge per time, so a non-strict journey
+        # takes one hop per time too
+        for s in range(g.n):
+            assert _journey_tree(g, s, STRICT) == _journey_tree(g, s, NON_STRICT)
 
 
 class TestFormats:
