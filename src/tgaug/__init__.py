@@ -33,7 +33,6 @@ from .octo import (
     apply_sequence,
     component_intersection_matrix,
     matrix_to_graph,
-    or_combine,
     sequence_to_edges,
     solve_octo,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "format_tg",
     "matrix_to_graph",
     "min_weight_connection",
-    "or_combine",
     "parse_tg",
     "sequence_to_edges",
     "solve_exact",

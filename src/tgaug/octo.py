@@ -59,9 +59,6 @@ class BinaryMatrix:
     def is_one_filled(self) -> bool:
         return all(all(row) for row in self.rows)
 
-    def transpose(self) -> "BinaryMatrix":
-        return BinaryMatrix(tuple(zip(*self.rows)))
-
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
 
@@ -129,38 +126,15 @@ def matrix_to_graph(b: BinaryMatrix) -> TemporalGraph:
     return TemporalGraph.build(len(ones), edges, lifespan=2)
 
 
-def or_combine(b: BinaryMatrix, axis: str, i: int, j: int) -> BinaryMatrix:
-    """Replace lines i and j along ``axis`` by their entrywise OR.
-
-    The combined line lands at min(i, j); the dimension shrinks by one.
-    Every other line keeps its values and its relative order, so line k
-    moves to k - 1 exactly when k > max(i, j).
-    """
-    if axis not in (ROWS, COLS):
-        raise ValueError(f"axis must be {ROWS!r} or {COLS!r}")
-    if i == j:
-        raise ValueError("cannot combine a line with itself")
-    size = b.n_rows if axis == ROWS else b.n_cols
-    for k in (i, j):
-        if not 0 <= k < size:
-            raise ValueError(f"index {k} out of range 0..{size - 1}")
-    lo, hi = min(i, j), max(i, j)
-    lines = b.rows if axis == ROWS else b.transpose().rows
-    merged = tuple(x | y for x, y in zip(lines[lo], lines[hi]))
-    b = BinaryMatrix(lines[:lo] + (merged,) + lines[lo + 1 : hi] + lines[hi + 1 :])
-    return b if axis == ROWS else b.transpose()
-
-
 @dataclass(frozen=True)
 class MergeStep:
-    """One OR-combination, named by original line indices.
+    """One OR-combination of two line groups along ``axis``.
 
-    ``i`` and ``j`` name the two merged groups by their representatives:
-    the smallest original index in each group.  Merges keep lines in
-    order, so representatives increase with position and the merged group
-    is named by the representative of the lower line.  A history can thus
-    be replayed on the original matrix regardless of how intermediate
-    merges renumbered the lines.
+    Every line starts as its own group, and a merge joins two groups of
+    one axis.  ``i`` and ``j`` name them by their representatives, the
+    smallest original index in each group, and the joined group takes the
+    smaller one.  A history thus names the same lines however earlier
+    merges renumbered the matrix's lines.
     """
 
     axis: str
@@ -223,32 +197,36 @@ def solve_octo(b: BinaryMatrix, budget: int | None = None) -> OctoResult:
     return OctoResult("solved", len(steps), tuple(steps))
 
 
-def _replay(shape: tuple[int, int], steps: Sequence[MergeStep]) -> list[tuple[str, int, int]]:
-    """Check a merge history against a matrix of ``shape`` (rows, columns).
+def _groups(shape: tuple[int, int], steps: Sequence[MergeStep]) -> dict[str, list[list[int]]]:
+    """The groups of original lines that a merge history leaves, per axis.
 
-    Returns each step's line positions ``(axis, a, c)`` with a < c at the
-    time the step applies.  Raises ``ValueError`` unless every step names
-    two distinct current representatives.
+    ``shape`` is the matrix's (rows, columns).  Each group lists its
+    representative first, and the groups come in representative order,
+    which is the order of the merged matrix's lines.  Raises
+    ``ValueError`` unless every step names two distinct current
+    representatives.
     """
-    names = {ROWS: list(range(shape[0])), COLS: list(range(shape[1]))}
-    moves = []
+    groups = {ROWS: {k: [k] for k in range(shape[0])}, COLS: {k: [k] for k in range(shape[1])}}
     for step in steps:
-        current = names.get(step.axis, [])
+        current = groups.get(step.axis, {})
         if step.i not in current or step.j not in current:
             raise ValueError(f"step {step} names a line that is not a group representative")
         if step.i == step.j:
             raise ValueError("cannot combine a line with itself")
-        a, c = sorted((current.index(step.i), current.index(step.j)))
-        del current[c]
-        moves.append((step.axis, a, c))
-    return moves
+        lo, hi = sorted((step.i, step.j))
+        current[lo] += current.pop(hi)
+    return {axis: list(current.values()) for axis, current in groups.items()}
 
 
 def apply_sequence(b: BinaryMatrix, steps: Sequence[MergeStep]) -> BinaryMatrix:
-    """Replay a merge history on the original matrix."""
-    for axis, a, c in _replay((b.n_rows, b.n_cols), steps):
-        b = or_combine(b, axis, a, c)
-    return b
+    """The merged matrix: entry (R, C) is the OR of b over row group R and column group C."""
+    groups = _groups((b.n_rows, b.n_cols), steps)
+    return BinaryMatrix(
+        tuple(
+            tuple(max(b.rows[i][j] for i in rows for j in cols) for cols in groups[COLS])
+            for rows in groups[ROWS]
+        )
+    )
 
 
 def sequence_to_edges(g: TemporalGraph, steps: Sequence[MergeStep]) -> tuple[TemporalEdge, ...]:
@@ -263,7 +241,7 @@ def sequence_to_edges(g: TemporalGraph, steps: Sequence[MergeStep]) -> tuple[Tem
     if g.lifespan != 2:
         raise ValueError(f"requires lifespan exactly 2, got {g.lifespan}")
     blocks = {ROWS: g.snapshot_components(1).blocks, COLS: g.snapshot_components(2).blocks}
-    _replay((len(blocks[ROWS]), len(blocks[COLS])), steps)
+    _groups((len(blocks[ROWS]), len(blocks[COLS])), steps)
     return tuple(
         TemporalEdge(blocks[s.axis][s.i][0], blocks[s.axis][s.j][0], 1 if s.axis == ROWS else 2)
         for s in steps

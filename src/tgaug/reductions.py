@@ -24,7 +24,7 @@ from .augmentation import (
     Source,
     unrestricted_candidates,
 )
-from .octo import COLS, ROWS, BinaryMatrix, MergeStep, _replay, apply_sequence
+from .octo import COLS, BinaryMatrix, MergeStep, _groups, apply_sequence
 from .temporal_graph import (
     NON_STRICT,
     STRICT,
@@ -342,26 +342,22 @@ def dsc_steps_to_witness(
 ) -> tuple[tuple[int, ...], ...]:
     """Extract a partition into covering parts from a one-filling merge history.
 
-    Useless row merges (those whose removal still one-fills) are dropped
-    first.  What remains must be column merges only, and each of their
-    column groups one-fills its column, so each covers the universe; a
-    group that does not (``inst`` is not the instance ``red`` came from)
-    raises ``ValueError``.
+    Useless row merges (those whose removal still one-fills) are dropped.
+    Splitting a row group can only clear 1s, so all of them go exactly when
+    the column merges alone one-fill; otherwise a meaningful row merge stays
+    and the history is rejected.  Each column group then one-fills its
+    column, so it covers the universe; ``ValueError`` is raised when ``inst``
+    is not the instance ``red`` came from.
     """
-    kept = list(steps)
-    if not apply_sequence(red.matrix, kept).is_one_filled:
+    if len(inst.subsets) != red.matrix.n_cols:
+        raise ValueError(f"instance has {len(inst.subsets)} sets, not {red.matrix.n_cols}")
+    if not apply_sequence(red.matrix, steps).is_one_filled:
         raise ValueError("history does not one-fill the matrix")
-    for step in list(kept):
-        if step.axis == ROWS:
-            trial = [s for s in kept if s is not step]
-            if apply_sequence(red.matrix, trial).is_one_filled:
-                kept = trial
-    if any(step.axis != COLS for step in kept):
+    columns = [s for s in steps if s.axis == COLS]
+    if not apply_sequence(red.matrix, columns).is_one_filled:
         raise ValueError("history still contains a meaningful row merge")
-    members = [[j] for j in range(red.matrix.n_cols)]
-    for _, a, c in _replay((red.matrix.n_rows, red.matrix.n_cols), kept):
-        members[a] += members.pop(c)
-    parts = tuple(tuple(sorted(part)) for part in members)
+    shape = (red.matrix.n_rows, red.matrix.n_cols)
+    parts = tuple(tuple(sorted(group)) for group in _groups(shape, columns)[COLS])
     universe = set(range(inst.universe_size))
     if not all(set().union(*(inst.subsets[j] for j in part)) >= universe for part in parts):
         raise ValueError("a column group does not cover the universe")

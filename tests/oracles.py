@@ -278,6 +278,27 @@ def random_graph(rng, n: int, lifespan: int, p: float) -> TemporalGraph:
     return TemporalGraph.build(n, edges, lifespan=lifespan)
 
 
+def merge_by_positions(rows: tuple[tuple[int, ...], ...], steps) -> tuple[tuple[int, ...], ...]:
+    """Replay a merge history by OR-ing two lines at their current positions.
+
+    Each step names two groups by their smallest original line (``axis`` is
+    "rows" or "cols"); the OR takes the lower of the two positions and the
+    smaller of the two names, and the other line is deleted.
+    """
+    rows = [list(r) for r in rows]
+    names = {"rows": list(range(len(rows))), "cols": list(range(len(rows[0])))}
+    for step in steps:
+        labels = names[step.axis]
+        a, c = sorted((labels.index(step.i), labels.index(step.j)))
+        labels[a] = min(labels[a], labels.pop(c))
+        if step.axis == "rows":
+            rows[a] = [x | y for x, y in zip(rows[a], rows.pop(c))]
+        else:
+            for r in rows:
+                r[a] |= r.pop(c)
+    return tuple(tuple(r) for r in rows)
+
+
 def brute_octo_min(rows: tuple[tuple[int, ...], ...]) -> int | None:
     """Minimum OR-combinations by plain BFS over raw matrix states (no canonicalization)."""
     from collections import deque

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_min_cost, brute_octo_min
+from oracles import brute_min_cost, brute_octo_min, merge_by_positions
 from tgaug.augmentation import AugmentationProblem, solve_exact, unrestricted_candidates
 from tgaug.octo import (
     COLS,
@@ -17,7 +17,6 @@ from tgaug.octo import (
     component_intersection_matrix,
     format_matrix,
     matrix_to_graph,
-    or_combine,
     parse_matrix,
     sequence_to_edges,
     solve_octo,
@@ -58,6 +57,20 @@ def merges(draw):
     axis = draw(st.sampled_from([a for a in (ROWS, COLS) if sizes[a] >= 2]))
     i, j = draw(st.permutations(range(sizes[axis])))[:2]
     return b, axis, i, j
+
+
+@st.composite
+def histories(draw):
+    """(matrix, steps): a valid merge history over both axes, each step naming two current groups."""
+    b = draw(matrices(max_dim=5))
+    reps = {ROWS: list(range(b.n_rows)), COLS: list(range(b.n_cols))}
+    steps = []
+    for _ in range(draw(st.integers(min_value=0, max_value=b.n_rows + b.n_cols - 2))):
+        axis = draw(st.sampled_from([a for a in (ROWS, COLS) if len(reps[a]) >= 2]))
+        i, j = draw(st.permutations(reps[axis]))[:2]
+        reps[axis].remove(max(i, j))  # the joined group keeps the smaller name
+        steps.append(MergeStep(axis, i, j))
+    return b, steps
 
 
 def _line(b, axis, k):
@@ -139,20 +152,26 @@ class TestMatrixToGraph:
 
 
 class TestOrCombine:
+    """One-step histories: at the start every line is its own representative."""
+
+    @staticmethod
+    def combine(b, axis, i, j):
+        return apply_sequence(b, [MergeStep(axis, i, j)])
+
     def test_identity_columns(self):
-        assert or_combine(M([[1, 0], [0, 1]]), COLS, 0, 1) == M([[1], [1]])
+        assert self.combine(M([[1, 0], [0, 1]]), COLS, 0, 1) == M([[1], [1]])
 
     def test_duplicate_rows_collapse(self):
-        assert or_combine(M([[1, 0], [1, 0]]), ROWS, 0, 1) == M([[1, 0]])
+        assert self.combine(M([[1, 0], [1, 0]]), ROWS, 0, 1) == M([[1, 0]])
 
     def test_index_errors(self):
         b = M([[1, 0], [0, 1]])
         with pytest.raises(ValueError):
-            or_combine(b, ROWS, 0, 0)
+            self.combine(b, ROWS, 0, 0)
         with pytest.raises(ValueError):
-            or_combine(b, ROWS, 0, 2)
+            self.combine(b, ROWS, 0, 2)
         with pytest.raises(ValueError):
-            or_combine(b, "diag", 0, 1)
+            self.combine(b, "diag", 0, 1)
 
     @settings(max_examples=150, deadline=None)
     @given(merge=merges())
@@ -161,7 +180,7 @@ class TestOrCombine:
     def test_ones_never_decrease_and_dims_shrink(self, merge):
         b, axis, i, j = merge
         size = b.n_rows if axis == ROWS else b.n_cols
-        merged = or_combine(b, axis, i, j)
+        merged = self.combine(b, axis, i, j)
         if axis == ROWS:
             assert (merged.n_rows, merged.n_cols) == (b.n_rows - 1, b.n_cols)
         else:
@@ -176,6 +195,21 @@ class TestOrCombine:
         assert sum(_line(merged, axis, lo)) >= max(sum(line_i), sum(line_j))
         overlap = sum(x & y for x, y in zip(line_i, line_j))
         assert sum(map(sum, merged.rows)) == sum(map(sum, b.rows)) - overlap
+
+
+class TestHistories:
+    # benchmarks/checks.py accepts or rejects every OCTO output by apply_sequence
+    @settings(max_examples=200, deadline=None)
+    @given(history=histories())
+    @example(
+        history=(
+            M([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            [MergeStep(COLS, 1, 2), MergeStep(ROWS, 2, 0), MergeStep(COLS, 1, 0)],
+        )
+    )
+    def test_matches_position_merges(self, history):
+        b, steps = history
+        assert apply_sequence(b, steps).rows == merge_by_positions(b.rows, steps)
 
 
 class TestSolveOcto:
@@ -258,7 +292,7 @@ class TestSolveOcto:
             b = BinaryMatrix(
                 tuple(tuple(rng.randint(0, 1) for _ in range(c)) for _ in range(r))
             )
-            a, bt = solve_octo(b), solve_octo(b.transpose())
+            a, bt = solve_octo(b), solve_octo(BinaryMatrix(tuple(zip(*b.rows))))
             assert a.min_combinations == bt.min_combinations and a.status == bt.status
 
 

@@ -260,6 +260,14 @@ class TestDisjointSetCovers:
         with pytest.raises(ValueError, match="row merge"):
             dsc_steps_to_witness(inst2, reduce_dsc(inst2), rows_only)
 
+    @pytest.mark.parametrize("n_sets", [1, 4])
+    def test_steps_to_witness_needs_the_reduced_instance(self, n_sets):
+        # the empty history one-fills, so only the set count tells the instances apart
+        red = reduce_dsc(SetSystemInstance(1, (frozenset({0}),) * 3, 3))
+        other = SetSystemInstance(1, (frozenset({0}),) * n_sets, 1)
+        with pytest.raises(ValueError, match=f"instance has {n_sets} sets, not 3"):
+            dsc_steps_to_witness(other, red, ())
+
     @pytest.mark.parametrize(
         "parts",
         [[[0, 1]], [[0, 1], [1, 2]], [[0, 1], [2, 3]], [[0, 1], [], [2]]],

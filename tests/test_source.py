@@ -15,6 +15,7 @@ def test_public_names_resolve():
     assert len(set(tgaug.__all__)) == len(tgaug.__all__)
     missing = [name for name in tgaug.__all__ if not hasattr(tgaug, name)]
     assert not missing, f"tgaug.__all__ names undefined attributes {missing}"
+    exec("from tgaug import *", {})
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
