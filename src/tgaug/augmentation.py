@@ -99,19 +99,12 @@ class AugmentationProblem:
             raise ValueError(
                 f"declared lifespan {self.lifespan} is below the base graph's lifespan {self.base.lifespan}"
             )
-        n = self.base.n
-        overlap = self.candidates & self.base.edges
-        if overlap:
-            raise InvalidCandidateError(
-                f"candidates already in the base graph: {', '.join(map(str, sorted_edges(overlap)))}"
-            )
         horizon = self.effective_lifespan
-        for e in self.candidates:
-            if not 0 <= e.u < n or not 0 <= e.v < n:
-                raise InvalidCandidateError(f"candidate {e} has endpoints outside 0..{n - 1}")
-            if e.t > horizon:
-                raise InvalidCandidateError(f"candidate {e} exceeds the lifespan {horizon}")
-        _demands(self.requirement, n)  # checks the named vertices
+        # augment names a candidate that is in the base graph or has an endpoint outside it
+        if self.base.augment(self.candidates).lifespan > horizon:
+            latest = self.candidates_sorted[-1]
+            raise InvalidCandidateError(f"candidate {latest} exceeds the lifespan {horizon}")
+        _demands(self.requirement, self.base.n)  # checks the named vertices
 
     @property
     def effective_lifespan(self) -> int:

@@ -32,6 +32,7 @@ from .temporal_graph import (
     parse_candidates,
     parse_tg,
     sorted_edges,
+    _is_int,
 )
 
 _SEMANTICS_FLAG = {"strict": STRICT, "nonstrict": NON_STRICT}
@@ -48,10 +49,6 @@ def _read(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 _JSON_TYPES = {str: "a string", int: "an integer", dict: "an object", list: "a list"}

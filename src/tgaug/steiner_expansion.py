@@ -249,6 +249,7 @@ def min_weight_connection(
     """
     if not 0 <= demand <= len(pairs):
         raise ValueError("demand must lie between 0 and the number of pairs")
+    _check_pairs(pairs, len(exp.nodes))
     gates = exp.positive_gate_edges
     combo = _cheapest_subset(_GateSpace(exp, pairs, demand), budget)
     if isinstance(combo, Infeasible):

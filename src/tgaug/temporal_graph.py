@@ -62,6 +62,10 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_semantics(semantics: str) -> None:
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}, expected one of {SEMANTICS}")
@@ -71,8 +75,8 @@ def _check_semantics(semantics: str) -> None:
 class TemporalEdge:
     """An undirected edge present at one time step.
 
-    Endpoints are normalized so that ``u < v``; self-loops and
-    non-positive times are rejected.
+    Endpoints are normalized so that ``u < v``; fields that are not ints
+    (``bool`` included), self-loops and non-positive times are rejected.
     """
 
     u: int
@@ -81,7 +85,7 @@ class TemporalEdge:
 
     def __post_init__(self):
         u, v, t = self.u, self.v, self.t
-        if not (isinstance(u, int) and isinstance(v, int) and isinstance(t, int)):
+        if not (type(u) is type(v) is type(t) is int or all(map(_is_int, (u, v, t)))):
             raise ValueError(f"temporal edge fields must be ints, got ({u!r}, {v!r}, {t!r})")
         if u == v:
             raise ValueError(f"self-loop on vertex {u} is not allowed")
@@ -117,7 +121,6 @@ class SnapshotComponents:
     vertices appear as singleton blocks, so the blocks always cover 0..n-1.
     """
 
-    time: int
     blocks: tuple[tuple[int, ...], ...]
 
 
@@ -125,27 +128,30 @@ class SnapshotComponents:
 class TemporalGraph:
     """Immutable temporal graph on vertices 0..n-1.
 
-    ``lifespan`` defaults to the maximum edge time (0 when edgeless) and may
-    be overridden upwards, e.g. so an empty graph can still host candidate
-    edges at later times.  Use :meth:`build` to construct from an arbitrary
-    edge iterable with duplicate detection.
+    The constructor checks every edge set: ``n`` is non-negative, every
+    endpoint lies in 0..n-1, and ``lifespan`` is at least the maximum edge
+    time.  ``lifespan`` defaults to that maximum (0 when edgeless) and may
+    be set higher, e.g. so an empty graph can still host candidate edges
+    at later times.  A frozenset hides repeated edges, so :meth:`build`
+    takes any edge iterable and rejects repeats.
     """
 
     n: int
     edges: frozenset[TemporalEdge] = frozenset()
-    lifespan: int = 0
+    lifespan: int | None = None
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
-        max_t = 0
         for e in self.edges:
             if not 0 <= e.u < self.n or not 0 <= e.v < self.n:
                 raise ValueError(f"edge {e} has endpoints outside 0..{self.n - 1}")
-            if e.t > max_t:
-                max_t = e.t
-        if self.lifespan < max_t:
-            raise ValueError(f"lifespan {self.lifespan} is below the maximum edge time {max_t}")
+        if self.lifespan is None:
+            object.__setattr__(self, "lifespan", self.max_edge_time)
+        elif self.lifespan < self.max_edge_time:
+            raise ValueError(
+                f"declared lifespan {self.lifespan} is below the maximum edge time {self.max_edge_time}"
+            )
 
     @classmethod
     def build(
@@ -156,8 +162,7 @@ class TemporalGraph:
         if len(edge_set) != len(edge_list):
             dupes = sorted_edges(e for e in edge_set if edge_list.count(e) > 1)
             raise ValueError(f"duplicate temporal edges: {', '.join(map(str, dupes))}")
-        max_t = max((e.t for e in edge_set), default=0)
-        return cls(n, edge_set, max_t if lifespan is None else lifespan)
+        return cls(n, edge_set, lifespan)
 
     # -- basic queries -------------------------------------------------
 
@@ -215,7 +220,7 @@ class TemporalGraph:
         """Connected components of the snapshot at time t as a partition."""
         self._check_time(t)
         blocks = tuple(_mask_to_block(m) for m in self._component_masks(t))
-        return SnapshotComponents(t, blocks)
+        return SnapshotComponents(blocks)
 
     # -- reachability ----------------------------------------------------
 
@@ -253,23 +258,16 @@ class TemporalGraph:
     def augment(self, extra: Iterable[TemporalEdge]) -> "TemporalGraph":
         """Graph with ``extra`` added; lifespan extends to cover the new edges.
 
-        Raises :class:`InvalidCandidateError` if any added edge already
-        exists (candidate sets are disjoint from the graph by definition).
+        Raises :class:`InvalidCandidateError`, naming the edge, when an added
+        edge is repeated, already exists (candidate sets are disjoint from
+        the graph by definition) or has an endpoint outside 0..n-1.
         """
-        extra_list = list(extra)
-        extra_set = frozenset(extra_list)
-        if len(extra_set) != len(extra_list):
-            raise InvalidCandidateError("duplicate edges in the added set")
-        overlap = extra_set & self.edges
-        if overlap:
-            raise InvalidCandidateError(
-                f"edges already present: {', '.join(map(str, sorted_edges(overlap)))}"
-            )
-        for e in extra_set:
-            if not 0 <= e.u < self.n or not 0 <= e.v < self.n:
-                raise InvalidCandidateError(f"edge {e} has endpoints outside 0..{self.n - 1}")
-        lifespan = max(self.lifespan, max((e.t for e in extra_set), default=0))
-        return TemporalGraph(self.n, self.edges | extra_set, lifespan)
+        extra = list(extra)
+        lifespan = max(self.lifespan, max((e.t for e in extra), default=0))
+        try:
+            return TemporalGraph.build(self.n, [*self.edges, *extra], lifespan)
+        except ValueError as exc:
+            raise InvalidCandidateError(str(exc)) from None
 
 
 def _mask_to_block(mask: int) -> tuple[int, ...]:
@@ -435,12 +433,11 @@ def parse_tg(text: str) -> TemporalGraph:
             raise ParseError(f"unknown record type {fields[0]!r}", lineno)
     if n is None:
         raise ParseError("missing V record")
-    max_t = max((e.t for e in edges), default=0)
-    if override is not None and override < max_t:
-        raise ParseError(
-            f"declared lifespan {override} is below the maximum edge time {max_t}", override_line
-        )
-    return TemporalGraph.build(n, edges, lifespan=override)
+    try:
+        return TemporalGraph.build(n, edges, lifespan=override)
+    except ValueError as exc:
+        # each record was checked as it was read, so only a declared lifespan can fail here
+        raise ParseError(str(exc), override_line) from None
 
 
 def _records(text: str) -> Iterator[tuple[int, list[str]]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import defaultdict
 from typing import Iterable, Sequence
 
 from tgaug.augmentation import All, AugmentationProblem, Source, verify_solution
@@ -234,7 +235,10 @@ def brute_sat(n_vars: int, clauses: Sequence[Sequence[int]]):
 
 
 def dijkstra_weight(exp: ExpansionGraph, src: int, dst: int) -> int | None:
-    """Weighted shortest path with every gate open."""
+    """Weighted shortest path with every gate open, read off the arc list alone."""
+    out = defaultdict(list)
+    for a, b, w in exp.arcs:
+        out[a].append((b, w))
     dist = {src: 0}
     heap = [(0, src)]
     while heap:
@@ -243,7 +247,7 @@ def dijkstra_weight(exp: ExpansionGraph, src: int, dst: int) -> int | None:
             return d
         if d > dist.get(node, float("inf")):
             continue
-        for nxt, w, _ in exp.adjacency[node]:
+        for nxt, w in out[node]:
             nd = d + w
             if nd < dist.get(nxt, float("inf")):
                 dist[nxt] = nd

@@ -72,10 +72,14 @@ class TestProblemModel:
         with pytest.raises(ValueError):
             Pairs(())
 
+    def test_candidate_outside_the_graph(self):
+        with pytest.raises(InvalidCandidateError, match=r"\{1,2\}@1 has endpoints outside 0\.\.1"):
+            AugmentationProblem(G(2, (0, 1, 1)), frozenset({E(1, 2, 1)}))
+
     def test_candidate_beyond_declared_lifespan(self):
-        with pytest.raises(InvalidCandidateError):
+        with pytest.raises(InvalidCandidateError, match=r"^candidate \{0,1\}@5 exceeds the lifespan 3$"):
             AugmentationProblem(
-                G(2, (0, 1, 1)), frozenset({E(0, 1, 5)}), lifespan=3
+                G(3, (0, 1, 1)), frozenset({E(0, 1, 5), E(1, 2, 2), E(0, 2, 4)}), lifespan=3
             )
         # without a declared horizon the candidate simply extends it
         p = AugmentationProblem(G(2, (0, 1, 1)), frozenset({E(0, 1, 5)}))

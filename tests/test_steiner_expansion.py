@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -135,6 +136,13 @@ class TestSolver:
                     assert found.weight == expected == len(found.selected)
                     checked += 1
         assert checked > 60
+
+    @pytest.mark.parametrize("pair", [(0, 999), (0, -1), (999, 0)])
+    def test_pairs_name_nodes_of_the_expansion(self, pair):
+        g = TemporalGraph.build(2, [TemporalEdge(0, 1, 1)])
+        exp, _ = build_expansion(TGSteinerInstance.from_weights(g, dict.fromkeys(g.edges, 1), []))
+        with pytest.raises(ValueError, match=re.escape(f"pair ({pair[0]},{pair[1]}) out of range 0..5")):
+            min_weight_connection(exp, [pair], 1)
 
     def test_gate_cap(self):
         """The search has no size cap: 21 positive gates solve."""

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +73,11 @@ class TestTemporalEdge:
         with pytest.raises(ValueError):
             TemporalEdge(0, 1, 0)
 
+    @pytest.mark.parametrize("fields", [(True, 2, 1), (0, 1, True)])
+    def test_rejects_bool_fields(self, fields):
+        with pytest.raises(ValueError, match="^temporal edge fields must be ints"):
+            TemporalEdge(*fields)
+
 
 class TestConstruction:
     def test_duplicate_edges_rejected(self):
@@ -87,6 +93,13 @@ class TestConstruction:
 
     def test_edgeless_lifespan_zero(self):
         assert G(3).lifespan == 0
+
+    @pytest.mark.parametrize("triples", [(), ((0, 1, 2),), ((0, 1, 2), (1, 2, 4), (0, 2, 1))])
+    def test_constructor_defaults_like_build(self, triples):
+        edges = [TemporalEdge(u, v, t) for u, v, t in triples]
+        g = TemporalGraph(3, frozenset(edges))
+        assert g == TemporalGraph.build(3, edges)
+        assert g.lifespan == max((t for _, _, t in triples), default=0)
 
 
 class TestSnapshot:
@@ -303,8 +316,19 @@ class TestAugment:
 
     def test_rejects_overlap(self):
         g = G(2, (0, 1, 1))
-        with pytest.raises(InvalidCandidateError):
+        with pytest.raises(InvalidCandidateError, match=re.escape("{0,1}@1")):
             g.augment([TemporalEdge(0, 1, 1)])
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            ([(1, 2, 2), (2, 1, 2)], "{1,2}@2"),  # repeated in the added set
+            ([(1, 2, 1), (1, 3, 1)], "{1,3}@1"),  # endpoint outside 0..2
+        ],
+    )
+    def test_rejects_bad_added_edges_by_name(self, extra, named):
+        with pytest.raises(InvalidCandidateError, match=re.escape(named)):
+            G(3, (0, 1, 1)).augment(TemporalEdge(u, v, t) for u, v, t in extra)
 
     def test_lifespan_extends(self):
         g = G(2, (0, 1, 1)).augment([TemporalEdge(0, 1, 5)])
