@@ -80,7 +80,7 @@ class AugmentationProblem:
     """A base graph, a disjoint candidate edge set, and what must become reachable."""
 
     base: TemporalGraph
-    candidates: frozenset[TemporalEdge]
+    candidates: frozenset[TemporalEdge]  # any iterable of edges, kept as a frozenset
     requirement: Requirement = All()
     semantics: str = NON_STRICT
     cost_model: str = COST_EDGE
@@ -88,6 +88,7 @@ class AugmentationProblem:
     lifespan: int | None = None  # declared horizon, at least the base's; else what the edges span
 
     def __post_init__(self):
+        object.__setattr__(self, "candidates", frozenset(self.candidates))
         _check_semantics(self.semantics)
         if self.cost_model not in COST_MODELS:
             raise ValueError(f"unknown cost model {self.cost_model!r}")
@@ -193,9 +194,10 @@ def _demands_met(
 
     Calls ``reach`` once per source and stops once the answer is settled.
     The entry that settles a failure moves to the front, to be tried first
-    when a search checks the same list again.  The per-node test of the
-    subset search passes one :func:`~tgaug.temporal_graph.sweep` per call,
-    since it mostly fails on its first entry; :func:`verify_solution` and
+    when a search checks the same list again.  The subset search's
+    :meth:`_LayerSpace.holds` passes a ``reach`` that runs one
+    :func:`~tgaug.temporal_graph.sweep` per source asked, since a tested
+    subset mostly fails on its first entry; :func:`verify_solution` and
     the search's root tests pass :func:`_reach_all`.
     """
     met = 0
@@ -314,6 +316,37 @@ class _LayerSpace:
     def holds(self, layers: Sequence[tuple[int, ...]]) -> bool:
         return _demands_met(self.entries, self.required, lambda s: sweep(layers, 1 << s))
 
+    def leaf_test(self, layers: Sequence[tuple[int, ...]]) -> Callable[[int], bool]:
+        """``unit -> bool``: whether the front demand entry is met once the unit joins ``layers``.
+
+        One forward sweep of the entry's source records the reach before and
+        after each slot.  A unit fires at the first of its slots whose link
+        meets the reach before the slot (strict) or after it (non-strict),
+        and the sweep goes on from there with the link's two vertices added.
+        A sweep from a set is the union of the sweeps from its members, and
+        once both endpoints are reached the unit's later edges add nothing.
+        A B-of-p demand can be met without its front entry: every unit passes.
+        """
+        if self.required < len(self.entries):
+            return lambda unit: True
+        source, need = self.entries[0]
+        gates = []  # per slot: the mask a link must meet, where the sweep resumes, from what
+        reach = 1 << source
+        for k, layer in enumerate(layers):
+            grown = sweep((layer,), reach)
+            gates.append((reach, k + 1, grown) if self.strict else (grown, k, reach))
+            reach = grown
+        met = reach & need == need
+
+        def test(unit: int) -> bool:
+            for k, link in self.patches[unit]:
+                gate, resume, start = gates[k]
+                if link & gate:
+                    return sweep(layers[resume:], start | link) & need == need
+            return met
+
+        return test
+
     def root_holds(self, layers: Sequence[tuple[int, ...]]) -> bool:
         """:meth:`holds` for the search's root tests, which rarely stop at the first source."""
         reach = _reach_all(layers, self.n, self.entries)
@@ -400,7 +433,15 @@ def solve_exact(
     tested subset costs only the requirement's sweeps, the same kernels in
     both semantics: one per demand entry's source, stopping once the answer
     is settled, and starting with the entry that failed the last test,
-    which subsets tested in a row tend to fail alike.  The two root tests,
+    which subsets tested in a row tend to fail alike.  Most tested subsets
+    are leaves, a last-level node adding one more unit, and a leaf is
+    screened before its state is built: one sweep of the front entry's
+    source over the parent's layers, recording the reach around each slot,
+    tells with a few mask operations per unit whether that entry is met
+    once the unit is added (:meth:`_LayerSpace.leaf_test`).  Only a leaf
+    that passes gets its layers and the full test; one that fails would have
+    failed the full test at that same entry, leaving the entry order as it
+    was, so the answer and its tie breaks are unchanged.  The two root tests,
     all units together and the empty subset, read every source off one
     :func:`~tgaug.temporal_graph.sweep_all` instead when the entries name
     more than one source, as :func:`verify_solution` does.  The optional
@@ -429,13 +470,20 @@ def _cheapest_subset(space, budget: int | None) -> tuple[int, ...] | Infeasible:
     ``space`` gives the search states (``start``, ``add(state, unit)``,
     the requirement test ``holds(state)`` of a search node and the same
     test ``root_holds(state)`` for the two root tests, all units together
-    and the empty subset) and the footprint bound's data
+    and the empty subset), the last level's screen ``leaf_test(state)``,
+    a ``unit -> bool`` that may reject a unit only when ``holds`` would
+    fail on the front of the demand ``entries`` once the unit is added
+    and is asked again whenever a failed ``holds`` changes that front,
+    and the footprint bound's data
     (``n``, ``unit_pairs``, ``free_pairs`` and ``demand_links``; see
     :func:`_footprint`).  For each size, smallest first, a depth-first
     search picks units in increasing index order, so subsets are visited
     lexicographically within a size.  Each node carries its state and its
     footprint, and a node whose footprint needs more units than are left
-    to pick is cut, since no extension of it can be accepted.  When
+    to pick is cut, since no extension of it can be accepted.  A frame
+    with one unit left tries its units in a plain loop: the footprint cut
+    keeps those whose link joins the two blocks its target has merged, if
+    any, and ``leaf_test`` screens them before a state is built.  When
     ``space.need`` is not None it is a second such bound on a state, the
     admissible two-time bound of :func:`_two_time_need`: nodes it puts at
     or past the units left are cut too, and the sizes start at the larger
@@ -477,7 +525,23 @@ def _first_of_size(
         frame = stack[-1]
         state, footprint, target, i = frame
         left = size - len(chosen)  # units still to pick, this frame's child included
-        if i > count - left:
+        if left == 1:
+            units = range(i, count)
+            if len(footprint) > len(target):  # by one, or the parent would have been cut
+                a, b = set(footprint).difference(target)  # the blocks the last unit must join
+                units = [j for j in units if links[j] & a and links[j] & b]
+            front, test = space.entries[:1], space.leaf_test(state)
+            for j in units:
+                if not test(j):
+                    continue
+                child = add(state, j)
+                if need is not None and need(child) >= 1:
+                    continue
+                if holds(child):
+                    return (*chosen, j)
+                if space.entries[:1] != front:
+                    front, test = space.entries[:1], space.leaf_test(state)
+        if left == 1 or i > count - left:
             stack.pop()
             if chosen:
                 chosen.pop()
@@ -490,12 +554,8 @@ def _first_of_size(
         child = add(state, i)
         if need is not None and need(child) >= left:
             continue
-        if left == 1:
-            if holds(child):
-                return (*chosen, i)
-        else:
-            chosen.append(i)
-            stack.append([child, child_footprint, child_target, i + 1])
+        chosen.append(i)
+        stack.append([child, child_footprint, child_target, i + 1])
     return None
 
 

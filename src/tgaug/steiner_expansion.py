@@ -227,6 +227,7 @@ class _GateSpace:
         )
 
     root_holds = holds  # the expansion graph has no all-sources kernel
+    leaf_test = staticmethod(lambda open_gates: lambda gate: True)  # no screen before holds
 
 
 def min_weight_connection(

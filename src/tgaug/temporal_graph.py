@@ -264,8 +264,11 @@ class TemporalGraph:
         """
         extra = list(extra)
         lifespan = max(self.lifespan, max((e.t for e in extra), default=0))
+        edges = self.edges.union(extra)
         try:
-            return TemporalGraph.build(self.n, [*self.edges, *extra], lifespan)
+            if len(edges) < len(self.edges) + len(extra):  # a repeat or an edge of the graph
+                TemporalGraph.build(self.n, [*self.edges, *extra])  # raises, naming them
+            return TemporalGraph(self.n, edges, lifespan)
         except ValueError as exc:
             raise InvalidCandidateError(str(exc)) from None
 

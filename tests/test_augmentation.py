@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -45,6 +46,7 @@ from tgaug.temporal_graph import (
     InvalidCandidateError,
     TemporalEdge,
     TemporalGraph,
+    _joined,
     sorted_edges,
     sweep_all,
 )
@@ -88,6 +90,15 @@ class TestProblemModel:
     def test_negative_lifespan_is_rejected(self):
         with pytest.raises(ValueError, match="^lifespan must be non-negative$"):
             AugmentationProblem(G(2, (0, 1, 1)), frozenset(), lifespan=-4)
+
+    @pytest.mark.parametrize("kind", [tuple, list])
+    def test_candidates_any_iterable(self, kind):
+        chosen = [E(1, 2, 1)]
+        p = AugmentationProblem(G(3, (0, 1, 1)), kind(chosen + [E(0, 2, 2)]))
+        assert p.candidates == frozenset(chosen + [E(0, 2, 2)])
+        assert solve_exact(p).selected == tuple(chosen)
+        assert verify_solution(p, chosen)
+        assert not verify_solution(p, [])
 
     def test_declared_lifespan_below_the_base_is_rejected(self):
         base = G(3, (0, 1, 3))
@@ -250,6 +261,79 @@ class TestEvaluatorAgreesWithVerify:
         verify_solution(problem, [E(1, 2, 2)])
         assert len(calls) == (2 if several else 0)
 
+    @staticmethod
+    def _front_met(problem, space, edges):
+        """Whether the front entry is met with ``edges`` added, read off the journey oracle."""
+        source, need = space.entries[0]
+        g = problem.base.augment(edges)
+        reach = journey_reach(g, source, problem.semantics)
+        return all(v in reach for v in range(g.n) if need >> v & 1)
+
+    @pytest.mark.parametrize("cost_model", [COST_EDGE, COST_GROUP])
+    @pytest.mark.parametrize("semantics", [STRICT, NON_STRICT])
+    def test_leaf_test_reads_the_front_entry(self, semantics, cost_model):
+        """``leaf_test(state)(i)`` says whether the front entry is met in ``add(state, i)``."""
+        rng = random.Random(f"leaf {semantics} {cost_model}")
+        spread_groups = 0  # units with edges at several times
+        for _ in range(250):
+            n, lifespan = rng.randint(1, 6), rng.randint(1, 3)
+            base = random_graph(rng, n, lifespan, rng.random() * 0.6)
+            absent = sorted_edges(unrestricted_candidates(TemporalGraph(n, base.edges, lifespan + 1)))
+            candidates = frozenset(e for e in absent if rng.random() < 0.35)
+            kind = rng.randrange(3)
+            if kind == 0:
+                req = All()
+            elif kind == 1:
+                req = Source(rng.randrange(n))
+            else:
+                pairs = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 3)))
+                req = Pairs(pairs, rng.choice([None, *range(len(pairs) + 1)]))
+            problem = AugmentationProblem(base, candidates, req, semantics, cost_model)
+            units = _group_items(problem)
+            space = _LayerSpace(problem, units)
+            spread_groups += sum(len(unit) > 1 for unit in units)
+            picked = [i for i in range(len(units)) if rng.random() < 0.3]
+            state = space.start
+            for i in picked:
+                state = space.add(state, i)
+            entries = space.entries
+            entries.insert(0, entries.pop(rng.randrange(len(entries))))
+            test = space.leaf_test(state)
+            for i in range(len(units)):
+                if space.required < len(entries):
+                    assert test(i)
+                    continue
+                edges = {e for j in {*picked, i} for e in units[j]}
+                assert test(i) == self._front_met(problem, space, edges)
+        assert spread_groups > 0 if cost_model == COST_GROUP else spread_groups == 0
+
+    @pytest.mark.parametrize(
+        "pair, unit, strict_met",
+        [
+            ((0, 2), E(1, 2, 1), False),  # 1 is reached at time 1 only, too late for {1,2}@1
+            ((0, 3), E(0, 2, 1), False),  # 2 is reached at time 1 only, too late for {2,3}@1
+            ((0, 2), E(0, 2, 1), True),
+            ((0, 3), E(1, 3, 2), True),  # 1 is reached before time 2
+        ],
+    )
+    def test_leaf_test_strict_unit_does_not_chain(self, pair, unit, strict_met):
+        base = G(4, (0, 1, 1), (2, 3, 1), lifespan=2)
+        for semantics, met in ((STRICT, strict_met), (NON_STRICT, True)):
+            problem = AugmentationProblem(base, frozenset({unit}), Pairs((pair,)), semantics)
+            space = _LayerSpace(problem, _group_items(problem))
+            assert space.leaf_test(space.start)(0) == met
+            assert space.holds(space.add(space.start, 0)) == met
+
+    def test_leaf_test_passes_every_b_of_p_unit(self):
+        base = G(4, (0, 1, 1), (2, 3, 1), lifespan=1)
+        candidates = frozenset({E(0, 3, 1), E(1, 3, 1)})
+        problem = AugmentationProblem(base, candidates, Pairs(((0, 2), (1, 3)), 1), STRICT)
+        space = _LayerSpace(problem, _group_items(problem))
+        test = space.leaf_test(space.start)
+        assert test(0) and test(1)  # neither unit meets the front pair (0, 2)
+        assert not space.holds(space.add(space.start, 0))
+        assert space.holds(space.add(space.start, 1))  # {1,3}@1 meets the pair (1, 3)
+
 
 class TestLayerPatching:
     @pytest.mark.parametrize("cost_model", [COST_EDGE, COST_GROUP])
@@ -396,6 +480,30 @@ class TestFootprintBound:
             # layers, so no selection of fewer than n-1 units was tested
             assert merges and min(merges) >= 6
 
+    def test_spanner_screens_only_connecting_units(self, monkeypatch):
+        """The last level's footprint cut leaves the screen only units that connect the footprint."""
+        blocks = []
+        leaf_test = _LayerSpace.leaf_test
+
+        def recording(self, layers):
+            test = leaf_test(self, layers)
+
+            def screen(unit):
+                masks = [m for layer in layers for m in layer] + [m for _, m in self.patches[unit]]
+                blocks.append(len(functools.reduce(_joined, masks, tuple(1 << v for v in range(self.n)))))
+                return test(unit)
+
+            return screen
+
+        monkeypatch.setattr(_LayerSpace, "leaf_test", recording)
+        rng = random.Random(6)
+        while True:
+            g = random_graph(rng, 7, 3, 0.35)
+            if g.is_temporally_connected(NON_STRICT):
+                break
+        assert solve_exact(spanner_via_tca(g)).cost == 6
+        assert len(blocks) > 1000 and set(blocks) == {1}
+
     def test_spanner_wall(self, monkeypatch):
         merges = self._count_tests(monkeypatch)
         rng = random.Random(4)
@@ -411,6 +519,39 @@ class TestFootprintBound:
         assert min(merges) >= 6
         # plain enumeration tests every selection below the optimum first
         assert len(merges) < sum(math.comb(27, k) for k in range(6))
+
+    def test_leaf_screen_spares_most_leaves(self, monkeypatch):
+        """A budget-capped strict All search runs the full test on few last-level units."""
+        holds = self._count_tests(monkeypatch)
+        screened = []
+        leaf_test = _LayerSpace.leaf_test
+
+        def counting(self, layers):
+            test = leaf_test(self, layers)
+            return lambda unit: screened.append(unit) or test(unit)
+
+        monkeypatch.setattr(_LayerSpace, "leaf_test", counting)
+        rng = random.Random(0)
+        while True:
+            g = random_graph(rng, 8, 3, 0.3)
+            if g.is_temporally_connected(STRICT):
+                break
+        kept = set(g.edges)  # thinned to a minimal connected graph
+        for e in rng.sample(sorted_edges(g.edges), len(g.edges)):
+            if journey_connected(TemporalGraph(8, frozenset(kept - {e}), 3), STRICT):
+                kept.discard(e)
+        removed = rng.sample(sorted_edges(kept), 4)
+        base = TemporalGraph(8, frozenset(kept) - set(removed), 3)
+        absent = sorted_edges(unrestricted_candidates(TemporalGraph(8, frozenset(kept), 3)))
+        problem = AugmentationProblem(base, frozenset(removed + rng.sample(absent, 24)), All(), STRICT)
+        best = brute_min_cost(problem)
+        assert best == 4
+        holds.clear()
+        capped = dataclasses.replace(problem, budget=best - 1)
+        assert solve_exact(capped) == Infeasible("budget_exceeded")
+        assert brute_min_cost(capped, best - 1) is None
+        assert len(screened) == sum(math.comb(28, k) for k in range(1, 4))
+        assert len(holds) < len(screened) / 4
 
     def test_unrestricted_ds_gadget_wall(self):
         inst = StaticGraphInstance(7, frozenset({(0, 1), (2, 3)}), 5)
