@@ -3,7 +3,9 @@
 Models the three connectivity requirements (everything reaches everything,
 a designated source, or a list of ordered pair demands) under both journey
 semantics and both cost models, and solves them exactly by budget-bounded
-subset search.  Also contains the quadratic special-case algorithm for
+subset search.  The search's first level of an edge-cost All problem over
+an edgeless base, a spanning tree, is decided in closed form (see
+:func:`solve_exact`).  Also contains the quadratic special-case algorithm for
 lifespan-1 graphs that may add edges at time 2, and the bridge that turns
 a spanner question into an augmentation instance.
 """
@@ -448,11 +450,25 @@ def solve_exact(
     certificate builds one foremost-journey tree per distinct source and
     reads every witness journey off it, with the tie breaks
     :func:`~tgaug.temporal_graph._journey_tree` documents.
+
+    Edge-cost All over an edgeless base on n >= 2 vertices, with no budget
+    below n-1, has its first level, size n-1, decided without search
+    (:func:`_tree_level`).  n-1 units that connect n vertices form a
+    spanning tree, and a non-strict journey along a tree path needs times
+    that never fall, as does the one back, so the whole tree sits at one
+    time.  Canonical order is time first, so the answer is the tree a
+    Kruskal scan in canonical order builds in the earliest connected
+    snapshot, the lexicographically least basis of a graphic matroid; with
+    no such snapshot the search starts at n.  Strict at n >= 3 starts at n
+    too: a tree path u-w-v would need each of its times below the other.
+    Group cost, Source, Pairs and bases with edges stay with the search.
     """
     units = _group_items(problem)
     if problem.semantics == NON_STRICT:
         units = _merging_units(problem, units)
-    combo = _cheapest_subset(_LayerSpace(problem, units), problem.budget)
+    combo, first = _tree_level(problem, units)
+    if combo is None:
+        combo = _cheapest_subset(_LayerSpace(problem, units), problem.budget, first)
     if isinstance(combo, Infeasible):
         return combo
     chosen = [units[i] for i in combo]
@@ -464,7 +480,33 @@ def solve_exact(
     return Solution(selected, len(chosen), groups, certificate)
 
 
-def _cheapest_subset(space, budget: int | None) -> tuple[int, ...] | Infeasible:
+def _tree_level(
+    problem: AugmentationProblem, units: Sequence[tuple[TemporalEdge, ...]]
+) -> tuple[tuple[int, ...] | None, int]:
+    """Level n-1 decided without search where :func:`solve_exact` says it can be.
+
+    The level's least accepted subset of ``units`` and 0, or None and the
+    size the search starts at: n when the level is empty, else 0.
+    """
+    n, budget = problem.base.n, problem.budget
+    if (not isinstance(problem.requirement, All) or problem.cost_model != COST_EDGE
+            or problem.base.edges or n < 2 or budget is not None and budget < n - 1):
+        return None, 0
+    if problem.semantics == STRICT:
+        return None, n if n >= 3 else 0
+    time = None
+    for i, (e,) in enumerate(units):  # canonical order: by time, then endpoints
+        if e.t != time:
+            time, tree, blocks = e.t, [], tuple(1 << v for v in range(n))
+        joined = _joined(blocks, 1 << e.u | 1 << e.v)
+        if len(joined) < len(blocks):
+            tree, blocks = tree + [i], joined
+        if len(blocks) == 1:
+            return tuple(tree), 0
+    return None, n
+
+
+def _cheapest_subset(space, budget: int | None, first: int = 0) -> tuple[int, ...] | Infeasible:
     """Indices of the first unit subset of at most ``budget`` units that ``space`` accepts.
 
     ``space`` gives the search states (``start``, ``add(state, unit)``,
@@ -486,8 +528,9 @@ def _cheapest_subset(space, budget: int | None) -> tuple[int, ...] | Infeasible:
     any, and ``leaf_test`` screens them before a state is built.  When
     ``space.need`` is not None it is a second such bound on a state, the
     admissible two-time bound of :func:`_two_time_need`: nodes it puts at
-    or past the units left are cut too, and the sizes start at the larger
-    of the two bounds at the root.  Acceptance
+    or past the units left are cut too.  The sizes start at the largest of
+    the two bounds at the root and ``first``, a size below which the caller
+    knows no subset is accepted.  Acceptance
     is monotone in the subset, so the answer is the least accepted subset
     of the least accepted size, exactly as plain enumeration would find
     it.  ``Infeasible("infeasible")`` when not even all units together are
@@ -501,7 +544,7 @@ def _cheapest_subset(space, budget: int | None) -> tuple[int, ...] | Infeasible:
         return Infeasible("infeasible")
     max_size = len(links) if budget is None else min(budget, len(links))
     need = 0 if space.need is None else space.need(space.start)
-    for size in range(max(len(footprint) - len(target), need), max_size + 1):
+    for size in range(max(len(footprint) - len(target), need, first), max_size + 1):
         found = _first_of_size(space, size, links, footprint, target)
         if found is not None:
             return found
@@ -613,7 +656,8 @@ def spanner_via_tca(g: TemporalGraph, budget: int | None = None) -> Augmentation
     The base is the edgeless graph on the same vertices (lifespan kept), the
     candidates are all of g's temporal edges, and the requirement is full
     non-strict connectivity; the instance's minimum cost equals g's minimum
-    spanner size.
+    spanner size.  :func:`solve_exact` answers its first level, a spanning
+    tree in one snapshot, without search.
     """
     if not g.is_temporally_connected(NON_STRICT):
         raise ValueError("requires a temporally connected graph")

@@ -29,9 +29,12 @@ from tgaug.augmentation import (
     Pairs,
     Solution,
     Source,
+    _cheapest_subset,
     _footprint,
     _group_items,
     _LayerSpace,
+    _merging_units,
+    _tree_level,
     solution_to_json,
     solve_exact,
     solve_one_plus_one,
@@ -214,6 +217,33 @@ def two_time_problems(draw):
     assume({t for _, _, t in base_set | cand_set} == {1, 2})
     base = TemporalGraph.build(n, [E(*s) for s in base_set], lifespan=2)
     return AugmentationProblem(base, frozenset(E(*s) for s in cand_set), All(), NON_STRICT)
+
+
+def _searched(problem):
+    """:func:`solve_exact`'s selection as the subset search alone finds it, or its report."""
+    units = _group_items(problem)
+    if problem.semantics == NON_STRICT:
+        units = _merging_units(problem, units)
+    combo = _cheapest_subset(_LayerSpace(problem, units), problem.budget)
+    if isinstance(combo, Infeasible):
+        return combo
+    return sorted_edges(e for i in combo for e in units[i])
+
+
+def _edgeless_all(rng, max_n, max_candidates):
+    """A random edge-cost All problem over an edgeless base, the shape spanner_via_tca builds."""
+    n = rng.randint(2, max_n)
+    lifespan = rng.randint(1, 4)
+    slots = [E(u, v, t) for u in range(n) for v in range(u + 1, n) for t in range(1, lifespan + 1)]
+    candidates = rng.sample(slots, min(len(slots), rng.randint(n - 1, max_candidates)))
+    return AugmentationProblem(
+        TemporalGraph(n, frozenset(), lifespan),
+        frozenset(candidates),
+        All(),
+        rng.choice([STRICT, NON_STRICT]),
+        COST_EDGE,
+        rng.choice([None, n - 2, n - 1, n]),
+    )
 
 
 class TestEvaluatorAgreesWithVerify:
@@ -474,11 +504,15 @@ class TestFootprintBound:
                 continue
             solved += 1
             merges.clear()
-            sol = solve_exact(spanner_via_tca(g), with_certificate=False)
-            assert sol.cost >= 6
+            problem = spanner_via_tca(g)
+            selected = _searched(problem)
+            assert len(selected) >= 6
             # over an edgeless base, k units make at most k merges across all
             # layers, so no selection of fewer than n-1 units was tested
             assert merges and min(merges) >= 6
+            merges.clear()
+            assert solve_exact(problem, with_certificate=False).selected == selected
+            assert not merges  # answered by the tree level, not the search
 
     def test_spanner_screens_only_connecting_units(self, monkeypatch):
         """The last level's footprint cut leaves the screen only units that connect the footprint."""
@@ -501,8 +535,13 @@ class TestFootprintBound:
             g = random_graph(rng, 7, 3, 0.35)
             if g.is_temporally_connected(NON_STRICT):
                 break
-        assert solve_exact(spanner_via_tca(g)).cost == 6
+        problem = spanner_via_tca(g)
+        selected = _searched(problem)
+        assert len(selected) == 6
         assert len(blocks) > 1000 and set(blocks) == {1}
+        blocks.clear()
+        assert solve_exact(problem).selected == selected
+        assert not blocks  # answered by the tree level, not the search
 
     def test_spanner_wall(self, monkeypatch):
         merges = self._count_tests(monkeypatch)
@@ -511,14 +550,18 @@ class TestFootprintBound:
             g = random_graph(rng, 7, 3, 0.45)
             if len(g.edges) == 27 and g.is_temporally_connected(NON_STRICT):
                 break
-        sol = solve_exact(spanner_via_tca(g), with_certificate=False)
+        problem = spanner_via_tca(g)
+        selected = _searched(problem)
         # n-1 edges are the least that connect 7 vertices at all, so a
         # connected selection of 6 is optimal without a search to prove it
-        assert sol.cost == 6
-        assert journey_connected(TemporalGraph.build(7, sol.selected, lifespan=3), NON_STRICT)
+        assert len(selected) == 6
+        assert journey_connected(TemporalGraph.build(7, selected, lifespan=3), NON_STRICT)
         assert min(merges) >= 6
         # plain enumeration tests every selection below the optimum first
         assert len(merges) < sum(math.comb(27, k) for k in range(6))
+        merges.clear()
+        assert solve_exact(problem, with_certificate=False).selected == selected
+        assert not merges  # answered by the tree level, not the search
 
     def test_leaf_screen_spares_most_leaves(self, monkeypatch):
         """A budget-capped strict All search runs the full test on few last-level units."""
@@ -560,6 +603,133 @@ class TestFootprintBound:
         assert len(red.problem.candidates) == 43
         sol = solve_exact(red.problem, with_certificate=False)
         assert isinstance(sol, Solution) and sol.cost == 5
+
+
+class TestTreeLevel:
+    """Level n-1 of edge-cost All over an edgeless base, answered or skipped without search."""
+
+    @staticmethod
+    def _answered(problem):
+        return _tree_level(problem, _group_items(problem))[0] is not None
+
+    def _kind(self, problem, out):
+        """Which way the outcome came: its semantics, feasibility and whether the tree level answered."""
+        return problem.semantics, out.feasible, self._answered(problem)
+
+    # every way an outcome can come: answered by the tree level (non-strict only),
+    # or searched, feasible or not, in both semantics
+    KINDS = {(s, f, False) for s in (STRICT, NON_STRICT) for f in (True, False)} | {(NON_STRICT, True, True)}
+
+    def test_matches_raw_enumeration(self):
+        rng = random.Random(17)
+        kinds = set()
+        for _ in range(400):
+            problem = _edgeless_all(rng, 5, 10)
+            expected = brute_least_selection(problem)
+            out = solve_exact(problem, with_certificate=False)
+            if isinstance(expected, str):
+                assert out == Infeasible(expected)
+            else:
+                assert (out.selected, out.groups) == expected
+            kinds.add(self._kind(problem, out))
+        assert kinds == self.KINDS
+
+    def test_matches_the_search(self):
+        rng = random.Random(23)
+        kinds = set()
+        for _ in range(600):
+            problem = _edgeless_all(rng, 7, 16)
+            out = solve_exact(problem, with_certificate=False)
+            expected = _searched(problem)
+            if isinstance(expected, Infeasible):
+                assert out == expected
+            else:
+                assert out.selected == expected and out.cost == len(expected)
+            kinds.add(self._kind(problem, out))
+        assert kinds == self.KINDS
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_strict_pair_takes_one_edge(self, budget):
+        problem = AugmentationProblem(
+            G(2, lifespan=2), frozenset({E(0, 1, 1), E(0, 1, 2)}), All(), STRICT, budget=budget
+        )
+        assert _tree_level(problem, _group_items(problem)) == (None, 0)  # nothing skipped
+        assert solve_exact(problem, with_certificate=False) == Solution((E(0, 1, 1),), 1)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("semantics", [STRICT, NON_STRICT])
+    def test_at_most_one_vertex_needs_nothing(self, n, semantics):
+        problem = AugmentationProblem(G(n, lifespan=2), frozenset(), All(), semantics)
+        assert _tree_level(problem, []) == (None, 0)
+        assert solve_exact(problem) == Solution((), 0)
+
+    @pytest.mark.parametrize(
+        "semantics, tree",
+        [
+            (NON_STRICT, (E(0, 1, 2), E(0, 2, 2))),  # the Kruskal tree of the time-2 snapshot
+            (STRICT, None),  # no tree is strict-connected; the least answer has 3 edges
+        ],
+    )
+    def test_budgets_around_the_tree_level(self, semantics, tree):
+        cands = frozenset({E(0, 1, 1), E(1, 2, 2), E(0, 2, 2), E(0, 1, 2), E(0, 1, 3)})
+        for budget in (1, 2, 3, None):  # n-2, n-1, n and none
+            problem = AugmentationProblem(G(3, lifespan=3), cands, All(), semantics, budget=budget)
+            out = solve_exact(problem, with_certificate=False)
+            expected = brute_least_selection(problem)
+            if budget == 1 or (budget == 2 and tree is None):
+                assert out == Infeasible("budget_exceeded") and expected == "budget_exceeded"
+            else:
+                assert (out.selected, out.groups) == expected
+                assert out.selected == (tree or (E(0, 1, 1), E(0, 2, 2), E(1, 2, 2)))
+
+    def test_no_connected_snapshot_starts_at_n(self, monkeypatch):
+        sizes = []
+        first_of_size = aug_mod._first_of_size
+
+        def recording(space, size, *args):
+            sizes.append(size)
+            return first_of_size(space, size, *args)
+
+        monkeypatch.setattr(aug_mod, "_first_of_size", recording)
+        # no snapshot holds a spanning tree, so the path 01@1 12@2 and back 01@3 is needed
+        problem = AugmentationProblem(G(3, lifespan=3), frozenset({E(0, 1, 1), E(1, 2, 2), E(0, 1, 3)}))
+        assert _tree_level(problem, _group_items(problem)) == (None, 3)
+        assert solve_exact(problem, with_certificate=False).cost == 3
+        assert sizes == [3]
+        sizes.clear()
+        # strict needs no snapshot test: no tree on three vertices is strict-connected
+        strict = dataclasses.replace(problem, semantics=STRICT)
+        assert _tree_level(strict, _group_items(strict)) == (None, 3)
+        assert solve_exact(strict, with_certificate=False).cost == 3
+        assert sizes == [3]
+
+    def test_declared_lifespan_past_the_candidates(self):
+        g = G(4, (0, 1, 2), (1, 2, 2), (2, 3, 2), (0, 3, 1), (0, 2, 3))
+        declared = dataclasses.replace(spanner_via_tca(g), lifespan=7)
+        assert self._answered(declared)
+        out = solve_exact(declared, with_certificate=False)
+        assert out == solve_exact(spanner_via_tca(g), with_certificate=False)
+        assert out.selected == (E(0, 1, 2), E(1, 2, 2), E(2, 3, 2))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("semantics", [STRICT, NON_STRICT])
+    def test_no_candidates_is_infeasible(self, n, semantics):
+        problem = AugmentationProblem(G(n, lifespan=2), frozenset(), All(), semantics)
+        assert solve_exact(problem) == Infeasible("infeasible")
+
+    def test_certificate_verifies(self):
+        rng = random.Random(5)
+        while True:
+            g = random_graph(rng, 6, 3, 0.5)
+            if g.is_temporally_connected(NON_STRICT):
+                break
+        problem = spanner_via_tca(g)
+        assert self._answered(problem)
+        sol = solve_exact(problem)
+        augmented = problem.base.augment(sol.selected)
+        assert sol.cost == 5 and len(sol.certificate) == 30  # every ordered pair
+        for u, v, hops in sol.certificate:
+            assert is_journey(augmented, hops, NON_STRICT, u, v)
 
 
 class TestSolveExact:

@@ -392,6 +392,30 @@ class TestSolutionCheck:
         assert main(["expand", path, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["node_count"] == 3 * 2 + 2 * 2
 
+    @pytest.mark.parametrize("semantics, cost", [("non-strict", 4), ("strict", 6)])
+    def test_cross_check_on_a_spanner(self, tmp_path, capsys, semantics, cost):
+        # an edgeless base and every edge of a connected graph as a candidate; the
+        # time-1 snapshot is a 5-cycle, so non-strict takes a spanning tree of it
+        graph = "T 3\nV 5\n"
+        candidates = "".join(
+            f"E {u} {v} {t}\n"
+            for u, v, t in [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (0, 4, 1), (0, 2, 2)]
+            + [(1, 3, 2), (2, 4, 2), (0, 3, 3), (1, 4, 3), (0, 1, 3)]
+        )
+        manifest = tca(requirement={"type": "all"}, semantics=semantics)
+        path = write_bundle(tmp_path, manifest, candidates, graph)
+        outputs = {}
+        for engine in ("subset", "expansion"):
+            assert main(["solve", path, "--engine", engine, "--cross-check"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert data.pop("engine") == engine
+            outputs[engine] = data
+        assert outputs["expansion"] == outputs["subset"]
+        assert outputs["subset"]["cost"] == cost
+        if semantics == "non-strict":
+            tree = [(0, 1), (0, 4), (1, 2), (2, 3)]
+            assert outputs["subset"]["selected"] == [{"u": u, "v": v, "t": 1} for u, v in tree]
+
     def test_cross_check_without_an_expansion_instance_is_2(self, tmp_path, capsys):
         manifest = tca(requirement={"type": "pairs", "pairs": [[0, 2]]}, cost_model="group")
         assert main(["solve", write_bundle(tmp_path, manifest), "--cross-check"]) == 2
