@@ -17,13 +17,13 @@ when a test over many sources tends to fail on the first it tries.
 :func:`sweep_all` passes over the layers once in decreasing time order
 and gives what every vertex reaches, for the cost of a few sweeps rather
 than one per vertex; it pays for questions that must look at many
-sources, such as temporal connectivity.  Every vertex partition goes
-through two more kernels: :func:`_components` builds one from scratch
-(the snapshot components of the non-strict layers, the footprint of the
-subset search, the spread of a dominating-set witness) and
-:func:`_joined` merges the blocks that one link meets, as the subset
-search does at every node.  :func:`_journey_tree` walks the sweep layers
-too, and keeps the foremost journey into each vertex one source reaches.
+sources, such as temporal connectivity.  Every vertex partition goes through
+two more kernels: :func:`_components` builds one from scratch by union-find,
+masks smallest member first (the snapshot components of the non-strict
+layers, the footprint of the subset search, the spread of a dominating-set
+witness), and :func:`_joined` merges the blocks one link meets, as the subset
+search does at every node.  :func:`_journey_tree` walks the sweep layers too,
+and keeps the foremost journey into each vertex one source reaches.
 
 Every text format of the package shares one record grammar: :func:`_records`
 yields each line's fields once ``#`` comments go, :func:`_ints` reads
@@ -36,9 +36,10 @@ share between threads; all operations are pure functions of their inputs.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 STRICT = "strict"
@@ -71,7 +72,7 @@ def _check_semantics(semantics: str) -> None:
         raise ValueError(f"unknown semantics {semantics!r}, expected one of {SEMANTICS}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TemporalEdge:
     """An undirected edge present at one time step.
 
@@ -83,8 +84,7 @@ class TemporalEdge:
     v: int
     t: int
 
-    def __post_init__(self):
-        u, v, t = self.u, self.v, self.t
+    def __init__(self, u: int, v: int, t: int):
         if not (type(u) is type(v) is type(t) is int or all(map(_is_int, (u, v, t)))):
             raise ValueError(f"temporal edge fields must be ints, got ({u!r}, {v!r}, {t!r})")
         if u == v:
@@ -92,8 +92,10 @@ class TemporalEdge:
         if t < 1:
             raise ValueError(f"edge time must be >= 1, got {t}")
         if u > v:
-            object.__setattr__(self, "u", v)
-            object.__setattr__(self, "v", u)
+            u, v = v, u
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "t", t)
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -110,7 +112,7 @@ class TemporalEdge:
 
 def sorted_edges(edges: Iterable[TemporalEdge]) -> tuple[TemporalEdge, ...]:
     """Canonical ordering used for every deterministic output."""
-    return tuple(sorted(edges, key=lambda e: e.key))
+    return tuple(sorted(edges, key=attrgetter("t", "u", "v")))
 
 
 @dataclass(frozen=True)
@@ -141,11 +143,12 @@ class TemporalGraph:
     lifespan: int | None = None
 
     def __post_init__(self):
-        if self.n < 0:
+        n = self.n
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
         for e in self.edges:
-            if not 0 <= e.u < self.n or not 0 <= e.v < self.n:
-                raise ValueError(f"edge {e} has endpoints outside 0..{self.n - 1}")
+            if e.u < 0 or e.v >= n:  # every edge has u < v
+                raise ValueError(f"edge {e} has endpoints outside 0..{n - 1}")
         if self.lifespan is None:
             object.__setattr__(self, "lifespan", self.max_edge_time)
         elif self.lifespan < self.max_edge_time:
@@ -160,7 +163,7 @@ class TemporalGraph:
         edge_list = list(edges)
         edge_set = frozenset(edge_list)
         if len(edge_set) != len(edge_list):
-            dupes = sorted_edges(e for e in edge_set if edge_list.count(e) > 1)
+            dupes = sorted_edges(e for e, k in Counter(edge_list).items() if k > 1)
             raise ValueError(f"duplicate temporal edges: {', '.join(map(str, dupes))}")
         return cls(n, edge_set, lifespan)
 
@@ -172,7 +175,7 @@ class TemporalGraph:
 
     @cached_property
     def max_edge_time(self) -> int:
-        return max((e.t for e in self.edges), default=0)
+        return max([e.t for e in self.edges], default=0)
 
     @cached_property
     def _edges_by_time(self) -> dict[int, tuple[TemporalEdge, ...]]:
@@ -260,7 +263,8 @@ class TemporalGraph:
 
         Raises :class:`InvalidCandidateError`, naming the edge, when an added
         edge is repeated, already exists (candidate sets are disjoint from
-        the graph by definition) or has an endpoint outside 0..n-1.
+        the graph by definition) or has an endpoint outside 0..n-1.  Cached
+        component masks carry over for every time that no added edge uses.
         """
         extra = list(extra)
         lifespan = max(self.lifespan, max((e.t for e in extra), default=0))
@@ -268,9 +272,12 @@ class TemporalGraph:
         try:
             if len(edges) < len(self.edges) + len(extra):  # a repeat or an edge of the graph
                 TemporalGraph.build(self.n, [*self.edges, *extra])  # raises, naming them
-            return TemporalGraph(self.n, edges, lifespan)
+            g = TemporalGraph(self.n, edges, lifespan)
         except ValueError as exc:
             raise InvalidCandidateError(str(exc)) from None
+        kept = self._comp_cache.copy()  # one step, so a thread filling the cache cannot upset it
+        g._comp_cache.update((t, kept[t]) for t in kept.keys() - {e.t for e in extra})
+        return g
 
 
 def _mask_to_block(mask: int) -> tuple[int, ...]:
@@ -338,17 +345,25 @@ def sweep_all(layers: Sequence[tuple[int, ...]], n: int) -> list[int]:
 def _components(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """Component masks of the static graph on vertices 0..n-1 with edges ``pairs``.
 
-    ``comp[v]`` is the mask of v's component so far; an edge between two
-    components writes their union to every member.  Read in vertex order,
-    the masks come smallest member first.
+    Union-find with path halving (Tarjan, JACM 1975) in which the smaller
+    root wins, so no parent is above its vertex and each root is the smallest
+    member.  Read in vertex order, each parent already points at its root,
+    and the masks, kept by root, come smallest member first.
     """
-    comp = [1 << v for v in range(n)]
+    parent = list(range(n))
     for u, v in pairs:
-        if not comp[u] >> v & 1:
-            merged = comp[u] | comp[v]
-            for x in _mask_to_block(merged):
-                comp[x] = merged
-    return tuple(dict.fromkeys(comp))
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u > v:
+            u, v = v, u
+        parent[v] = u
+    masks = [0] * n
+    for v in range(n):
+        root = parent[v] = parent[parent[v]]
+        masks[root] |= 1 << v
+    return tuple(filter(None, masks))
 
 
 def _joined(masks: tuple[int, ...], link: int) -> tuple[int, ...]:
@@ -416,15 +431,14 @@ def parse_tg(text: str) -> TemporalGraph:
     """
     n: int | None = None
     override: int | None = None
-    edges: list[TemporalEdge] = []
-    seen: set[tuple[int, int, int]] = set()
+    edges: set[TemporalEdge] = set()
     for lineno, fields in _records(text):
         if fields[0] == "E":
             if n is None:
                 raise ParseError("edge record before V", lineno)
             if len(fields) < 4:
                 raise ParseError("edge record needs two endpoints and at least one time", lineno)
-            edges += _edge_record(fields, lineno, n, seen)
+            _edge_record(fields, lineno, n, edges)
         elif fields[0] == "V":
             n = _count(fields, lineno, n, "vertex count")
         elif fields[0] == "T":
@@ -437,16 +451,16 @@ def parse_tg(text: str) -> TemporalGraph:
     if n is None:
         raise ParseError("missing V record")
     try:
-        return TemporalGraph.build(n, edges, lifespan=override)
-    except ValueError as exc:
         # each record was checked as it was read, so only a declared lifespan can fail here
+        return TemporalGraph(n, frozenset(edges), override)
+    except ValueError as exc:
         raise ParseError(str(exc), override_line) from None
 
 
 def _records(text: str) -> Iterator[tuple[int, list[str]]]:
     """(1-based line number, fields) of each line left non-blank once ``#`` comments go."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split("#", 1)[0].split()
+        fields = (raw[: raw.index("#")] if "#" in raw else raw).split()
         if fields:
             yield lineno, fields
 
@@ -486,22 +500,18 @@ def _endpoints(fields: list[str], lineno: int, n: int | None) -> tuple[int, int,
     return u, v, rest
 
 
-def _edge_record(
-    fields: list[str], lineno: int, n: int | None, seen: set[tuple[int, int, int]]
-) -> list[TemporalEdge]:
-    """One edge per time of an ``E`` record; ``seen`` gains each key, and a repeat is an error."""
+def _edge_record(fields: list[str], lineno: int, n: int | None, edges: set[TemporalEdge]) -> None:
+    """Adds one edge per time of an ``E`` record to ``edges``; a repeat is an error."""
     u, v, times = _endpoints(fields, lineno, n)
-    edges = []
     for t in times:
         if t < 1:
             raise ParseError("time steps must be >= 1", lineno)
-        key = (u, v, t) if u < v else (v, u, t)
-        if key in seen:
+        e = TemporalEdge(u, v, t)
+        size = len(edges)
+        edges.add(e)
+        if len(edges) == size:
             what = "candidate" if n is None else "temporal edge"
-            raise ParseError(f"duplicate {what} {{{key[0]},{key[1]}}}@{t}", lineno)
-        seen.add(key)
-        edges.append(TemporalEdge(u, v, t))
-    return edges
+            raise ParseError(f"duplicate {what} {e}", lineno)
 
 
 def format_tg(g: TemporalGraph) -> str:
@@ -520,12 +530,11 @@ def format_tg(g: TemporalGraph) -> str:
 
 def parse_candidates(text: str) -> tuple[TemporalEdge, ...]:
     """Parse the ``.cand`` candidate set format: one ``E <u> <v> <t>`` per line."""
-    edges: list[TemporalEdge] = []
-    seen: set[tuple[int, int, int]] = set()
+    edges: set[TemporalEdge] = set()
     for lineno, fields in _records(text):
         if fields[0] != "E" or len(fields) != 4:
             raise ParseError("expected 'E <u> <v> <t>'", lineno)
-        edges += _edge_record(fields, lineno, None, seen)
+        _edge_record(fields, lineno, None, edges)
     return sorted_edges(edges)
 
 

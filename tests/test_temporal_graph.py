@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 import re
 
@@ -78,11 +80,83 @@ class TestTemporalEdge:
         with pytest.raises(ValueError, match="^temporal edge fields must be ints"):
             TemporalEdge(*fields)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((0, 1.0, 1), "temporal edge fields must be ints, got (0, 1.0, 1)"),
+            ((0, 1, "2"), "temporal edge fields must be ints, got (0, 1, '2')"),
+            ((3, 3, 1), "self-loop on vertex 3 is not allowed"),
+            ((0, 1, 0), "edge time must be >= 1, got 0"),
+            ((1, 0, -2), "edge time must be >= 1, got -2"),
+        ],
+    )
+    def test_rejection_messages(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TemporalEdge(*fields)
+
+    def test_frozen(self):
+        e = TemporalEdge(0, 1, 1)
+        for name in ("u", "v", "t"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(e, name, 2)
+        assert e == TemporalEdge(0, 1, 1)
+
+    def test_replace_normalizes(self):
+        e = dataclasses.replace(TemporalEdge(1, 2, 3), u=5)
+        assert (e.u, e.v, e.t) == (2, 5, 3)
+        assert dataclasses.replace(TemporalEdge(1, 2, 3), t=4) == TemporalEdge(2, 1, 4)
+        with pytest.raises(ValueError, match="^self-loop"):
+            dataclasses.replace(TemporalEdge(1, 2, 3), u=2)
+
+    def test_swapped_endpoints_hash_and_compare_equal(self):
+        a, b = TemporalEdge(4, 2, 7), TemporalEdge(2, 4, 7)
+        assert a == b and hash(a) == hash(b)
+        assert (a.u, a.v, a.pair, a.key, str(a)) == (2, 4, (2, 4), (7, 2, 4), "{2,4}@7")
+        assert len({a, b, TemporalEdge(2, 4, 6)}) == 2
+        assert a != (2, 4, 7)
+
+    def test_pickle_round_trip(self):
+        edges = (TemporalEdge(3, 1, 2), TemporalEdge(0, 5, 9))
+        loaded = pickle.loads(pickle.dumps(edges))
+        assert loaded == edges
+        assert [(e.u, e.v, e.t) for e in loaded] == [(1, 3, 2), (0, 5, 9)]
+        assert hash(loaded[0]) == hash(edges[0])
+
 
 class TestConstruction:
     def test_duplicate_edges_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             TemporalGraph.build(2, [TemporalEdge(0, 1, 1), TemporalEdge(1, 0, 1)])
+
+    def test_duplicate_report_names_each_repeat_once(self):
+        edges = [TemporalEdge(0, 1, 2), TemporalEdge(2, 1, 1), TemporalEdge(1, 0, 2)]
+        edges += [TemporalEdge(1, 2, 1), TemporalEdge(0, 2, 3), TemporalEdge(0, 1, 2)]
+        with pytest.raises(ValueError, match=r"^duplicate temporal edges: \{1,2\}@1, \{0,1\}@2$"):
+            TemporalGraph.build(3, edges)
+
+    def test_overlap_with_an_edge_heavy_base(self):
+        # 4,950 base edges and one candidate that repeats one of them
+        n = 100
+        base = TemporalGraph.build(
+            n, [TemporalEdge(u, v, 1 + (u + v) % 3) for u in range(n) for v in range(u + 1, n)]
+        )
+        with pytest.raises(InvalidCandidateError) as exc:
+            base.augment([TemporalEdge(98, 97, 1), TemporalEdge(0, 1, 4)])
+        assert str(exc.value) == "duplicate temporal edges: {97,98}@1"
+
+    @pytest.mark.parametrize(
+        "n, triples, message",
+        [
+            (-1, (), "vertex count must be non-negative"),
+            (3, ((0, 3, 1),), "edge {0,3}@1 has endpoints outside 0..2"),
+            (3, ((-1, 1, 1), (0, 1, 1)), "edge {-1,1}@1 has endpoints outside 0..2"),
+            (0, ((0, 1, 1),), "edge {0,1}@1 has endpoints outside 0..-1"),
+        ],
+    )
+    def test_constructor_messages(self, n, triples, message):
+        edges = frozenset(TemporalEdge(u, v, t) for u, v, t in triples)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TemporalGraph(n, edges)
 
     def test_lifespan_default_and_override(self):
         g = G(2, (0, 1, 3))
@@ -334,6 +408,30 @@ class TestAugment:
         g = G(2, (0, 1, 1)).augment([TemporalEdge(0, 1, 5)])
         assert g.lifespan == 5
 
+    @settings(max_examples=120, deadline=None)
+    @given(temporal_graphs(max_n=6, max_t=3), st.randoms(use_true_random=False))
+    def test_carried_components_match_a_fresh_graph(self, g, rng):
+        # extras at the base's times, at times it does not use, and past its lifespan
+        times = range(1, g.lifespan + 3)
+        extra = [
+            TemporalEdge(u, v, t)
+            for u in range(g.n)
+            for v in range(u + 1, g.n)
+            for t in times
+            if TemporalEdge(u, v, t) not in g.edges and rng.random() < 0.2
+        ]
+        for t in times:
+            g._component_masks(t)
+        warm = dict(g._comp_cache)
+        bigger = g.augment(extra)
+        touched = {e.t for e in extra}
+        assert bigger._comp_cache == {t: m for t, m in warm.items() if t not in touched}
+        fresh = TemporalGraph(g.n, g.edges | frozenset(extra), bigger.lifespan)
+        for t in range(1, bigger.lifespan + 3):
+            assert bigger._component_masks(t) == fresh._component_masks(t)
+        assert g._comp_cache == warm
+        assert bigger == fresh
+
     @settings(max_examples=80, deadline=None)
     @given(temporal_graphs(max_n=5, max_t=3), st.randoms(use_true_random=False))
     def test_reachability_monotone(self, g, rng):
@@ -465,6 +563,62 @@ class TestFormats:
     def test_parse_override(self):
         g = parse_tg("T 5\nV 2\nE 0 1 1\n")
         assert g.lifespan == 5
+
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("V x\n", "expected integer vertex count", 1),
+            ("V 2\nE 0 x 1\n", "expected integer endpoint or time", 2),
+            ("V 2\nE 0 1 a\n", "expected integer endpoint or time", 2),
+            ("V 2\nE 0 5 1\n", "endpoint out of range 0..1", 2),
+            ("V 2\nE -1 1 1\n", "endpoint out of range 0..1", 2),
+            ("V 2\nE 1 1 1\n", "self-loops are not allowed", 2),
+            ("V 2\nE 0 1 0\n", "time steps must be >= 1", 2),
+            ("V 2\nE 0 1 2 -3\n", "time steps must be >= 1", 2),
+            ("V 2\nE 0 1 1 1\n", "duplicate temporal edge {0,1}@1", 2),
+            ("V 3\nE 0 1 2\n# c\nE 1 0 2 # again\n", "duplicate temporal edge {0,1}@2", 4),
+            ("E 0 1 1\nV 2\n", "edge record before V", 1),
+            ("V 2\nE 0 1\n", "edge record needs two endpoints and at least one time", 2),
+            ("V 2\nX 1\n", "unknown record type 'X'", 2),
+            ("V 2\nV 3\n", "duplicate V record", 2),
+            ("T 2\nT 3\nV 2\n", "duplicate T record", 2),
+            ("V 2\nT 4\n", "T record must precede V", 2),
+            ("V 2 3\n", "V record takes exactly one value", 1),
+            ("V -1\n", "vertex count must be non-negative", 1),
+            ("T 1\nV 2\nE 0 1 3\n", "declared lifespan 1 is below the maximum edge time 3", 1),
+        ],
+    )
+    def test_parse_tg_error_messages(self, text, message, line):
+        with pytest.raises(ParseError) as exc:
+            parse_tg(text)
+        assert (str(exc.value), exc.value.line) == (f"line {line}: {message}", line)
+
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("E 0 1\n", "expected 'E <u> <v> <t>'", 1),
+            ("E 0 1 1 2\n", "expected 'E <u> <v> <t>'", 1),
+            ("# x\nF 0 1 1\n", "expected 'E <u> <v> <t>'", 2),
+            ("E 0 1 x\n", "expected integer endpoint or time", 1),
+            ("E 1 1 1\n", "self-loops are not allowed", 1),
+            ("E 0 1 0\n", "time steps must be >= 1", 1),
+            ("E 0 1 2\nE 1 0 2\n", "duplicate candidate {0,1}@2", 2),
+        ],
+    )
+    def test_parse_candidates_error_messages(self, text, message, line):
+        with pytest.raises(ParseError) as exc:
+            parse_candidates(text)
+        assert (str(exc.value), exc.value.line) == (f"line {line}: {message}", line)
+
+    def test_missing_v_has_no_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_tg("# x\n\n")
+        assert (str(exc.value), exc.value.line) == ("missing V record", None)
+
+    def test_comments_and_blank_lines(self):
+        g = parse_tg("#V 9\n\n  V 3 # three\nE 0 1 1#x\n\t\nE 1 2 2 3 #\n")
+        assert g == G(3, (0, 1, 1), (1, 2, 2), (1, 2, 3))
+        assert parse_candidates("# c\nE 1 0 2 # late\n\n") == (TemporalEdge(0, 1, 2),)
 
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(ParseError) as exc:
