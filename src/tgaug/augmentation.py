@@ -650,7 +650,7 @@ def solve_one_plus_one(g: TemporalGraph) -> frozenset[TemporalEdge]:
     return frozenset(added)
 
 
-def spanner_via_tca(g: TemporalGraph, budget: int | None = None) -> AugmentationProblem:
+def spanner_via_tca(g: TemporalGraph) -> AugmentationProblem:
     """Recast minimum-spanner on a connected graph as an augmentation instance.
 
     The base is the edgeless graph on the same vertices (lifespan kept), the
@@ -662,9 +662,7 @@ def spanner_via_tca(g: TemporalGraph, budget: int | None = None) -> Augmentation
     if not g.is_temporally_connected(NON_STRICT):
         raise ValueError("requires a temporally connected graph")
     base = TemporalGraph(g.n, frozenset(), g.lifespan)
-    return AugmentationProblem(
-        base, frozenset(g.edges), All(), NON_STRICT, COST_EDGE, budget
-    )
+    return AugmentationProblem(base, frozenset(g.edges), All(), NON_STRICT, COST_EDGE)
 
 
 def solution_to_json(outcome: SolveOutcome, problem: AugmentationProblem) -> dict:

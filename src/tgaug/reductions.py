@@ -6,6 +6,12 @@ or matrix instance.  The constructors double as instance generators for
 the solver CLI and as equivalence oracles in the test suite; the witness
 maps translate solutions in both directions with the sizes the
 equivalences promise.
+
+Each gadget witnesses one hardness claim of the paper's abstract:
+dominating set, strict All at lifespan 2; hitting set, non-strict Source
+at lifespan 2 (Source is as hard as TCA); disjoint set covers through
+OCTO, non-strict All at lifespan 2; 3-SAT, the variant NP-hard with two
+pairs (pair demands, group cost, non-strict).
 """
 
 from __future__ import annotations
@@ -139,11 +145,11 @@ def reduce_dominating_set(
     x, y = n, n + 1
     edges = [TemporalEdge(x, y, 2)]
     edges.extend(TemporalEdge(u, v, 2) for u, v in inst.edges)
-    inner = list(range(n)) + [y]
-    for i, u in enumerate(inner):
-        for v in inner[i + 1 :]:
-            if (min(u, v), max(u, v)) not in inst.edges:
-                edges.append(TemporalEdge(u, v, 1))
+    edges.extend(
+        TemporalEdge(u, v, 1)
+        for u, v in itertools.combinations([*range(n), y], 2)
+        if (u, v) not in inst.edges
+    )
     base = TemporalGraph.build(n + 2, edges, lifespan=2)
     if mode == MODE_SIMPLE:
         candidates = frozenset(TemporalEdge(x, v, 1) for v in range(n))
@@ -187,6 +193,9 @@ def ds_edges_to_witness(red: DominatingSetReduction, selected: Iterable[Temporal
 
 @dataclass(frozen=True)
 class HittingSetReduction:
+    """Vertex 0 is x, membership k is vertex 1 + k and set j is vertex
+    ``1 + len(membership_vertices) + j``."""
+
     problem: AugmentationProblem
     x: int
     membership_vertices: tuple[tuple[int, int], ...]  # (element, set) per vertex, in id order
@@ -211,35 +220,22 @@ def reduce_hitting_set(
     for j, s in enumerate(inst.subsets):
         if not s:
             raise ValueError(f"subset {j} is empty")
-    memberships = sorted(
-        (e, j) for j, s in enumerate(inst.subsets) for e in s
-    )
-    x = 0
-    member_id = {pair: 1 + k for k, pair in enumerate(memberships)}
-    set_id = {j: 1 + len(memberships) + j for j in range(len(inst.subsets))}
+    memberships = sorted((e, j) for j, s in enumerate(inst.subsets) for e in s)
+    x, k = 0, len(memberships)
     edges = []
-    by_element: dict[int, list[int]] = defaultdict(list)
-    for e, j in memberships:
-        by_element[e].append(member_id[(e, j)])
-    for e in sorted(by_element):
-        ids = by_element[e]
-        edges.extend(
-            TemporalEdge(a, b, 1) for i, a in enumerate(ids) for b in ids[i + 1 :]
-        )
-    for e, j in memberships:
-        edges.append(TemporalEdge(member_id[(e, j)], set_id[j], 2))
-    n = 1 + len(memberships) + len(inst.subsets)
+    for _, clique in itertools.groupby(range(1, 1 + k), key=lambda v: memberships[v - 1][0]):
+        edges.extend(TemporalEdge(a, b, 1) for a, b in itertools.combinations(clique, 2))
+    edges.extend(TemporalEdge(v, 1 + k + j, 2) for v, (_, j) in enumerate(memberships, 1))
+    n = 1 + k + len(inst.subsets)
     base = TemporalGraph.build(n, edges, lifespan=2)
     if mode == MODE_SIMPLE:
-        candidates = frozenset(TemporalEdge(x, member_id[p], 1) for p in memberships)
+        candidates = frozenset(TemporalEdge(x, v, 1) for v in range(1, 1 + k))
     else:
         candidates = unrestricted_candidates(base)
     problem = AugmentationProblem(
         base, candidates, Source(x), NON_STRICT, COST_EDGE, inst.budget
     )
-    return HittingSetReduction(
-        problem, x, tuple(memberships), tuple(set_id[j] for j in range(len(inst.subsets)))
-    )
+    return HittingSetReduction(problem, x, tuple(memberships), tuple(range(1 + k, n)))
 
 
 def hs_witness_to_edges(
@@ -267,23 +263,22 @@ def hs_edges_to_witness(
     set still unhit gives its least element.
     """
     g = red.problem.base.augment(selected)
-    x = red.x
-    element_of = {red.membership_id(e, j): e for e, j in red.membership_vertices}
-    elements: dict[int, set[int]] = defaultdict(set)
-    for e, j in red.membership_vertices:
-        elements[j].add(e)
-    set_of = {v: j for j, v in enumerate(red.set_vertices)}
+    x, memberships = red.x, red.membership_vertices
+    k = len(memberships)
+    elements: dict[int, set[int]] = defaultdict(set)  # set vertex -> its elements
+    for e, j in memberships:
+        elements[1 + k + j].add(e)
     start = next(m for m in g._component_masks(1) if m >> x & 1)
     hit = {
-        element_of[v] if v in element_of else min(elements[set_of[v]])
+        memberships[v - 1][0] if v <= k else min(elements[v])
         for v in _mask_to_block(start)
         if v != x
     }
     for comp in g._component_masks(2):
         if comp & start:
             for v in _mask_to_block(comp):
-                if v in set_of and not elements[set_of[v]] & hit:
-                    hit.add(min(elements[set_of[v]]))
+                if v > k and not elements[v] & hit:
+                    hit.add(min(elements[v]))
     return frozenset(hit)
 
 
@@ -391,72 +386,52 @@ def reduce_3sat(cnf: CnfInstance) -> ThreeSatReduction:
     records whether that holds.
     """
     n, m = cnf.n_vars, len(cnf.clauses)
-    occs: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
-    literal_at: dict[tuple[int, int], set[str]] = defaultdict(set)  # (var, clause) -> branches
+    literal_at: dict[tuple[int, int], str] = {}  # (var, clause) -> branch of its literal
     for c, clause in enumerate(cnf.clauses):
         for lit in clause:
-            var = abs(lit)
-            if c not in occs[var]:
-                occs[var].append(c)
-            literal_at[(var, c)].add("T" if lit > 0 else "F")
+            literal_at[abs(lit), c] = "T" if lit > 0 else "F"
+    occs: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}  # clauses per variable
+    for var, c in literal_at:
+        occs[var].append(c)
 
     ids = itertools.count()  # vertex ids in allocation order
     edges: list[TemporalEdge] = []
-    link_groups: list[tuple[int, str, int, tuple[int, int]]] = []
-    buffer_id: dict[tuple[int, str, int], int] = {}
-    value_id: dict[tuple[int, str, int], int] = {}
-    prev_end: int | None = None
+    links: dict[tuple[int, str, int], tuple[int, int]] = {}  # (var, branch, clause) -> (buffer, value)
     for var in range(1, n + 1):
         start = next(ids)
-        if prev_end is not None:
-            edges.append(TemporalEdge(prev_end, start, 1))
-        branch_tail: dict[str, int] = {}
+        if var > 1:
+            edges.append(TemporalEdge(end, start, 1))  # from the previous variable's end
+        tails = set()
         for branch in ("T", "F"):
             tail = start
             for c in occs[var]:
-                buf, val = next(ids), next(ids)
-                buffer_id[(var, branch, c)] = buf
-                value_id[(var, branch, c)] = val
+                buf, val = links[var, branch, c] = next(ids), next(ids)
                 edges.append(TemporalEdge(tail, buf, 1))
-                link_groups.append((var, branch, c, (min(buf, val), max(buf, val))))
                 tail = val
-            branch_tail[branch] = tail
+            tails.add(tail)
         end = next(ids)
-        for branch in ("T", "F"):
-            if occs[var]:
-                edges.append(TemporalEdge(branch_tail[branch], end, 1))
-        if not occs[var]:
-            edges.append(TemporalEdge(start, end, 1))
-        prev_end = end
+        edges.extend(TemporalEdge(tail, end, 1) for tail in tails)
 
-    first_cs = prev_cend = None
-    for c in range(m):
-        cs, ce = next(ids), next(ids)
-        if prev_cend is None:
-            first_cs = cs
-        else:
-            edges.append(TemporalEdge(prev_cend, cs, 2))
-        for var in sorted({abs(lit) for lit in cnf.clauses[c]}):
-            for branch in sorted(literal_at[(var, c)]):
-                edges.append(TemporalEdge(cs, buffer_id[(var, branch, c)], 2))
-                edges.append(TemporalEdge(value_id[(var, branch, c)], ce, 2))
-        prev_cend = ce
+    gadgets = [(next(ids), next(ids)) for _ in range(m)]  # (start, end) per clause
+    edges.extend(TemporalEdge(ce, cs, 2) for (_, ce), (cs, _) in zip(gadgets, gadgets[1:]))
+    for (var, c), branch in literal_at.items():
+        cs, ce = gadgets[c]
+        buf, val = links[var, branch, c]
+        edges += (TemporalEdge(cs, buf, 2), TemporalEdge(val, ce, 2))
 
-    candidates = []
-    for var, branch, c, (a, b) in link_groups:
-        candidates.append(TemporalEdge(a, b, 1))
-        candidates.append(TemporalEdge(a, b, 2))
-    budget = sum(len(occs[var]) for var in range(1, n + 1))
-    base = TemporalGraph.build(next(ids), set(edges), lifespan=2)
+    candidates = frozenset(TemporalEdge(*pair, t) for pair in links.values() for t in (1, 2))
+    budget = sum(len(c) for c in occs.values())
+    base = TemporalGraph.build(next(ids), edges, lifespan=2)
     problem = AugmentationProblem(
         base,
-        frozenset(candidates),
-        Pairs(((0, prev_end), (first_cs, prev_cend))),  # vertex 0 starts the first variable
+        candidates,
+        Pairs(((0, end), (gadgets[0][0], gadgets[-1][1]))),  # vertex 0 starts the first variable
         NON_STRICT,
         COST_GROUP,
         budget,
     )
-    return ThreeSatReduction(problem, budget, budget == 3 * m, n, tuple(link_groups))
+    link_rows = tuple((*key, pair) for key, pair in links.items())
+    return ThreeSatReduction(problem, budget, budget == 3 * m, n, link_rows)
 
 
 def sat_witness_to_edges(
@@ -472,23 +447,10 @@ def sat_witness_to_edges(
 
 
 def sat_edges_to_witness(red: ThreeSatReduction, selected: Iterable[TemporalEdge]) -> tuple[bool, ...]:
-    """Read the assignment off the bought branches of a valid solution."""
+    """The assignment a valid solution buys: true iff no link of the true branch is missing."""
     pairs = {e.pair for e in selected}
-    bought: dict[int, set[str]] = defaultdict(set)
-    links_of: dict[tuple[int, str], list[tuple[int, int]]] = defaultdict(list)
-    for var, branch, _, pair in red.links:
-        links_of[(var, branch)].append(pair)
-    for (var, branch), link_pairs in links_of.items():
-        if all(p in pairs for p in link_pairs):
-            bought[var].add(branch)
-    assignment = []
-    for var in range(1, red.n_vars + 1):
-        branches = bought.get(var, set())
-        if not branches and not links_of.get((var, "T")):
-            assignment.append(True)  # variable occurs in no clause; value is free
-        else:
-            assignment.append("T" in branches)
-    return tuple(assignment)
+    missing = {var for var, branch, _, pair in red.links if branch == "T" and pair not in pairs}
+    return tuple(var not in missing for var in range(1, red.n_vars + 1))
 
 
 # -- source-instance text formats ---------------------------------------------

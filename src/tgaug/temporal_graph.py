@@ -490,11 +490,13 @@ def _endpoints(fields: list[str], lineno: int, n: int | None) -> tuple[int, int,
     """The checked endpoints of an ``E <u> <v> ...`` record and the integers after them.
 
     ``n`` bounds the endpoints and is None for a ``.cand`` record, whose
-    file declares no vertex count.
+    file declares no vertex count, so only their sign is checked.
     """
     u, v, *rest = _ints(fields[1:], lineno, "endpoint or time")
     if n is not None and not (0 <= u < n and 0 <= v < n):
         raise ParseError(f"endpoint out of range 0..{n - 1}", lineno)
+    if u < 0 or v < 0:
+        raise ParseError("endpoint must be non-negative", lineno)
     if u == v:
         raise ParseError("self-loops are not allowed", lineno)
     return u, v, rest

@@ -61,6 +61,11 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
 
+    def test_negative_candidate_endpoint_names_its_line(self, tmp_path, capsys):
+        assert main(["solve", write_bundle(tmp_path, tca(), candidates="E -1 2 1\n")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "line 1: endpoint must be non-negative" in captured.err
+
     def test_deeply_nested_manifest_is_2(self, tmp_path, capsys):
         path = write_bundle(tmp_path, tca())
         Path(path).write_text("[" * 100_000 + "]" * 100_000)
@@ -703,6 +708,32 @@ GOLDEN_EXPANSION = (
     '{"kind":"gate_out","label":"1-2@2.out"}],"schema":1,"semantics":"non-strict"}\n'
 )
 
+GOLDEN_DS_GRAPH = "V 5\nE 0 1 2\nE 0 2 1\nE 0 4 1\nE 1 2 1\nE 1 4 1\nE 2 4 1\nE 3 4 2\n"
+GOLDEN_DS_MANIFEST = (
+    '{"budget":2,"candidates":"instance.cand","cost_model":"edge","graph":"instance.tg",'
+    '"kind":"tca","requirement":{"type":"all"},"schema":1,"semantics":"strict"}\n'
+)
+GOLDEN_HS_GRAPH = (
+    "V 10\nE 1 2 1\nE 1 3 1\nE 1 6 2\nE 2 3 1\nE 2 7 2\nE 3 9 2\nE 4 5 1\nE 4 6 2\nE 5 8 2\n"
+)
+GOLDEN_HS_MANIFEST = (
+    '{"budget":2,"candidates":"instance.cand","cost_model":"edge","graph":"instance.tg",'
+    '"kind":"tca","requirement":{"type":"source","vertex":0},"schema":1,'
+    '"semantics":"non-strict"}\n'
+)
+GOLDEN_HS_UNRESTRICTED = (
+    "E 0 1 1\nE 0 2 1\nE 0 3 1\nE 0 4 1\nE 0 5 1\nE 0 6 1\nE 0 7 1\nE 0 8 1\nE 0 9 1\n"
+    "E 1 4 1\nE 1 5 1\nE 1 6 1\nE 1 7 1\nE 1 8 1\nE 1 9 1\nE 2 4 1\nE 2 5 1\nE 2 6 1\n"
+    "E 2 7 1\nE 2 8 1\nE 2 9 1\nE 3 4 1\nE 3 5 1\nE 3 6 1\nE 3 7 1\nE 3 8 1\nE 3 9 1\n"
+    "E 4 6 1\nE 4 7 1\nE 4 8 1\nE 4 9 1\nE 5 6 1\nE 5 7 1\nE 5 8 1\nE 5 9 1\nE 6 7 1\n"
+    "E 6 8 1\nE 6 9 1\nE 7 8 1\nE 7 9 1\nE 8 9 1\n"
+    "E 0 1 2\nE 0 2 2\nE 0 3 2\nE 0 4 2\nE 0 5 2\nE 0 6 2\nE 0 7 2\nE 0 8 2\nE 0 9 2\n"
+    "E 1 2 2\nE 1 3 2\nE 1 4 2\nE 1 5 2\nE 1 7 2\nE 1 8 2\nE 1 9 2\nE 2 3 2\nE 2 4 2\n"
+    "E 2 5 2\nE 2 6 2\nE 2 8 2\nE 2 9 2\nE 3 4 2\nE 3 5 2\nE 3 6 2\nE 3 7 2\nE 3 8 2\n"
+    "E 4 5 2\nE 4 7 2\nE 4 8 2\nE 4 9 2\nE 5 6 2\nE 5 7 2\nE 5 9 2\nE 6 7 2\nE 6 8 2\n"
+    "E 6 9 2\nE 7 8 2\nE 7 9 2\nE 8 9 2\n"
+)
+
 
 class TestGoldenOutput:
     """Exact stdout and exit code of each subcommand on tiny fixed inputs."""
@@ -773,6 +804,62 @@ class TestGoldenOutput:
 
     def test_expand_json(self, run):
         assert run("expand", "tiny.json", "--format", "json") == (0, GOLDEN_EXPANSION)
+
+    @pytest.mark.parametrize(
+        "argv, stdout, graph, candidates, manifest",
+        [
+            (
+                ["ds", "static.txt", "2"],
+                "5 vertices, 7 base edges, 3 candidates, budget 2\n",
+                GOLDEN_DS_GRAPH,
+                "E 0 3 1\nE 1 3 1\nE 2 3 1\n",
+                GOLDEN_DS_MANIFEST,
+            ),
+            (
+                ["ds", "static.txt", "2", "--mode", "unrestricted"],
+                "5 vertices, 7 base edges, 13 candidates, budget 2\n",
+                GOLDEN_DS_GRAPH,
+                "E 0 1 1\nE 0 3 1\nE 1 3 1\nE 2 3 1\nE 3 4 1\nE 0 2 2\nE 0 3 2\nE 0 4 2\n"
+                "E 1 2 2\nE 1 3 2\nE 1 4 2\nE 2 3 2\nE 2 4 2\n",
+                GOLDEN_DS_MANIFEST,
+            ),
+            (
+                ["hs", "sets.txt", "2"],
+                "10 vertices, 9 base edges, 5 candidates, budget 2\n",
+                GOLDEN_HS_GRAPH,
+                "E 0 1 1\nE 0 2 1\nE 0 3 1\nE 0 4 1\nE 0 5 1\n",
+                GOLDEN_HS_MANIFEST,
+            ),
+            (
+                ["hs", "sets.txt", "2", "--mode", "unrestricted"],
+                "10 vertices, 9 base edges, 81 candidates, budget 2\n",
+                GOLDEN_HS_GRAPH,
+                GOLDEN_HS_UNRESTRICTED,
+                GOLDEN_HS_MANIFEST,
+            ),
+            (
+                ["3sat", "f.cnf"],
+                "20 vertices, 20 base edges, 12 candidates, budget 3\n",
+                "V 20\nE 0 1 1\nE 0 3 1\nE 1 18 2\nE 2 5 1\nE 2 19 2\nE 4 5 1\nE 5 6 1\n"
+                "E 6 7 1\nE 6 9 1\nE 8 11 1\nE 9 18 2\nE 10 11 1\nE 10 19 2\nE 11 12 1\n"
+                "E 12 13 1\nE 12 15 1\nE 13 18 2\nE 14 17 1\nE 14 19 2\nE 16 17 1\n",
+                "E 1 2 1\nE 3 4 1\nE 7 8 1\nE 9 10 1\nE 13 14 1\nE 15 16 1\n"
+                "E 1 2 2\nE 3 4 2\nE 7 8 2\nE 9 10 2\nE 13 14 2\nE 15 16 2\n",
+                '{"budget":3,"candidates":"instance.cand","cost_model":"group",'
+                '"graph":"instance.tg","kind":"tca","requirement":{"demand":2,'
+                '"pairs":[[0,17],[18,19]],"type":"pairs"},"schema":1,'
+                '"semantics":"non-strict","standard_budget":true}\n',
+            ),
+        ],
+        ids=["ds-simple", "ds-unrestricted", "hs-simple", "hs-unrestricted", "3sat"],
+    )
+    def test_reduce_bundle(self, run, argv, stdout, graph, candidates, manifest):
+        assert run("reduce", *argv, "--out", "out") == (0, stdout)
+        assert {f.name: f.read_bytes() for f in Path("out").iterdir()} == {
+            "instance.tg": graph.encode(),
+            "instance.cand": candidates.encode(),
+            "manifest.json": manifest.encode(),
+        }
 
 
 REPLAY_RUNS = [

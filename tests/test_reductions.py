@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -34,6 +35,9 @@ from tgaug.reductions import (
     dsc_witness_to_steps,
     hs_edges_to_witness,
     hs_witness_to_edges,
+    parse_dimacs,
+    parse_set_system,
+    parse_static_graph,
     reduce_3sat,
     reduce_dominating_set,
     reduce_dsc,
@@ -41,7 +45,14 @@ from tgaug.reductions import (
     sat_edges_to_witness,
     sat_witness_to_edges,
 )
-from tgaug.temporal_graph import NON_STRICT, TemporalEdge, TemporalGraph, format_tg, parse_tg
+from tgaug.temporal_graph import (
+    NON_STRICT,
+    ParseError,
+    TemporalEdge,
+    TemporalGraph,
+    format_tg,
+    parse_tg,
+)
 
 
 def dominates(n, edges, picked):
@@ -352,3 +363,95 @@ class TestOctoWitnessEdges:
 def test_gadget_base_survives_the_tg_round_trip(reduce):
     base = reduce().problem.base
     assert parse_tg(format_tg(base)) == base
+
+
+class TestInputChecks:
+    """Each check on a source instance, builder or source text, with its exact message."""
+
+    @staticmethod
+    def raises(build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [({(1, 1)}, "self-loops are not allowed"), ({(0, 3)}, "edge (0,3) out of range")],
+    )
+    def test_static_graph_instance(self, edges, message):
+        self.raises(lambda: StaticGraphInstance(3, frozenset(edges), 1), message)
+
+    @pytest.mark.parametrize(
+        "subsets, message",
+        [((), "collection must be non-empty"), ((frozenset({0, 2}),), "element 2 outside universe 0..1")],
+    )
+    def test_set_system_instance(self, subsets, message):
+        self.raises(lambda: SetSystemInstance(2, subsets, 1), message)
+
+    @pytest.mark.parametrize(
+        "n_vars, clauses, message",
+        [
+            (0, ((1, 1, 1),), "need at least one variable"),
+            (3, (), "need at least one clause"),
+            (3, ((1, 2),), "clauses must have exactly 3 literals"),
+            (3, ((1, 2, 4),), "literal 4 out of range"),
+            (3, ((1, 0, 2),), "literal 0 out of range"),
+            (3, ((1, -1, 2),), "a clause may not contain a variable and its negation"),
+        ],
+    )
+    def test_cnf_instance(self, n_vars, clauses, message):
+        self.raises(lambda: CnfInstance(n_vars, clauses), message)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: reduce_dominating_set(StaticGraphInstance(2, frozenset(), 1), "tree"),
+                "unknown mode 'tree'",
+            ),
+            (
+                lambda: reduce_hitting_set(SetSystemInstance(2, (frozenset({0}),), 1), "tree"),
+                "unknown mode 'tree'",
+            ),
+            (
+                lambda: reduce_hitting_set(SetSystemInstance(2, (frozenset({0}), frozenset()), 1)),
+                "subset 1 is empty",
+            ),
+            (
+                lambda: reduce_dsc(SetSystemInstance(1, (frozenset({0}),), 0)),
+                "cover target must be at least 1",
+            ),
+            (
+                lambda: reduce_dsc(SetSystemInstance(0, (frozenset(),), 1)),
+                "universe must be non-empty",
+            ),
+            (
+                # same set count as the reduced instance, but its sets do not cover
+                lambda: dsc_steps_to_witness(
+                    SetSystemInstance(2, (frozenset({0}), frozenset({1})), 1),
+                    reduce_dsc(SetSystemInstance(1, (frozenset({0}),) * 2, 2)),
+                    (),
+                ),
+                "a column group does not cover the universe",
+            ),
+        ],
+        ids=["ds-mode", "hs-mode", "hs-empty-subset", "dsc-target", "dsc-universe", "dsc-other"],
+    )
+    def test_builders(self, build, message):
+        self.raises(build, message)
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (lambda t: parse_static_graph(t, 1), "E 0 1\nV 2\n", "line 1: edge before V record"),
+            (lambda t: parse_set_system(t, 1), "U 2\nS 0 1\n", "line 2: expected 'S <i>: <e> <e> ...'"),
+            (lambda t: parse_set_system(t, 1), "U 2\nS 0 1: 1\n", "line 2: expected 'S <i>: <e> <e> ...'"),
+            (lambda t: parse_set_system(t, 1), "U 2\nS 0: 0 2\n", "line 2: element outside universe 0..1"),
+            (lambda t: parse_set_system(t, 1), "# none\nU 2\n", "no sets given"),
+            (parse_dimacs, "p cnf 3 1\n1 2 3 0 0\n", "line 2: empty clause"),
+            (parse_dimacs, "p cnf 4 1\n1 2\n3 4 0\n", "line 3: clause with more than 3 literals"),
+            (parse_dimacs, "p cnf 3 1\n1 2 3\n", "unterminated clause"),
+        ],
+    )
+    def test_parsers(self, parse, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse(text)

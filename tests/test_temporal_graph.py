@@ -603,6 +603,8 @@ class TestFormats:
             ("E 1 1 1\n", "self-loops are not allowed", 1),
             ("E 0 1 0\n", "time steps must be >= 1", 1),
             ("E 0 1 2\nE 1 0 2\n", "duplicate candidate {0,1}@2", 2),
+            ("E -1 2 1\n", "endpoint must be non-negative", 1),
+            ("E 0 1 1\nE 2 -3 1\n", "endpoint must be non-negative", 2),
         ],
     )
     def test_parse_candidates_error_messages(self, text, message, line):
