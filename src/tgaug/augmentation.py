@@ -3,11 +3,12 @@
 Models the three connectivity requirements (everything reaches everything,
 a designated source, or a list of ordered pair demands) under both journey
 semantics and both cost models, and solves them exactly by budget-bounded
-subset search.  The search's first level of an edge-cost All problem over
-an edgeless base, a spanning tree, is decided in closed form (see
-:func:`solve_exact`).  Also contains the quadratic special-case algorithm for
-lifespan-1 graphs that may add edges at time 2, and the bridge that turns
-a spanner question into an augmentation instance.
+subset search.  The search starts at a paid-link distance floor, and the
+first level of an edge-cost All problem over an edgeless base, a spanning
+tree, is decided in closed form (see :func:`solve_exact`).  Also contains
+the quadratic special-case algorithm for lifespan-1 graphs that may add
+edges at time 2, and the bridge that turns a spanner question into an
+augmentation instance.
 """
 
 from __future__ import annotations
@@ -349,6 +350,34 @@ class _LayerSpace:
 
         return test
 
+    def floor(self, budget: int | None) -> int:
+        """The paid-link floor of :func:`solve_exact`, capped at min(budget, units) + 1."""
+        if not self.entries or self.required < len(self.entries):
+            return 0
+        cap = (len(self.patches) if budget is None else min(budget, len(self.patches))) + 1
+        source = self.entries[0][0]
+        need = reduce(int.__or__, [need for s, need in self.entries if s == source])
+        paid: list[list[int]] = [[] for _ in self.start]
+        for patch in self.patches:
+            for i, link in patch:
+                paid[i].append(link)
+        gates = [0] * len(self.start)  # level k-1's reach around each slot; none before level 0
+        for k in range(cap):
+            reach, level = 1 << source, []
+            for layer, links, gate in zip(self.start, paid, gates):
+                before = reach
+                for link in links:
+                    if link & gate:
+                        reach |= link
+                reach |= sweep((layer,), before if self.strict else reach)
+                level.append(before if self.strict else reach)
+            if reach & need == need:
+                return k
+            if level == gates:
+                break
+            gates = level
+        return cap
+
     def root_holds(self, layers: Sequence[tuple[int, ...]]) -> bool:
         """:meth:`holds` for the search's root tests, which rarely stop at the first source."""
         reach = _reach_all(layers, self.n, self.entries)
@@ -462,13 +491,31 @@ def solve_exact(
     no such snapshot the search starts at n.  Strict at n >= 3 starts at n
     too: a tree path u-w-v would need each of its times below the other.
     Group cost, Source, Pairs and bases with edges stay with the search.
+
+    The search starts no lower than the paid-link floor
+    (:meth:`_LayerSpace.floor`): the least k such that the front demand
+    entry's source reaches every vertex that the entries with that source
+    need using at most k paid links, each edge of each unit being one.
+    Level k is one pass over the start layers: a slot's base masks join by
+    :func:`~tgaug.temporal_graph.sweep`'s rule, and its paid links join when
+    they meet level k-1's reach before the slot (strict) or after it
+    (non-strict).  It is admissible under both cost models: waiting is
+    always allowed, so a journey with its loops cut out visits each vertex
+    once, crossing each endpoint pair at most once and so using no more
+    paid links than the units it touches.  For a single pair the floor is
+    the optimum; a B-of-p demand may skip the front entry, so it gets 0.
+    Only the front source is swept: a floor over every distinct source cost
+    more than it saved (wide-certify about 300 against 245 instances/s).
+    The expansion engine has no floor, so ``--cross-check`` stays an
+    independent check of this one.
     """
     units = _group_items(problem)
     if problem.semantics == NON_STRICT:
         units = _merging_units(problem, units)
     combo, first = _tree_level(problem, units)
     if combo is None:
-        combo = _cheapest_subset(_LayerSpace(problem, units), problem.budget, first)
+        space = _LayerSpace(problem, units)
+        combo = _cheapest_subset(space, problem.budget, max(first, space.floor(problem.budget)))
     if isinstance(combo, Infeasible):
         return combo
     chosen = [units[i] for i in combo]
@@ -530,7 +577,8 @@ def _cheapest_subset(space, budget: int | None, first: int = 0) -> tuple[int, ..
     admissible two-time bound of :func:`_two_time_need`: nodes it puts at
     or past the units left are cut too.  The sizes start at the largest of
     the two bounds at the root and ``first``, a size below which the caller
-    knows no subset is accepted.  Acceptance
+    knows no subset is accepted, such as :func:`solve_exact`'s tree level or
+    paid-link floor; a ``first`` past the budget searches nothing.  Acceptance
     is monotone in the subset, so the answer is the least accepted subset
     of the least accepted size, exactly as plain enumeration would find
     it.  ``Infeasible("infeasible")`` when not even all units together are

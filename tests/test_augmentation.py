@@ -42,7 +42,13 @@ from tgaug.augmentation import (
     unrestricted_candidates,
     verify_solution,
 )
-from tgaug.reductions import MODE_UNRESTRICTED, StaticGraphInstance, reduce_dominating_set
+from tgaug.reductions import (
+    MODE_UNRESTRICTED,
+    CnfInstance,
+    StaticGraphInstance,
+    reduce_3sat,
+    reduce_dominating_set,
+)
 from tgaug.temporal_graph import (
     NON_STRICT,
     STRICT,
@@ -219,11 +225,17 @@ def two_time_problems(draw):
     return AugmentationProblem(base, frozenset(E(*s) for s in cand_set), All(), NON_STRICT)
 
 
-def _searched(problem):
-    """:func:`solve_exact`'s selection as the subset search alone finds it, or its report."""
+def _units(problem):
+    """The units :func:`solve_exact` searches: the cost model's items, pruned when non-strict."""
     units = _group_items(problem)
     if problem.semantics == NON_STRICT:
         units = _merging_units(problem, units)
+    return units
+
+
+def _searched(problem):
+    """:func:`solve_exact`'s selection as the subset search alone finds it, or its report."""
+    units = _units(problem)
     combo = _cheapest_subset(_LayerSpace(problem, units), problem.budget)
     if isinstance(combo, Infeasible):
         return combo
@@ -244,6 +256,17 @@ def _edgeless_all(rng, max_n, max_candidates):
         COST_EDGE,
         rng.choice([None, n - 2, n - 1, n]),
     )
+
+
+def _chain_pair(n, lifespan, size, seed, semantics=NON_STRICT):
+    """The pair (0, n-1) over an edgeless base, each candidate joining u to u+1 or u+2."""
+    rng = random.Random(seed)
+    candidates = set()
+    while len(candidates) < size:
+        u, d, t = rng.randint(0, n - 2), rng.choice([1, 2]), rng.randint(1, lifespan)
+        candidates.add(E(u, min(n - 1, u + d), t))
+    base = TemporalGraph(n, frozenset(), lifespan)
+    return AugmentationProblem(base, frozenset(candidates), Pairs(((0, n - 1),)), semantics)
 
 
 class TestEvaluatorAgreesWithVerify:
@@ -730,6 +753,131 @@ class TestTreeLevel:
         assert sol.cost == 5 and len(sol.certificate) == 30  # every ordered pair
         for u, v, hops in sol.certificate:
             assert is_journey(augmented, hops, NON_STRICT, u, v)
+
+
+class TestPaidFloor:
+    """The paid-link floor: where the search starts, never past the optimum."""
+
+    @staticmethod
+    def _floor(problem):
+        return _LayerSpace(problem, _units(problem)).floor(problem.budget)
+
+    @staticmethod
+    def _sizes_asked(monkeypatch):
+        """Record the sizes :func:`_first_of_size` is asked."""
+        sizes = []
+        first_of_size = aug_mod._first_of_size
+
+        def recording(space, size, *args):
+            sizes.append(size)
+            return first_of_size(space, size, *args)
+
+        monkeypatch.setattr(aug_mod, "_first_of_size", recording)
+        return sizes
+
+    @settings(max_examples=150, deadline=None)
+    @given(budgeted_problems())
+    def test_is_admissible(self, problem):
+        best = brute_min_cost(problem)
+        if best is not None:
+            assert self._floor(problem) <= best
+
+    @settings(max_examples=150, deadline=None)
+    @given(problems(), st.data())
+    def test_is_exact_on_one_pair(self, problem, data):
+        u, v = (data.draw(st.integers(min_value=0, max_value=problem.base.n - 1)) for _ in range(2))
+        demand = data.draw(st.sampled_from([None, 1]))
+        one_pair = dataclasses.replace(problem, requirement=Pairs(((u, v),), demand))
+        best = brute_min_cost(one_pair)
+        assert self._floor(one_pair) == (len(_units(one_pair)) + 1 if best is None else best)
+
+    @settings(max_examples=80, deadline=None)
+    @given(problems())
+    def test_is_the_front_sources_farthest_need(self, problem):
+        """Every vertex that an entry with the front entry's source needs counts, not the front's alone."""
+        req, n = problem.requirement, problem.base.n
+        if isinstance(req, Pairs):
+            assume(req.effective_demand == len(req.pairs))
+            source = req.pairs[0][0]
+            targets = {v for u, v in req.pairs if u == source}
+        else:
+            source = req.vertex if isinstance(req, Source) else 0
+            targets = set(range(n)) - {source}
+        problem = dataclasses.replace(problem, budget=None)
+        costs = [
+            brute_min_cost(dataclasses.replace(problem, requirement=Pairs(((source, v),))))
+            for v in targets
+        ]
+        expected = len(_units(problem)) + 1 if None in costs else max(costs, default=0)
+        assert self._floor(problem) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(budgeted_problems())
+    def test_solve_exact_matches_the_unfloored_search(self, problem):
+        out = solve_exact(problem, with_certificate=False)
+        expected = brute_least_selection(problem)
+        searched = _searched(problem)
+        if isinstance(expected, str):
+            assert out == searched == Infeasible(expected)
+        else:
+            assert out.selected == searched and (out.selected, out.groups) == expected
+
+    @pytest.mark.parametrize("semantics", [STRICT, NON_STRICT])
+    def test_all_on_no_vertices_is_zero(self, semantics):
+        problem = AugmentationProblem(G(0, lifespan=2), frozenset(), All(), semantics)
+        assert self._floor(problem) == 0
+
+    @pytest.mark.parametrize("semantics", [STRICT, NON_STRICT])
+    def test_b_of_p_is_zero(self, semantics):
+        path = frozenset({E(0, 1, 1), E(1, 2, 2), E(2, 3, 3)})
+        problem = AugmentationProblem(G(4, lifespan=3), path, Pairs(((0, 3), (3, 0)), 1), semantics)
+        assert self._floor(problem) == 0
+        assert solve_exact(problem, with_certificate=False).selected == sorted_edges(path)
+
+    @pytest.mark.parametrize("semantics", [STRICT, NON_STRICT])
+    def test_counts_every_entry_of_the_front_source(self, semantics):
+        path = frozenset({E(0, 1, 1), E(1, 2, 2), E(2, 3, 3)})
+        problem = AugmentationProblem(G(4, lifespan=3), path, Pairs(((0, 1), (0, 3))), semantics)
+        assert self._floor(problem) == brute_min_cost(problem) == 3
+
+    def test_strict_links_of_one_time_do_not_chain(self):
+        same_time = frozenset({E(0, 1, 1), E(1, 2, 1), E(1, 2, 2)})
+        pair = Pairs(((0, 2),))
+        strict = AugmentationProblem(G(3, lifespan=2), same_time, pair, STRICT)
+        # strict: 01@1 then 12@2; the floor is exact here, as on every one-pair problem
+        assert self._floor(strict) == brute_min_cost(strict) == 2
+        without_later = dataclasses.replace(strict, candidates=same_time - {E(1, 2, 2)})
+        assert self._floor(without_later) == 3 and brute_min_cost(without_later) is None
+        nonstrict = dataclasses.replace(without_later, semantics=NON_STRICT)
+        assert self._floor(nonstrict) == brute_min_cost(nonstrict) == 2
+
+    def test_satisfiable_3sat_gadget_asks_only_its_optimum(self, monkeypatch):
+        sizes = self._sizes_asked(monkeypatch)
+        problem = reduce_3sat(CnfInstance(4, ((1, 2, 3), (-1, -2, 4), (2, -3, -4)))).problem
+        assert problem.cost_model == COST_GROUP and len(problem.requirement.pairs) == 2
+        assert self._floor(problem) == 9
+        out = solve_exact(problem, with_certificate=False)
+        assert out.cost == 9 and sizes == [9]
+        assert out.selected == _searched(problem)
+
+    def test_chain_pair_asks_only_its_optimum(self, monkeypatch):
+        sizes = self._sizes_asked(monkeypatch)
+        problem = _chain_pair(10, 6, 64, 1)
+        out = solve_exact(problem, with_certificate=False)
+        assert out.cost == 5 and sizes == [5]
+        assert out.selected == _searched(problem)
+
+    def test_floor_past_the_budget_searches_nothing(self, monkeypatch):
+        sizes = self._sizes_asked(monkeypatch)
+        path = frozenset({E(0, 1, 1), E(1, 2, 2), E(2, 3, 3), E(2, 3, 1)})  # 23@1 comes too early
+        problem = AugmentationProblem(G(4, lifespan=3), path, Pairs(((0, 3),)), budget=2)
+        assert self._floor(problem) == 3
+        assert solve_exact(problem) == Infeasible("budget_exceeded") == Infeasible(brute_least_selection(problem))
+        assert sizes == []
+        # all units together fail: the root test says so before any size is asked
+        no_way = dataclasses.replace(problem, candidates=path - {E(2, 3, 3)})
+        assert solve_exact(no_way) == Infeasible("infeasible") == Infeasible(brute_least_selection(no_way))
+        assert sizes == []
 
 
 class TestSolveExact:
