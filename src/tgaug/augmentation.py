@@ -108,7 +108,11 @@ class AugmentationProblem:
         if self.base.augment(self.candidates).lifespan > horizon:
             latest = self.candidates_sorted[-1]
             raise InvalidCandidateError(f"candidate {latest} exceeds the lifespan {horizon}")
-        _demands(self.requirement, self.base.n)  # checks the named vertices
+        req, n = self.requirement, self.base.n
+        if isinstance(req, Source) and not 0 <= req.vertex < n:
+            raise ValueError(f"source vertex {req.vertex} out of range 0..{n - 1}")
+        if isinstance(req, Pairs):
+            _check_pairs(req.pairs, n)
 
     @property
     def effective_lifespan(self) -> int:
@@ -163,16 +167,13 @@ def _demands(req: Requirement, n: int) -> tuple[list[tuple[int, int]], int]:
 
     All needs every other vertex from each vertex, Source one entry, and
     Pairs one entry per listed pair, duplicates and ``(u, u)`` kept.
-    Raises ``ValueError`` when ``req`` names a vertex outside 0..n-1.
+    :class:`AugmentationProblem` has checked that ``req`` names vertices of 0..n-1.
     """
     full = (1 << n) - 1
     if isinstance(req, All):
         return [(s, full ^ 1 << s) for s in range(n)], n
     if isinstance(req, Source):
-        if not 0 <= req.vertex < n:
-            raise ValueError(f"source vertex {req.vertex} out of range 0..{n - 1}")
         return [(req.vertex, full ^ 1 << req.vertex)], 1
-    _check_pairs(req.pairs, n)
     return [(u, 1 << v) for u, v in req.pairs], req.effective_demand
 
 

@@ -90,7 +90,7 @@ def _requirement_from_manifest(manifest: dict) -> aug.Requirement:
     if kind != "pairs":
         raise ParseError(f"unknown requirement type {kind!r}")
     pairs = _field(spec, "pairs", list, required=True)
-    if not all(isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in pairs):
+    if not all(type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is int for p in pairs):
         raise ParseError(f"manifest field 'pairs' must hold [u, v] integer pairs, got {pairs!r}")
     return aug.Pairs(tuple(map(tuple, pairs)), _field(spec, "demand", int))
 

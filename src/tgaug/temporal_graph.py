@@ -28,7 +28,8 @@ and keeps the foremost journey into each vertex one source reaches.
 Every text format of the package shares one record grammar: :func:`_records`
 yields each line's fields once ``#`` comments go, :func:`_ints` reads
 integers, :func:`_count` a ``<keyword> <count>`` header that may appear
-once, and :func:`_endpoints` checks the endpoints of an ``E`` record.
+once, and :func:`_endpoints` reads the integers of an ``E`` record in one
+pass and checks its endpoints.
 
 Everything in this module is immutable after construction and safe to
 share between threads; all operations are pure functions of their inputs.
@@ -93,9 +94,9 @@ class TemporalEdge:
             raise ValueError(f"edge time must be >= 1, got {t}")
         if u > v:
             u, v = v, u
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "t", t)
+        _set_u(self, u)
+        _set_v(self, v)
+        _set_t(self, t)
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -108,6 +109,10 @@ class TemporalEdge:
 
     def __str__(self) -> str:
         return f"{{{self.u},{self.v}}}@{self.t}"
+
+
+# the slots' own setters, which write past the frozen class's refusing ``__setattr__``
+_set_u, _set_v, _set_t = TemporalEdge.u.__set__, TemporalEdge.v.__set__, TemporalEdge.t.__set__
 
 
 def sorted_edges(edges: Iterable[TemporalEdge]) -> tuple[TemporalEdge, ...]:
@@ -180,13 +185,13 @@ class TemporalGraph:
     @cached_property
     def _edges_by_time(self) -> dict[int, tuple[TemporalEdge, ...]]:
         buckets: dict[int, list[TemporalEdge]] = defaultdict(list)
-        for e in self.edges_sorted:
+        for e in self.edges:
             buckets[e.t].append(e)
-        return {t: tuple(es) for t, es in buckets.items()}
+        return {t: tuple(sorted(buckets[t], key=attrgetter("u", "v"))) for t in sorted(buckets)}
 
     @cached_property
     def _edge_times(self) -> tuple[int, ...]:
-        return tuple(sorted(self._edges_by_time))
+        return tuple(self._edges_by_time)  # its keys are in time order
 
     @cached_property
     def _adjacency(self) -> dict[int, dict[int, tuple[int, ...]]]:
@@ -492,7 +497,10 @@ def _endpoints(fields: list[str], lineno: int, n: int | None) -> tuple[int, int,
     ``n`` bounds the endpoints and is None for a ``.cand`` record, whose
     file declares no vertex count, so only their sign is checked.
     """
-    u, v, *rest = _ints(fields[1:], lineno, "endpoint or time")
+    try:
+        u, v, *rest = map(int, fields[1:])  # callers check the field count first
+    except ValueError:
+        raise ParseError("expected integer endpoint or time", lineno) from None
     if n is not None and not (0 <= u < n and 0 <= v < n):
         raise ParseError(f"endpoint out of range 0..{n - 1}", lineno)
     if u < 0 or v < 0:

@@ -117,6 +117,15 @@ class TestExitCodes:
         assert captured.err.startswith("error: manifest field")
 
     @pytest.mark.parametrize(
+        "pairs", [[[0, True]], [[0, 1.5]], [[0, "1"]], [[0]], [[0, 1, 2]], [0, 1]]
+    )
+    def test_pairs_must_be_integer_pairs(self, tmp_path, capsys, pairs):
+        path = write_bundle(tmp_path, tca(requirement={"type": "pairs", "pairs": pairs}))
+        assert main(["solve", path]) == 2
+        message = f"error: manifest field 'pairs' must hold [u, v] integer pairs, got {pairs!r}\n"
+        assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.parametrize(
         "field", ["kind", "semantics", "cost_model", "budget", "lifespan", "candidates", "requirement"]
     )
     def test_null_field_means_absent(self, tmp_path, capsys, field):

@@ -1,5 +1,6 @@
 """Witness maps of the gadget reductions, against the brute-force oracles."""
 
+import dataclasses
 import itertools
 import random
 import re
@@ -13,7 +14,7 @@ from oracles import (
     brute_max_disjoint_covers,
     brute_sat,
 )
-from tgaug.augmentation import Solution, solve_exact, verify_solution
+from tgaug.augmentation import Solution, Source, solve_exact, verify_solution
 from tgaug.octo import (
     COLS,
     ROWS,
@@ -95,6 +96,20 @@ class TestDominatingSet:
             assert isinstance(sol, Solution) and sol.cost == gamma
             witness = ds_edges_to_witness(red, sol.selected)
             assert len(witness) <= gamma and dominates(n, edges, witness)
+
+    @pytest.mark.parametrize(
+        "mode, max_n, count", [(MODE_SIMPLE, 5, 150), (MODE_UNRESTRICTED, 4, 60)]
+    )
+    def test_source_x_keeps_the_domination_number(self, mode, max_n, count):
+        # every journey into x exists already, so the gadget asks only that x reach every vertex
+        rng = random.Random(47)
+        for _ in range(count):
+            n = rng.randint(1, max_n)
+            edges = random_graph(rng, n, rng.choice([0.2, 0.5]))
+            red = reduce_dominating_set(StaticGraphInstance(n, edges, 0), mode)
+            problem = dataclasses.replace(red.problem, requirement=Source(red.x), budget=None)
+            sol = solve_exact(problem, with_certificate=False)
+            assert isinstance(sol, Solution) and sol.cost == brute_dominating_min(n, edges)
 
     def test_every_minimum_unrestricted_selection_maps_back(self):
         # minimum selections may hold time-2 edges and edges away from x

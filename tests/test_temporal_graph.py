@@ -2,6 +2,7 @@ import dataclasses
 import pickle
 import random
 import re
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -553,7 +554,85 @@ class TestJourneys:
             assert _journey_tree(g, s, STRICT) == _journey_tree(g, s, NON_STRICT)
 
 
+def record_text(rng, head, records):
+    """``head`` lines, then an ``E`` line per record, with comments and blank lines mixed in.
+
+    Returns the text, its line ending picked at random, and each record's line number.
+    """
+    lines = list(head)
+    at = []
+    for fields in records:
+        while rng.random() < 0.3:
+            lines.append(rng.choice(["", "# E 0 0 0", " \t ", "#", "  # V 9"]))
+        at.append(len(lines) + 1)
+        trailer = rng.choice(["", "", " # E 1 1 1", "#x", "\t"])
+        lines.append(" ".join(map(str, ["E", *fields])) + trailer)
+    end = rng.choice(["\n", "\r\n"])
+    return end.join(lines) + end, at
+
+
+# ways to spoil one record of a valid text; a .cand file has no vertex count to be out of
+CORRUPTIONS = [
+    "integer", "negative endpoint", "negative time", "range", "time 0", "self-loop", "repeat"
+]
+
+
 class TestFormats:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 6), st.integers(0, 2**32), st.booleans())
+    def test_random_texts_read_back_and_name_a_corrupt_record(self, n, seed, candidates):
+        rng = random.Random(seed)
+        triples = sorted({(*sorted(rng.sample(range(n), 2)), rng.randint(1, 4)) for _ in range(8)})
+        if candidates:
+            records = [list(triple) for triple in triples]
+        else:  # the times of one pair, split over several multi-time records
+            times_of = defaultdict(list)
+            for u, v, t in triples:
+                times_of[u, v].append(t)
+            records = []
+            for (u, v), times in times_of.items():
+                rng.shuffle(times)
+                while times:
+                    cut = rng.randint(1, len(times))
+                    records.append([u, v, *times[:cut]])
+                    times = times[cut:]
+        records = [[v, u, *ts] if rng.random() < 0.5 else [u, v, *ts] for u, v, *ts in records]
+        rng.shuffle(records)
+        head = [] if candidates else rng.choice([[f"V {n}"], ["# graph", f"V {n} # count"]])
+        read = parse_candidates if candidates else lambda text: parse_tg(text).edges
+        text, _ = record_text(rng, head, records)
+        assert sorted((e.u, e.v, e.t) for e in read(text)) == triples
+
+        kind = rng.choice([c for c in CORRUPTIONS if not (candidates and c == "range")])
+        k = rng.randrange(len(records))
+        fields = records[k]  # spoiled in place
+        i = rng.randrange(2, len(fields))  # a time of the record
+        if kind == "integer":
+            fields[rng.randrange(len(fields))] = rng.choice(["x", "1.5", "1e3", "--1", "0x1"])
+            message = "expected integer endpoint or time"
+        elif kind in ("negative endpoint", "range"):
+            low = kind == "negative endpoint"
+            fields[rng.randrange(2)] = -rng.randint(1, 3) if low else n + rng.randint(0, 2)
+            message = f"endpoint out of range 0..{n - 1}"
+            if candidates:
+                message = "endpoint must be non-negative"
+        elif kind in ("negative time", "time 0"):
+            fields[i] = 0 if kind == "time 0" else -rng.randint(1, 3)
+            message = "time steps must be >= 1"
+        elif kind == "self-loop":
+            fields[1] = fields[0]
+            message = "self-loops are not allowed"
+        else:  # the edge of one time of the record, endpoints swapped, on the next record
+            u, v, t = fields[1], fields[0], fields[i]
+            k += 1
+            records.insert(k, [u, v, t])
+            what = "candidate" if candidates else "temporal edge"
+            message = f"duplicate {what} {TemporalEdge(u, v, t)}"
+        text, at = record_text(rng, head, records)
+        with pytest.raises(ParseError) as exc:
+            read(text)
+        assert (str(exc.value), exc.value.line) == (f"line {at[k]}: {message}", at[k])
+
     def test_parse_basic(self):
         g = parse_tg("# comment\nV 3\nE 0 1 1 2\nE 1 2 2\n")
         assert g.n == 3
