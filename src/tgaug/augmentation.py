@@ -3,11 +3,12 @@
 Models the three connectivity requirements (everything reaches everything,
 a designated source, or a list of ordered pair demands) under both journey
 semantics and both cost models, and solves them exactly by budget-bounded
-subset search.  The search starts at a paid-link distance floor, and the
-first level of an edge-cost All problem over an edgeless base, a spanning
-tree, is decided in closed form (see :func:`solve_exact`).  Also contains
-the quadratic special-case algorithm for lifespan-1 graphs that may add
-edges at time 2, and the bridge that turns a spanner question into an
+subset search.  The search starts at its largest lower bound, a paid-link
+distance floor among them (see :func:`_cheapest_subset`), and the first
+level of an edge-cost All problem over an edgeless base, a spanning tree,
+is decided in closed form (see :func:`_tree_level`).  Also contains the
+quadratic special-case algorithm for lifespan-1 graphs that may add edges
+at time 2, and the bridge that turns a spanner question into an
 augmentation instance.
 """
 
@@ -261,21 +262,25 @@ def unrestricted_candidates(g: TemporalGraph) -> frozenset[TemporalEdge]:
     )
 
 
-def _footprint(space) -> tuple[list[int], tuple[int, ...], tuple[int, ...]]:
-    """The footprint bound's start data for a search space: unit links and two partitions.
+def _footprint(
+    n: int, free_pairs: Iterable[tuple[int, int]], entries: Sequence[tuple[int, int]], required: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The footprint bound's two root partitions of vertices 0..n-1.
 
-    The footprint is the static graph of the space's free edges plus the
-    chosen units, each of which links its endpoint pair.  Every accepted
-    selection puts each demand link (the vertices of one demanded entry)
-    in one footprint component.  The first partition is the footprint's
-    components, the second those of the footprint joined by every demand
-    link; extended by the same unit links, their difference in size is how
-    many more units a node needs at least, since a unit joins at most two
-    components.
+    The footprint is the static graph of the free edges plus the chosen
+    units, each of which links its endpoint pair.  When every demand entry
+    ``(source, need mask)`` must be met, an accepted selection puts each
+    entry's demand link (its source with the vertices it needs) in one
+    footprint component; a B-of-p demand links nothing.  The first
+    partition is the footprint's components, the second those of the
+    footprint joined by every demand link; extended by the same unit links,
+    their difference in size is how many more units a node needs at least,
+    since a unit joins at most two components.
     """
-    links = [1 << u | 1 << v for u, v in space.unit_pairs]
-    footprint = _components(space.n, space.free_pairs)
-    return links, footprint, reduce(_joined, space.demand_links, footprint)
+    footprint = _components(n, free_pairs)
+    if required < len(entries):
+        return footprint, footprint
+    return footprint, reduce(_joined, [1 << s | need for s, need in entries], footprint)
 
 
 class _LayerSpace:
@@ -287,10 +292,9 @@ class _LayerSpace:
     non-strict slot gets its component masks merged by the edges
     (non-strict reachability is a function of the per-time component
     partitions); past that, the sweeps read both semantics alike.
-    The free edges of the footprint are the base edges.  Each demand
-    entry links its source with the vertices it needs when every entry
-    must be met, and a B-of-p demand links nothing.  The two-time bound
-    ``need`` applies to non-strict All with two layers and one-edge units.
+    The free edges of the footprint (:func:`_footprint`) are the base
+    edges.  The two-time bound ``need`` applies to non-strict All with two
+    layers and one-edge units.
     """
 
     def __init__(self, problem: AugmentationProblem, units: Sequence[tuple[TemporalEdge, ...]]):
@@ -302,11 +306,9 @@ class _LayerSpace:
         slot = {t: i for i, t in enumerate(times)}
         self.start = tuple(base._layer(t, self.strict) for t in times)
         self.patches = [tuple((slot[e.t], 1 << e.u | 1 << e.v) for e in unit) for unit in units]
-        self.unit_pairs = [unit[0].pair for unit in units]
-        self.free_pairs = [e.pair for e in base.edges]
-        self.demand_links = []
-        if self.required == len(self.entries):
-            self.demand_links = [1 << s | need for s, need in self.entries]
+        self.links = [patch[0][1] for patch in self.patches]  # a unit's edges share one pair
+        free_pairs = [e.pair for e in base.edges]
+        self.footprint, self.target = _footprint(base.n, free_pairs, self.entries, self.required)
         two_time = len(times) == 2 and all(len(unit) == 1 for unit in units)
         nonstrict_all = not self.strict and isinstance(problem.requirement, All)
         self.need = _two_time_need if two_time and nonstrict_all else None
@@ -352,7 +354,23 @@ class _LayerSpace:
         return test
 
     def floor(self, budget: int | None) -> int:
-        """The paid-link floor of :func:`solve_exact`, capped at min(budget, units) + 1."""
+        """The paid-link floor, a lower bound on the cost, capped at min(budget, units) + 1.
+
+        The least k such that the front demand entry's source reaches every
+        vertex that the entries with that source need using at most k paid
+        links, each edge of each unit being one.  Level k is one pass over
+        the start layers: a slot's base masks join by
+        :func:`~tgaug.temporal_graph.sweep`'s rule, and its paid links join
+        when they meet level k-1's reach before the slot (strict) or after it
+        (non-strict).  It is admissible under both cost models: waiting is
+        always allowed, so a journey with its loops cut out visits each vertex
+        once, crossing each endpoint pair at most once and so using no more
+        paid links than the units it touches.  For a single pair it is the
+        optimum; a B-of-p demand may skip the front entry, so it gets 0.
+        Only the front source is swept (a floor over every source cost more
+        than it saved).  When the source cannot reach its need at all, the
+        passes run out at the cap.
+        """
         if not self.entries or self.required < len(self.entries):
             return 0
         cap = (len(self.patches) if budget is None else min(budget, len(self.patches))) + 1
@@ -374,8 +392,6 @@ class _LayerSpace:
                 level.append(before if self.strict else reach)
             if reach & need == need:
                 return k
-            if level == gates:
-                break
             gates = level
         return cap
 
@@ -447,76 +463,25 @@ def solve_exact(
 ) -> SolveOutcome:
     """Minimum-cost selection by subset search, or an infeasibility report.
 
-    :func:`_cheapest_subset` tries the subsets of the candidate units
-    (edges, or endpoint-pair groups under the group cost model) smallest
-    first and lexicographically least within a size, so among minimum-cost
-    solutions the lexicographically least under canonical edge ordering is
-    returned.  It skips only subsets that the footprint bound proves
-    infeasible, or, for non-strict All over two times, the two-time bound:
-    a unit merges at most two components at its time, so a component that
-    misses z components at the other time needs z more merges there.  This
-    leaves that answer unchanged.  On non-strict runs two prunings keep it
-    too: units that join vertices already in one snapshot component are
-    dropped, and units with identical component-merge effects are collapsed
-    to their least representative.  A given budget caps the search;
-    "budget_exceeded" is reported distinctly from true infeasibility.
-
-    Each search node extends its parent's sweep layers by one unit, so a
-    tested subset costs only the requirement's sweeps, the same kernels in
-    both semantics: one per demand entry's source, stopping once the answer
-    is settled, and starting with the entry that failed the last test,
-    which subsets tested in a row tend to fail alike.  Most tested subsets
-    are leaves, a last-level node adding one more unit, and a leaf is
-    screened before its state is built: one sweep of the front entry's
-    source over the parent's layers, recording the reach around each slot,
-    tells with a few mask operations per unit whether that entry is met
-    once the unit is added (:meth:`_LayerSpace.leaf_test`).  Only a leaf
-    that passes gets its layers and the full test; one that fails would have
-    failed the full test at that same entry, leaving the entry order as it
-    was, so the answer and its tie breaks are unchanged.  The two root tests,
-    all units together and the empty subset, read every source off one
-    :func:`~tgaug.temporal_graph.sweep_all` instead when the entries name
-    more than one source, as :func:`verify_solution` does.  The optional
-    certificate builds one foremost-journey tree per distinct source and
-    reads every witness journey off it, with the tie breaks
-    :func:`~tgaug.temporal_graph._journey_tree` documents.
-
-    Edge-cost All over an edgeless base on n >= 2 vertices, with no budget
-    below n-1, has its first level, size n-1, decided without search
-    (:func:`_tree_level`).  n-1 units that connect n vertices form a
-    spanning tree, and a non-strict journey along a tree path needs times
-    that never fall, as does the one back, so the whole tree sits at one
-    time.  Canonical order is time first, so the answer is the tree a
-    Kruskal scan in canonical order builds in the earliest connected
-    snapshot, the lexicographically least basis of a graphic matroid; with
-    no such snapshot the search starts at n.  Strict at n >= 3 starts at n
-    too: a tree path u-w-v would need each of its times below the other.
-    Group cost, Source, Pairs and bases with edges stay with the search.
-
-    The search starts no lower than the paid-link floor
-    (:meth:`_LayerSpace.floor`): the least k such that the front demand
-    entry's source reaches every vertex that the entries with that source
-    need using at most k paid links, each edge of each unit being one.
-    Level k is one pass over the start layers: a slot's base masks join by
-    :func:`~tgaug.temporal_graph.sweep`'s rule, and its paid links join when
-    they meet level k-1's reach before the slot (strict) or after it
-    (non-strict).  It is admissible under both cost models: waiting is
-    always allowed, so a journey with its loops cut out visits each vertex
-    once, crossing each endpoint pair at most once and so using no more
-    paid links than the units it touches.  For a single pair the floor is
-    the optimum; a B-of-p demand may skip the front entry, so it gets 0.
-    Only the front source is swept: a floor over every distinct source cost
-    more than it saved (wide-certify about 300 against 245 instances/s).
-    The expansion engine has no floor, so ``--cross-check`` stays an
-    independent check of this one.
+    The units are the candidate edges, or endpoint-pair groups under the
+    group cost model; on non-strict runs :func:`_merging_units` drops the
+    void ones and collapses duplicates.  :func:`_cheapest_subset` tries
+    their subsets smallest first and lexicographically least within a
+    size, so among minimum-cost solutions the lexicographically least
+    under canonical edge ordering is returned; it documents the bounds it
+    starts and cuts with, none of which changes that answer.  Its states
+    are :class:`_LayerSpace`'s patched sweep layers.  Edge-cost All over an
+    edgeless base may have its first level decided without search
+    (:func:`_tree_level`).  A given budget caps the search;
+    "budget_exceeded" is reported distinctly from true infeasibility
+    ("infeasible").  The optional certificate is :func:`build_certificate`'s.
     """
     units = _group_items(problem)
     if problem.semantics == NON_STRICT:
         units = _merging_units(problem, units)
     combo, first = _tree_level(problem, units)
     if combo is None:
-        space = _LayerSpace(problem, units)
-        combo = _cheapest_subset(space, problem.budget, max(first, space.floor(problem.budget)))
+        combo = _cheapest_subset(_LayerSpace(problem, units), problem.budget, first)
     if isinstance(combo, Infeasible):
         return combo
     chosen = [units[i] for i in combo]
@@ -531,10 +496,20 @@ def solve_exact(
 def _tree_level(
     problem: AugmentationProblem, units: Sequence[tuple[TemporalEdge, ...]]
 ) -> tuple[tuple[int, ...] | None, int]:
-    """Level n-1 decided without search where :func:`solve_exact` says it can be.
+    """Level n-1 of edge-cost All over an edgeless base, decided without search.
 
     The level's least accepted subset of ``units`` and 0, or None and the
-    size the search starts at: n when the level is empty, else 0.
+    size the search starts at: n when the level is empty, else 0.  It
+    applies on n >= 2 vertices with no budget below n-1.  n-1 units that
+    connect n vertices form a spanning tree, and a non-strict journey along
+    a tree path needs times that never fall, as does the one back, so the
+    whole tree sits at one time.  Canonical order is time first, so the
+    answer is the tree a Kruskal scan in canonical order builds in the
+    earliest connected snapshot, the lexicographically least basis of a
+    graphic matroid; with no such snapshot the search starts at n.  Strict
+    at n >= 3 starts at n too: a tree path u-w-v would need each of its
+    times below the other.  Group cost, Source, Pairs and bases with edges
+    stay with the search.
     """
     n, budget = problem.base.n, problem.budget
     if (not isinstance(problem.requirement, All) or problem.cost_model != COST_EDGE
@@ -557,44 +532,54 @@ def _tree_level(
 def _cheapest_subset(space, budget: int | None, first: int = 0) -> tuple[int, ...] | Infeasible:
     """Indices of the first unit subset of at most ``budget`` units that ``space`` accepts.
 
-    ``space`` gives the search states (``start``, ``add(state, unit)``,
-    the requirement test ``holds(state)`` of a search node and the same
-    test ``root_holds(state)`` for the two root tests, all units together
-    and the empty subset), the last level's screen ``leaf_test(state)``,
-    a ``unit -> bool`` that may reject a unit only when ``holds`` would
-    fail on the front of the demand ``entries`` once the unit is added
-    and is asked again whenever a failed ``holds`` changes that front,
-    and the footprint bound's data
-    (``n``, ``unit_pairs``, ``free_pairs`` and ``demand_links``; see
-    :func:`_footprint`).  For each size, smallest first, a depth-first
+    ``space`` gives:
+
+    - the search states: ``start`` and ``add(state, unit)``;
+    - the requirement test ``holds(state)`` of a search node, and the same
+      test ``root_holds(state)`` for the two root tests, all units
+      together and the empty subset;
+    - the last level's screen ``leaf_test(state)``, a ``unit -> bool``
+      that may reject a unit only when ``holds`` would fail on the front
+      of the demand ``entries`` once the unit is added, and that is asked
+      again whenever a failed ``holds`` changes that front;
+    - the footprint bound's data: each unit's ``links`` mask and the root
+      partitions ``footprint`` and ``target`` (see :func:`_footprint`);
+    - ``need``, None or a second bound on a state, the admissible two-time
+      bound of :func:`_two_time_need`;
+    - ``floor``, None or ``floor(budget)``, a lower bound on the cost such
+      as :meth:`_LayerSpace.floor`, which then also gives ``n``.
+
+    Once all units together are accepted, the sizes start at the largest
+    of the footprint gap ``len(footprint) - len(target)``, ``need(start)``,
+    ``first``, a size below which the caller knows no subset is accepted,
+    and ``floor(budget)``.  The floor is asked only when the others are
+    below both n-1 and the largest size searched: a journey with its loops
+    cut pays at most n-1 links, and a start past the budget searches
+    nothing either way.  For each size, smallest first, a depth-first
     search picks units in increasing index order, so subsets are visited
     lexicographically within a size.  Each node carries its state and its
-    footprint, and a node whose footprint needs more units than are left
-    to pick is cut, since no extension of it can be accepted.  A frame
-    with one unit left tries its units in a plain loop: the footprint cut
-    keeps those whose link joins the two blocks its target has merged, if
-    any, and ``leaf_test`` screens them before a state is built.  When
-    ``space.need`` is not None it is a second such bound on a state, the
-    admissible two-time bound of :func:`_two_time_need`: nodes it puts at
-    or past the units left are cut too.  The sizes start at the largest of
-    the two bounds at the root and ``first``, a size below which the caller
-    knows no subset is accepted, such as :func:`solve_exact`'s tree level or
-    paid-link floor; a ``first`` past the budget searches nothing.  Acceptance
-    is monotone in the subset, so the answer is the least accepted subset
-    of the least accepted size, exactly as plain enumeration would find
-    it.  ``Infeasible("infeasible")`` when not even all units together are
-    accepted.
+    footprint, and a node whose footprint, or ``need``, puts at least as
+    many units to go as are left to pick is cut, since no extension of it
+    can be accepted.  A frame with one unit left tries its units in a
+    plain loop: the footprint cut keeps those whose link joins the two
+    blocks its target has merged, if any, and ``leaf_test`` screens them
+    before a state is built; a unit it rejects would have failed ``holds``
+    at the front entry, which leaves the entry order as it was.
+    Acceptance is monotone in the subset, so the answer is the least
+    accepted subset of the least accepted size, exactly as plain
+    enumeration would find it.  ``Infeasible("infeasible")`` when not even
+    all units together are accepted.
     """
-    links, footprint, target = _footprint(space)
-    everything = space.start
-    for i in range(len(links)):
-        everything = space.add(everything, i)
-    if not space.root_holds(everything):
+    count = len(space.links)
+    if not space.root_holds(reduce(space.add, range(count), space.start)):
         return Infeasible("infeasible")
-    max_size = len(links) if budget is None else min(budget, len(links))
+    max_size = count if budget is None else min(budget, count)
     need = 0 if space.need is None else space.need(space.start)
-    for size in range(max(len(footprint) - len(target), need, first), max_size + 1):
-        found = _first_of_size(space, size, links, footprint, target)
+    first = max(first, len(space.footprint) - len(space.target), need)
+    if space.floor is not None and first < min(space.n - 1, max_size + 1):
+        first = max(first, space.floor(budget))
+    for size in range(first, max_size + 1):
+        found = _first_of_size(space, size)
         if found is not None:
             return found
     if budget is not None:
@@ -602,17 +587,15 @@ def _cheapest_subset(space, budget: int | None, first: int = 0) -> tuple[int, ..
     raise RuntimeError("search space exhausted although the full candidate set is feasible")
 
 
-def _first_of_size(
-    space, size: int, links: Sequence[int], footprint: tuple[int, ...], target: tuple[int, ...]
-) -> tuple[int, ...] | None:
+def _first_of_size(space, size: int) -> tuple[int, ...] | None:
     """The lexicographically least accepted subset of exactly ``size`` units, or None."""
     if size == 0:
         return () if space.root_holds(space.start) else None
-    add, holds, need = space.add, space.holds, space.need
+    add, holds, need, links = space.add, space.holds, space.need, space.links
     count = len(links)
     chosen: list[int] = []
     # one frame per chosen unit plus the root: [state, footprint, target, next unit to try]
-    stack = [[space.start, footprint, target, 0]]
+    stack = [[space.start, space.footprint, space.target, 0]]
     while stack:
         frame = stack[-1]
         state, footprint, target, i = frame

@@ -29,6 +29,7 @@ from .augmentation import (
     _cheapest_subset,
     _demand_pairs,
     _demands_met,
+    _footprint,
     verify_solution,
 )
 from .temporal_graph import (
@@ -44,23 +45,23 @@ from .temporal_graph import (
 class TGSteinerInstance:
     """A temporal graph with 0/1 edge weights and pair demands.
 
-    Weight 0 marks an edge that is free to use, weight 1 an edge to pay
-    for.  ``budget`` bounds the total weight of the kept sub-edge-set and
-    ``demand`` the number of pairs that must be satisfied.
+    ``weights`` maps every temporal edge of the graph to 0, an edge that
+    is free to use, or 1, an edge to pay for.  ``budget`` bounds the total
+    weight of the kept sub-edge-set and ``demand`` the number of pairs that
+    must be satisfied.
     """
 
     graph: TemporalGraph
-    weight_items: tuple[tuple[TemporalEdge, int], ...]
+    weights: Mapping[TemporalEdge, int]
     pairs: tuple[tuple[int, int], ...]
     demand: int
     budget: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple((u, v) for u, v in self.pairs))
-        weighted = {e for e, _ in self.weight_items}
-        if weighted != self.graph.edges:
+        if self.weights.keys() != self.graph.edges:
             raise ValueError("weights must cover exactly the temporal edges of the graph")
-        if any(w not in (0, 1) for _, w in self.weight_items):
+        if any(w not in (0, 1) for w in self.weights.values()):
             raise ValueError("weights must be 0 or 1")
         if not 0 <= self.demand <= len(self.pairs):
             raise ValueError("demand must lie between 0 and the number of pairs")
@@ -76,12 +77,8 @@ class TGSteinerInstance:
         budget: int | None = None,
     ) -> "TGSteinerInstance":
         pair_list = tuple(pairs)
-        items = tuple((e, weights[e]) for e in sorted_edges(graph.edges))
-        return cls(graph, items, pair_list, len(pair_list) if demand is None else demand, budget)
-
-    @cached_property
-    def weights(self) -> dict[TemporalEdge, int]:
-        return dict(self.weight_items)
+        demand = len(pair_list) if demand is None else demand
+        return cls(graph, dict(weights), pair_list, demand, budget)
 
 
 @dataclass(frozen=True)
@@ -199,24 +196,25 @@ class ConnectionResult:
 class _GateSpace:
     """The subset search's states for a connection search: sets of open positive gates.
 
-    The free edges of the footprint are the zero-weight edges.  When every
-    pair is demanded, each pair of copy nodes links its two vertices (copy
-    node x belongs to vertex x // (T+1)).
+    The free edges of the footprint (:func:`~tgaug.augmentation._footprint`)
+    are the zero-weight edges, and its demand entries are the pairs with
+    each copy node mapped to its vertex (copy node x belongs to vertex
+    x // (T+1)).  There is no two-time bound and no paid-link floor, so
+    ``--cross-check`` stays independent of both.
     """
+
+    need = floor = None
 
     def __init__(self, exp: ExpansionGraph, pairs: Sequence[tuple[int, int]], demand: int):
         self.exp, self.entries, self.required = exp, [(s, 1 << d) for s, d in pairs], demand
         gates = exp.positive_gate_edges
         positive = set(gates)
         self.start: frozenset[int] = frozenset()
-        self.need = None  # the two-time bound is for sweep layers only
-        self.n = exp.n
-        self.unit_pairs = [e.pair for e in gates]
-        self.free_pairs = [e.pair for e in exp.edges if e not in positive]
-        self.demand_links: list[int] = []
-        if demand == len(pairs):
-            layers = exp.lifespan + 1
-            self.demand_links = [1 << s // layers | 1 << d // layers for s, d in pairs]
+        self.links = [1 << e.u | 1 << e.v for e in gates]
+        free_pairs = [e.pair for e in exp.edges if e not in positive]
+        layers = exp.lifespan + 1
+        entries = [(s // layers, 1 << d // layers) for s, d in pairs]
+        self.footprint, self.target = _footprint(exp.n, free_pairs, entries, demand)
 
     def add(self, open_gates: frozenset[int], gate: int) -> frozenset[int]:
         return open_gates | {gate}

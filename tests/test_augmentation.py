@@ -30,7 +30,6 @@ from tgaug.augmentation import (
     Solution,
     Source,
     _cheapest_subset,
-    _footprint,
     _group_items,
     _LayerSpace,
     _merging_units,
@@ -49,6 +48,7 @@ from tgaug.reductions import (
     reduce_3sat,
     reduce_dominating_set,
 )
+from tgaug.steiner_expansion import _GateSpace, build_expansion, problem_instance
 from tgaug.temporal_graph import (
     NON_STRICT,
     STRICT,
@@ -234,9 +234,14 @@ def _units(problem):
 
 
 def _searched(problem):
-    """:func:`solve_exact`'s selection as the subset search alone finds it, or its report."""
+    """:func:`solve_exact`'s selection as the subset search alone finds it, or its report.
+
+    The search starts where its own bounds put it: no tree level, no floor.
+    """
     units = _units(problem)
-    combo = _cheapest_subset(_LayerSpace(problem, units), problem.budget)
+    space = _LayerSpace(problem, units)
+    space.floor = None
+    combo = _cheapest_subset(space, problem.budget)
     if isinstance(combo, Infeasible):
         return combo
     return sorted_edges(e for i in combo for e in units[i])
@@ -481,10 +486,25 @@ class TestFootprintBound:
     @settings(max_examples=120, deadline=None)
     @given(problems())
     def test_root_need_is_admissible(self, problem):
-        _, footprint, target = _footprint(_LayerSpace(problem, _group_items(problem)))
+        space = _LayerSpace(problem, _group_items(problem))
         best = brute_min_cost(problem)
         if best is not None:
-            assert len(footprint) - len(target) <= best
+            assert len(space.footprint) - len(space.target) <= best
+
+    @settings(max_examples=150, deadline=None)
+    @given(problems())
+    def test_both_spaces_derive_the_same_root_partitions(self, problem):
+        """The gate space maps copy nodes to vertices and reaches the layer space's partitions."""
+        problem = dataclasses.replace(problem, cost_model=COST_EDGE)
+        layer_space = _LayerSpace(problem, _group_items(problem))
+        inst = problem_instance(problem)
+        exp, pair_map = build_expansion(inst, problem.semantics)
+        gate_space = _GateSpace(exp, pair_map, inst.demand)
+        assert gate_space.footprint == layer_space.footprint
+        assert sorted(gate_space.target) == sorted(layer_space.target)
+        req = problem.requirement
+        if isinstance(req, Pairs) and req.effective_demand < len(req.pairs):
+            assert layer_space.target == layer_space.footprint
 
     @settings(max_examples=120, deadline=None)
     @given(two_time_problems())
@@ -775,6 +795,19 @@ class TestPaidFloor:
         monkeypatch.setattr(aug_mod, "_first_of_size", recording)
         return sizes
 
+    @staticmethod
+    def _floors_asked(monkeypatch):
+        """Record what each :meth:`_LayerSpace.floor` call returns."""
+        floors = []
+        floor = _LayerSpace.floor
+
+        def recording(self, budget):
+            floors.append(floor(self, budget))
+            return floors[-1]
+
+        monkeypatch.setattr(_LayerSpace, "floor", recording)
+        return floors
+
     @settings(max_examples=150, deadline=None)
     @given(budgeted_problems())
     def test_is_admissible(self, problem):
@@ -852,12 +885,15 @@ class TestPaidFloor:
         assert self._floor(nonstrict) == brute_min_cost(nonstrict) == 2
 
     def test_satisfiable_3sat_gadget_asks_only_its_optimum(self, monkeypatch):
+        """The floor is asked once, and raises the start past the footprint gap to 9."""
+        floors = self._floors_asked(monkeypatch)
         sizes = self._sizes_asked(monkeypatch)
         problem = reduce_3sat(CnfInstance(4, ((1, 2, 3), (-1, -2, 4), (2, -3, -4)))).problem
         assert problem.cost_model == COST_GROUP and len(problem.requirement.pairs) == 2
-        assert self._floor(problem) == 9
+        space = _LayerSpace(problem, _units(problem))
+        assert len(space.footprint) - len(space.target) < 9
         out = solve_exact(problem, with_certificate=False)
-        assert out.cost == 9 and sizes == [9]
+        assert out.cost == 9 and floors == [9] and sizes == [9]
         assert out.selected == _searched(problem)
 
     def test_chain_pair_asks_only_its_optimum(self, monkeypatch):
@@ -866,6 +902,25 @@ class TestPaidFloor:
         out = solve_exact(problem, with_certificate=False)
         assert out.cost == 5 and sizes == [5]
         assert out.selected == _searched(problem)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_not_asked_where_the_start_is_already_past_it(self, n, monkeypatch):
+        """The footprint gap or the tree level is n-1 or more, which no floor exceeds."""
+        floors = self._floors_asked(monkeypatch)
+        cands = frozenset(E(u, v, t) for u, v in itertools.combinations(range(n), 2) for t in (1, 2))
+        problem = AugmentationProblem(G(n, lifespan=2), cands, All(), STRICT)
+        assert solve_exact(problem, with_certificate=False).selected == _searched(problem)
+        assert floors == []
+
+    def test_not_asked_where_the_budget_is_below_the_footprint_gap(self, monkeypatch):
+        """Two pairs on five vertices: the gap, 2, is below n-1 but past the budget."""
+        floors = self._floors_asked(monkeypatch)
+        cands = frozenset({E(0, 1, 1), E(2, 3, 1), E(1, 2, 2)})
+        problem = AugmentationProblem(G(5, lifespan=2), cands, Pairs(((0, 1), (2, 3))), budget=1)
+        assert solve_exact(problem) == Infeasible("budget_exceeded")
+        assert floors == []
+        assert solve_exact(dataclasses.replace(problem, budget=2)).cost == 2
+        assert floors == [1]
 
     def test_floor_past_the_budget_searches_nothing(self, monkeypatch):
         sizes = self._sizes_asked(monkeypatch)
@@ -886,6 +941,14 @@ class TestSolveExact:
         sol = solve_exact(p)
         assert isinstance(sol, Solution)
         assert sol.cost == 0 and sol.selected == ()
+
+    def test_search_has_no_depth_limit(self):
+        """A 1,099-unit selection is one frame per unit, past Python's recursion limit."""
+        n = 1100
+        hops = [E(i, i + 1, i + 1) for i in range(n - 1)]
+        problem = AugmentationProblem(G(n, lifespan=n - 1), hops, Pairs(((0, n - 1),)), STRICT)
+        out = solve_exact(problem, with_certificate=False)
+        assert out.cost == n - 1 and out.selected == tuple(hops)
 
     def test_infeasible_reported_as_value(self):
         # no candidate can ever connect vertex 2

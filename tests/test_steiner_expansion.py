@@ -311,6 +311,16 @@ class TestInstance:
             inst = TGSteinerInstance.from_weights(g, {TemporalEdge(0, 1, 1): w}, [(0, 1)])
             assert inst.weights == {TemporalEdge(0, 1, 1): w}
 
+    @pytest.mark.parametrize(
+        "weights",
+        [{}, {TemporalEdge(0, 1, 1): 1, TemporalEdge(1, 2, 1): 7}],
+        ids=["missing", "extra"],
+    )
+    def test_weights_cover_exactly_the_edges(self, weights):
+        g = TemporalGraph.build(3, [TemporalEdge(0, 1, 1)])
+        with pytest.raises(ValueError, match="^weights must cover exactly the temporal edges of the graph$"):
+            TGSteinerInstance.from_weights(g, weights, [(0, 1)])
+
     @pytest.mark.parametrize("pair", [(0, 5), (-1, 1)])
     def test_pairs_name_vertices_of_the_graph(self, pair):
         g = TemporalGraph.build(2, [TemporalEdge(0, 1, 1)])
