@@ -113,7 +113,7 @@ class AugmentationProblem:
         if isinstance(req, Source) and not 0 <= req.vertex < n:
             raise ValueError(f"source vertex {req.vertex} out of range 0..{n - 1}")
         if isinstance(req, Pairs):
-            _check_pairs(req.pairs, n)
+            _check_pairs(req.pairs, n, req.effective_demand)
 
     @property
     def effective_lifespan(self) -> int:
@@ -137,7 +137,7 @@ class AugmentationProblem:
 
 @dataclass(frozen=True)
 class Solution:
-    """A verified selection: the edges to add, their cost, and witness journeys."""
+    """A verified selection: the edges to add, their cost, and any witness journeys asked for."""
 
     selected: tuple[TemporalEdge, ...]
     cost: int
@@ -178,11 +178,15 @@ def _demands(req: Requirement, n: int) -> tuple[list[tuple[int, int]], int]:
     return [(u, 1 << v) for u, v in req.pairs], req.effective_demand
 
 
-def _check_pairs(pairs: Iterable[tuple[int, int]], n: int) -> None:
-    """Raise ``ValueError`` when a pair names a vertex outside 0..n-1."""
+def _check_pairs(pairs: Iterable[tuple[int, int]], n: int, demand: int) -> tuple[tuple[int, int], ...]:
+    """``pairs`` as a tuple, once ``demand`` lies in 0..len(pairs) and each pair in 0..n-1."""
+    pairs = tuple((u, v) for u, v in pairs)
+    if not 0 <= demand <= len(pairs):
+        raise ValueError("demand must lie between 0 and the number of pairs")
     for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"pair ({u},{v}) out of range 0..{n - 1}")
+    return pairs
 
 
 def _demand_pairs(req: Requirement, n: int) -> tuple[list[tuple[int, int]], int]:
@@ -258,8 +262,7 @@ def unrestricted_candidates(g: TemporalGraph) -> frozenset[TemporalEdge]:
         for u in range(g.n)
         for v in range(u + 1, g.n)
         for t in range(1, g.lifespan + 1)
-        if TemporalEdge(u, v, t) not in g.edges
-    )
+    ) - g.edges
 
 
 def _footprint(
@@ -459,7 +462,7 @@ def _merging_units(
 def solve_exact(
     problem: AugmentationProblem,
     *,
-    with_certificate: bool = True,
+    with_certificate: bool = False,
 ) -> SolveOutcome:
     """Minimum-cost selection by subset search, or an infeasibility report.
 
@@ -474,7 +477,7 @@ def solve_exact(
     edgeless base may have its first level decided without search
     (:func:`_tree_level`).  A given budget caps the search;
     "budget_exceeded" is reported distinctly from true infeasibility
-    ("infeasible").  The optional certificate is :func:`build_certificate`'s.
+    ("infeasible").  ``with_certificate=True`` adds :func:`build_certificate`'s journeys.
     """
     units = _group_items(problem)
     if problem.semantics == NON_STRICT:
@@ -639,9 +642,9 @@ def build_certificate(
 ) -> tuple[tuple[int, int, Hops], ...]:
     """Witness journeys ``(u, v, hops)``, one per reachability obligation the selection meets.
 
-    ``hops`` is empty when u is v.  This, ``with_certificate`` of
-    :func:`solve_exact` and :attr:`Solution.certificate` stay only because
-    ``benchmarks/replay.py`` calls them.
+    ``hops`` is empty when u is v.  Built only on request; this,
+    ``with_certificate`` of :func:`solve_exact` and
+    :attr:`Solution.certificate` stay only because ``benchmarks/replay.py`` calls them.
     """
     augmented = problem.base.augment(selected)
     pairs, _ = _demand_pairs(problem.requirement, augmented.n)

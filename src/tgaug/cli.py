@@ -189,12 +189,12 @@ def _solve_tca(problem: aug.AugmentationProblem, args) -> tuple[dict, int]:
         outcome = exp_mod.solve_tpca_via_expansion(problem)
         engine_used = "expansion"
     else:
-        outcome = aug.solve_exact(problem, with_certificate=False)
+        outcome = aug.solve_exact(problem)
         engine_used = "subset"
 
     if args.cross_check:
         other = (
-            aug.solve_exact(problem, with_certificate=False)
+            aug.solve_exact(problem)
             if engine_used == "expansion"
             else exp_mod.solve_tpca_via_expansion(problem)
         )

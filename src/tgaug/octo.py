@@ -185,7 +185,7 @@ def solve_octo(b: BinaryMatrix, budget: int | None = None) -> OctoResult:
     kept = BinaryMatrix(tuple(tuple(b.rows[i][j] for j in live[COLS]) for i in live[ROWS]))
     rest = None if budget is None else budget - len(merges)
     problem = AugmentationProblem(matrix_to_graph(kept), frozenset(lines), All(), budget=rest)
-    outcome = solve_exact(problem, with_certificate=False)
+    outcome = solve_exact(problem)
     if isinstance(outcome, Infeasible):
         return OctoResult(outcome.reason)
     names = {axis: list(range(size)) for axis, size in sizes.items()}

@@ -58,14 +58,11 @@ class TGSteinerInstance:
     budget: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple((u, v) for u, v in self.pairs))
         if self.weights.keys() != self.graph.edges:
             raise ValueError("weights must cover exactly the temporal edges of the graph")
         if any(w not in (0, 1) for w in self.weights.values()):
             raise ValueError("weights must be 0 or 1")
-        if not 0 <= self.demand <= len(self.pairs):
-            raise ValueError("demand must lie between 0 and the number of pairs")
-        _check_pairs(self.pairs, self.graph.n)
+        object.__setattr__(self, "pairs", _check_pairs(self.pairs, self.graph.n, self.demand))
 
     @classmethod
     def from_weights(
@@ -103,22 +100,20 @@ class ExpansionGraph:
     def copy_index(self, v: int, t: int) -> int:
         return v * (self.lifespan + 1) + t - 1
 
-    def _gate_edge(self, node: int) -> TemporalEdge:
-        return self.edges[(node - self.n * (self.lifespan + 1)) // 2]
-
     @cached_property
     def positive_gate_edges(self) -> tuple[TemporalEdge, ...]:
         """Edges whose gate arc has positive weight (no other arc has), in canonical order."""
-        return tuple(self._gate_edge(src) for src, _, w in self.arcs if w)
+        first_gate = self.n * (self.lifespan + 1)
+        return tuple(self.edges[(src - first_gate) // 2] for src, _, w in self.arcs if w)
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """Per node: (dst, weight, gate) with gate = index into positive gate list, else -1."""
-        positive = {e: i for i, e in enumerate(self.positive_gate_edges)}
-        out: list[list[tuple[int, int, int]]] = [[] for _ in self.nodes]
+    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per node: (dst, gate), gate numbering the weighted arcs in arc order, else -1."""
+        gates = itertools.count()
+        out: list[list[tuple[int, int]]] = [[] for _ in self.nodes]
         for src, dst, w in self.arcs:
-            out[src].append((dst, w, positive[self._gate_edge(src)] if w else -1))
-        return tuple(tuple(lst) for lst in out)
+            out[src].append((dst, next(gates) if w else -1))
+        return tuple(map(tuple, out))
 
     def reachable_from(self, start: int, open_gates: frozenset[int]) -> int:
         """The mask of nodes ``start`` reaches, positive gates outside ``open_gates`` shut."""
@@ -127,7 +122,7 @@ class ExpansionGraph:
         stack = [start]
         while stack:
             x = stack.pop()
-            for dst, _, gate in adjacency[x]:
+            for dst, gate in adjacency[x]:
                 if gate >= 0 and gate not in open_gates:
                     continue
                 if not seen >> dst & 1:
@@ -197,7 +192,8 @@ class _GateSpace:
     """The subset search's states for a connection search: sets of open positive gates.
 
     The free edges of the footprint (:func:`~tgaug.augmentation._footprint`)
-    are the zero-weight edges, and its demand entries are the pairs with
+    are the zero-weight edges, and its demand entries are the pairs, which
+    name copy nodes only (:func:`min_weight_connection` checks it), with
     each copy node mapped to its vertex (copy node x belongs to vertex
     x // (T+1)).  There is no two-time bound and no paid-link floor, so
     ``--cross-check`` stays independent of both.
@@ -234,7 +230,7 @@ def min_weight_connection(
     demand: int,
     budget: int | None = None,
 ) -> ConnectionResult | Infeasible:
-    """Fewest positive gates satisfying at least ``demand`` pairs.
+    """Fewest positive gates satisfying at least ``demand`` pairs of copy nodes.
 
     Gate weights are 0 or 1, so zero-weight arcs are always free to use
     and the weight of a set of positive gates is its size.
@@ -246,9 +242,9 @@ def min_weight_connection(
     subsets that cannot connect are skipped, so the least minimum gate set
     is found.  Exact, and exponential in the number of positive gates.
     """
-    if not 0 <= demand <= len(pairs):
-        raise ValueError("demand must lie between 0 and the number of pairs")
-    _check_pairs(pairs, len(exp.nodes))
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be non-negative")
+    pairs = _check_pairs(pairs, exp.n * (exp.lifespan + 1), demand)
     gates = exp.positive_gate_edges
     combo = _cheapest_subset(_GateSpace(exp, pairs, demand), budget)
     if isinstance(combo, Infeasible):

@@ -5,12 +5,15 @@ edges that each exist at a single integer time step.  Journeys traverse
 edges in non-decreasing ("non-strict") or strictly increasing ("strict")
 time order; most connectivity notions here come in both flavours.
 
-Every reachability question in the package goes through one of two
-kernels over the same per-time layers.  A layer is a tuple of vertex
-masks, and a journey that has reached any vertex of a mask before the
-layer's time reaches every vertex of it by the end of that time: a
-non-strict layer holds the snapshot components, a strict layer one
-two-vertex mask per edge (a strict journey takes at most one hop per step).
+Every reachability question in the package but one goes through one of two
+kernels over the same per-time layers; the exception is
+:meth:`~tgaug.steiner_expansion.ExpansionGraph.reachable_from`, a third
+walk over the expansion graph, kept apart so that ``--cross-check`` stays
+independent of these kernels.  A layer is a tuple of vertex masks, and a
+journey that has reached any vertex of a mask before the layer's time
+reaches every vertex of it by the end of that time: a non-strict layer
+holds the snapshot components, a strict layer one two-vertex mask per
+edge (a strict journey takes at most one hop per step).
 :func:`sweep` passes over the layers in increasing time order and gives
 what one source reaches.  It pays when one source is asked about, or
 when a test over many sources tends to fail on the first it tries.
@@ -175,10 +178,6 @@ class TemporalGraph:
     # -- basic queries -------------------------------------------------
 
     @cached_property
-    def edges_sorted(self) -> tuple[TemporalEdge, ...]:
-        return sorted_edges(self.edges)
-
-    @cached_property
     def max_edge_time(self) -> int:
         return max([e.t for e in self.edges], default=0)
 
@@ -197,10 +196,11 @@ class TemporalGraph:
     def _adjacency(self) -> dict[int, dict[int, tuple[int, ...]]]:
         """Per edge time: each non-isolated vertex's snapshot neighbours, sorted."""
         adj: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
-        for e in self.edges_sorted:
-            adj[e.t][e.u].append(e.v)
-            adj[e.t][e.v].append(e.u)
-        return {t: {x: tuple(sorted(ys)) for x, ys in nbrs.items()} for t, nbrs in adj.items()}
+        for t, bucket in self._edges_by_time.items():
+            for e in bucket:  # by (u, v): smaller neighbours first, then larger, each ascending
+                adj[t][e.u].append(e.v)
+                adj[t][e.v].append(e.u)
+        return {t: {x: tuple(ys) for x, ys in nbrs.items()} for t, nbrs in adj.items()}
 
     @cached_property
     def _comp_cache(self) -> dict[int, tuple[int, ...]]:
@@ -531,7 +531,7 @@ def format_tg(g: TemporalGraph) -> str:
         lines.append(f"T {g.lifespan}")
     lines.append(f"V {g.n}")
     by_pair: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for e in g.edges_sorted:
+    for e in g.edges:
         by_pair[e.pair].append(e.t)
     for (u, v), times in sorted(by_pair.items()):
         lines.append(f"E {u} {v} " + " ".join(str(t) for t in sorted(times)))

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -95,6 +96,24 @@ class TestProblemModel:
         # without a declared horizon the candidate simply extends it
         p = AugmentationProblem(G(2, (0, 1, 1)), frozenset({E(0, 1, 5)}))
         assert p.effective_lifespan == 5
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (
+                {"semantics": "sometimes"},
+                "unknown semantics 'sometimes', expected one of ('strict', 'non-strict')",
+            ),
+            ({"cost_model": "vertex"}, "unknown cost model 'vertex'"),
+            ({"budget": -1}, "budget must be non-negative"),
+            ({"requirement": Source(3)}, "source vertex 3 out of range 0..2"),
+            ({"requirement": Source(-1)}, "source vertex -1 out of range 0..2"),
+            ({"requirement": Pairs(((0, 3),))}, "pair (0,3) out of range 0..2"),
+        ],
+    )
+    def test_bad_fields_are_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AugmentationProblem(G(3, (0, 1, 1)), frozenset(), **fields)
 
     def test_negative_lifespan_is_rejected(self):
         with pytest.raises(ValueError, match="^lifespan must be non-negative$"):
@@ -509,7 +528,7 @@ class TestFootprintBound:
     @settings(max_examples=120, deadline=None)
     @given(two_time_problems())
     def test_two_time_need_is_admissible(self, problem):
-        outcome = solve_exact(problem, with_certificate=False)
+        outcome = solve_exact(problem)
         chosen = outcome.selected if isinstance(outcome, Solution) else ()
         for k in range(len(chosen) + 1):
             # the state after the first k units of the selection, as a problem of its own
@@ -554,7 +573,7 @@ class TestFootprintBound:
             # layers, so no selection of fewer than n-1 units was tested
             assert merges and min(merges) >= 6
             merges.clear()
-            assert solve_exact(problem, with_certificate=False).selected == selected
+            assert solve_exact(problem).selected == selected
             assert not merges  # answered by the tree level, not the search
 
     def test_spanner_screens_only_connecting_units(self, monkeypatch):
@@ -603,7 +622,7 @@ class TestFootprintBound:
         # plain enumeration tests every selection below the optimum first
         assert len(merges) < sum(math.comb(27, k) for k in range(6))
         merges.clear()
-        assert solve_exact(problem, with_certificate=False).selected == selected
+        assert solve_exact(problem).selected == selected
         assert not merges  # answered by the tree level, not the search
 
     def test_leaf_screen_spares_most_leaves(self, monkeypatch):
@@ -644,7 +663,7 @@ class TestFootprintBound:
         assert brute_dominating_min(inst.n, inst.edges) == 5
         red = reduce_dominating_set(inst, MODE_UNRESTRICTED)
         assert len(red.problem.candidates) == 43
-        sol = solve_exact(red.problem, with_certificate=False)
+        sol = solve_exact(red.problem)
         assert isinstance(sol, Solution) and sol.cost == 5
 
 
@@ -669,7 +688,7 @@ class TestTreeLevel:
         for _ in range(400):
             problem = _edgeless_all(rng, 5, 10)
             expected = brute_least_selection(problem)
-            out = solve_exact(problem, with_certificate=False)
+            out = solve_exact(problem)
             if isinstance(expected, str):
                 assert out == Infeasible(expected)
             else:
@@ -682,7 +701,7 @@ class TestTreeLevel:
         kinds = set()
         for _ in range(600):
             problem = _edgeless_all(rng, 7, 16)
-            out = solve_exact(problem, with_certificate=False)
+            out = solve_exact(problem)
             expected = _searched(problem)
             if isinstance(expected, Infeasible):
                 assert out == expected
@@ -697,7 +716,7 @@ class TestTreeLevel:
             G(2, lifespan=2), frozenset({E(0, 1, 1), E(0, 1, 2)}), All(), STRICT, budget=budget
         )
         assert _tree_level(problem, _group_items(problem)) == (None, 0)  # nothing skipped
-        assert solve_exact(problem, with_certificate=False) == Solution((E(0, 1, 1),), 1)
+        assert solve_exact(problem) == Solution((E(0, 1, 1),), 1)
 
     @pytest.mark.parametrize("n", [0, 1])
     @pytest.mark.parametrize("semantics", [STRICT, NON_STRICT])
@@ -717,7 +736,7 @@ class TestTreeLevel:
         cands = frozenset({E(0, 1, 1), E(1, 2, 2), E(0, 2, 2), E(0, 1, 2), E(0, 1, 3)})
         for budget in (1, 2, 3, None):  # n-2, n-1, n and none
             problem = AugmentationProblem(G(3, lifespan=3), cands, All(), semantics, budget=budget)
-            out = solve_exact(problem, with_certificate=False)
+            out = solve_exact(problem)
             expected = brute_least_selection(problem)
             if budget == 1 or (budget == 2 and tree is None):
                 assert out == Infeasible("budget_exceeded") and expected == "budget_exceeded"
@@ -737,21 +756,21 @@ class TestTreeLevel:
         # no snapshot holds a spanning tree, so the path 01@1 12@2 and back 01@3 is needed
         problem = AugmentationProblem(G(3, lifespan=3), frozenset({E(0, 1, 1), E(1, 2, 2), E(0, 1, 3)}))
         assert _tree_level(problem, _group_items(problem)) == (None, 3)
-        assert solve_exact(problem, with_certificate=False).cost == 3
+        assert solve_exact(problem).cost == 3
         assert sizes == [3]
         sizes.clear()
         # strict needs no snapshot test: no tree on three vertices is strict-connected
         strict = dataclasses.replace(problem, semantics=STRICT)
         assert _tree_level(strict, _group_items(strict)) == (None, 3)
-        assert solve_exact(strict, with_certificate=False).cost == 3
+        assert solve_exact(strict).cost == 3
         assert sizes == [3]
 
     def test_declared_lifespan_past_the_candidates(self):
         g = G(4, (0, 1, 2), (1, 2, 2), (2, 3, 2), (0, 3, 1), (0, 2, 3))
         declared = dataclasses.replace(spanner_via_tca(g), lifespan=7)
         assert self._answered(declared)
-        out = solve_exact(declared, with_certificate=False)
-        assert out == solve_exact(spanner_via_tca(g), with_certificate=False)
+        out = solve_exact(declared)
+        assert out == solve_exact(spanner_via_tca(g))
         assert out.selected == (E(0, 1, 2), E(1, 2, 2), E(2, 3, 2))
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -768,7 +787,7 @@ class TestTreeLevel:
                 break
         problem = spanner_via_tca(g)
         assert self._answered(problem)
-        sol = solve_exact(problem)
+        sol = solve_exact(problem, with_certificate=True)
         augmented = problem.base.augment(sol.selected)
         assert sol.cost == 5 and len(sol.certificate) == 30  # every ordered pair
         for u, v, hops in sol.certificate:
@@ -847,7 +866,7 @@ class TestPaidFloor:
     @settings(max_examples=150, deadline=None)
     @given(budgeted_problems())
     def test_solve_exact_matches_the_unfloored_search(self, problem):
-        out = solve_exact(problem, with_certificate=False)
+        out = solve_exact(problem)
         expected = brute_least_selection(problem)
         searched = _searched(problem)
         if isinstance(expected, str):
@@ -865,7 +884,7 @@ class TestPaidFloor:
         path = frozenset({E(0, 1, 1), E(1, 2, 2), E(2, 3, 3)})
         problem = AugmentationProblem(G(4, lifespan=3), path, Pairs(((0, 3), (3, 0)), 1), semantics)
         assert self._floor(problem) == 0
-        assert solve_exact(problem, with_certificate=False).selected == sorted_edges(path)
+        assert solve_exact(problem).selected == sorted_edges(path)
 
     @pytest.mark.parametrize("semantics", [STRICT, NON_STRICT])
     def test_counts_every_entry_of_the_front_source(self, semantics):
@@ -892,14 +911,14 @@ class TestPaidFloor:
         assert problem.cost_model == COST_GROUP and len(problem.requirement.pairs) == 2
         space = _LayerSpace(problem, _units(problem))
         assert len(space.footprint) - len(space.target) < 9
-        out = solve_exact(problem, with_certificate=False)
+        out = solve_exact(problem)
         assert out.cost == 9 and floors == [9] and sizes == [9]
         assert out.selected == _searched(problem)
 
     def test_chain_pair_asks_only_its_optimum(self, monkeypatch):
         sizes = self._sizes_asked(monkeypatch)
         problem = _chain_pair(10, 6, 64, 1)
-        out = solve_exact(problem, with_certificate=False)
+        out = solve_exact(problem)
         assert out.cost == 5 and sizes == [5]
         assert out.selected == _searched(problem)
 
@@ -909,7 +928,7 @@ class TestPaidFloor:
         floors = self._floors_asked(monkeypatch)
         cands = frozenset(E(u, v, t) for u, v in itertools.combinations(range(n), 2) for t in (1, 2))
         problem = AugmentationProblem(G(n, lifespan=2), cands, All(), STRICT)
-        assert solve_exact(problem, with_certificate=False).selected == _searched(problem)
+        assert solve_exact(problem).selected == _searched(problem)
         assert floors == []
 
     def test_not_asked_where_the_budget_is_below_the_footprint_gap(self, monkeypatch):
@@ -947,7 +966,7 @@ class TestSolveExact:
         n = 1100
         hops = [E(i, i + 1, i + 1) for i in range(n - 1)]
         problem = AugmentationProblem(G(n, lifespan=n - 1), hops, Pairs(((0, n - 1),)), STRICT)
-        out = solve_exact(problem, with_certificate=False)
+        out = solve_exact(problem)
         assert out.cost == n - 1 and out.selected == tuple(hops)
 
     def test_infeasible_reported_as_value(self):
@@ -973,7 +992,7 @@ class TestSolveExact:
     def test_certificates_verify(self):
         base = G(4, (0, 1, 1), (2, 3, 2))
         p = AugmentationProblem(base, unrestricted_candidates(base))
-        sol = solve_exact(p)
+        sol = solve_exact(p, with_certificate=True)
         augmented = base.augment(sol.selected)
         assert len(sol.certificate) == 12  # every ordered pair
         for u, v, hops in sol.certificate:
@@ -983,7 +1002,7 @@ class TestSolveExact:
     @given(problems())
     def test_matches_unpruned_enumeration(self, problem):
         expected = brute_min_cost(problem)
-        out = solve_exact(problem, with_certificate=False)
+        out = solve_exact(problem)
         if expected is None:
             assert out == Infeasible("infeasible")
         else:
@@ -995,7 +1014,7 @@ class TestSolveExact:
     @given(budgeted_problems())
     def test_returns_the_least_selection_of_raw_enumeration(self, problem):
         expected = brute_least_selection(problem)
-        out = solve_exact(problem, with_certificate=False)
+        out = solve_exact(problem)
         if isinstance(expected, str):
             assert out == Infeasible(expected)
         else:
@@ -1014,8 +1033,8 @@ class TestSolveExact:
                 continue
             pe = AugmentationProblem(base, cands, cost_model=COST_EDGE)
             pg = AugmentationProblem(base, cands, cost_model=COST_GROUP)
-            edge_out = solve_exact(pe, with_certificate=False)
-            group_out = solve_exact(pg, with_certificate=False)
+            edge_out = solve_exact(pe)
+            group_out = solve_exact(pg)
             assert isinstance(edge_out, Solution) == isinstance(group_out, Solution)
             if isinstance(edge_out, Solution):
                 assert group_out.cost <= edge_out.cost
@@ -1032,8 +1051,8 @@ class TestSolveExact:
                 continue
             pe = AugmentationProblem(base, cands, cost_model=COST_EDGE)
             pg = AugmentationProblem(base, cands, cost_model=COST_GROUP)
-            a = solve_exact(pe, with_certificate=False)
-            b = solve_exact(pg, with_certificate=False)
+            a = solve_exact(pe)
+            b = solve_exact(pg)
             if isinstance(a, Solution):
                 assert a.selected == b.selected and a.cost == b.cost
             else:
@@ -1048,15 +1067,9 @@ class TestSolveExact:
             u = rng.randrange(n)
             others = [v for v in range(n) if v != u]
             pairs = tuple((u, v) for v in rng.sample(others, min(2, len(others))))
-            cost_pairs = solve_exact(
-                AugmentationProblem(base, cands, Pairs(pairs)), with_certificate=False
-            ).cost
-            cost_source = solve_exact(
-                AugmentationProblem(base, cands, Source(u)), with_certificate=False
-            ).cost
-            cost_all = solve_exact(
-                AugmentationProblem(base, cands, All()), with_certificate=False
-            ).cost
+            cost_pairs = solve_exact(AugmentationProblem(base, cands, Pairs(pairs))).cost
+            cost_source = solve_exact(AugmentationProblem(base, cands, Source(u))).cost
+            cost_all = solve_exact(AugmentationProblem(base, cands, All())).cost
             assert cost_pairs <= cost_source <= cost_all
 
     def test_solution_json_shape(self):
@@ -1117,11 +1130,11 @@ class TestOnePlusOne:
 class TestSpannerBridge:
     def test_single_edge(self):
         g = G(2, (0, 1, 1))
-        assert solve_exact(spanner_via_tca(g), with_certificate=False).cost == 1
+        assert solve_exact(spanner_via_tca(g)).cost == 1
 
     def test_two_way_path_example(self):
         g = G(3, (0, 1, 1), (1, 2, 2), (1, 2, 3), (0, 1, 4))
-        sol = solve_exact(spanner_via_tca(g), with_certificate=False)
+        sol = solve_exact(spanner_via_tca(g))
         assert sol.cost == brute_spanner_min(g) == 3
 
     def test_rejects_disconnected(self):
@@ -1145,5 +1158,5 @@ class TestSpannerBridge:
             if not g.is_temporally_connected(NON_STRICT):
                 continue
             found += 1
-            sol = solve_exact(spanner_via_tca(g), with_certificate=False)
+            sol = solve_exact(spanner_via_tca(g))
             assert sol.cost == brute_spanner_min(g)

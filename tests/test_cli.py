@@ -138,6 +138,54 @@ class TestExitCodes:
         assert runs[0] == runs[1]
         assert runs[0][0] in (0, 1) and runs[0][1].err == ""
 
+    @pytest.mark.parametrize(
+        "command, manifest, message",
+        [
+            ("solve", [1], "manifest must be a JSON object"),
+            ("solve", {"kind": "matrix"}, "unknown manifest kind 'matrix'"),
+            ("solve", tca(requirement={"type": "cycle"}), "unknown requirement type 'cycle'"),
+            ("expand", {"kind": "octo", "matrix": "m.mat"}, "expansion needs a tca manifest"),
+        ],
+    )
+    def test_bad_manifest_is_2(self, tmp_path, capsys, command, manifest, message):
+        assert main([command, write_bundle(tmp_path, manifest)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "manifest, candidates, flags, code, stdout",
+        [
+            (tca(), CANDIDATES, ["--format", "text"], 0, "cost 1: {1,2}@1\n"),
+            (
+                tca(requirement={"type": "pairs", "pairs": [[0, 1]]}),
+                CANDIDATES,
+                ["--format", "text"],
+                0,
+                "cost 0: (nothing to add)\n",
+            ),
+            (tca(budget=0), CANDIDATES, ["--format", "text"], 1, "budget_exceeded\n"),
+            (
+                tca(),
+                CANDIDATES,
+                ["--cost", "group"],
+                0,
+                '{"cost":1,"engine":"subset","feasible":true,"groups":[[1,2]],"model":"group",'
+                '"schema":1,"selected":[{"t":1,"u":1,"v":2}],"semantics":"non-strict"}\n',
+            ),
+            (
+                tca(budget=0),
+                "E 0 1 2\nE 0 2 2\nE 1 2 2\n",
+                [],
+                1,
+                '{"engine":"one-plus-one","feasible":false,"model":"edge",'
+                '"reason":"budget_exceeded","schema":1,"semantics":"non-strict"}\n',
+            ),
+        ],
+        ids=["text-cost", "text-nothing", "text-budget", "group-cost", "one-plus-one-budget"],
+    )
+    def test_solve_output(self, tmp_path, capsys, manifest, candidates, flags, code, stdout):
+        assert main(["solve", write_bundle(tmp_path, manifest, candidates), *flags]) == code
+        assert capsys.readouterr() == (stdout, "")
+
     def test_negative_lifespan_is_2(self, tmp_path, capsys):
         assert main(["solve", write_bundle(tmp_path, tca(lifespan=-4))]) == 2
         assert capsys.readouterr() == ("", "error: lifespan must be non-negative\n")

@@ -333,7 +333,7 @@ class TestGraphEquivalence:
         for g in all_graphs(4, 2):
             matrix_min = solve_octo(component_intersection_matrix(g)).min_combinations
             problem = AugmentationProblem(g, unrestricted_candidates(g))
-            sol = solve_exact(problem, with_certificate=False)
+            sol = solve_exact(problem)
             assert sol.cost == matrix_min
 
     def test_witness_maps_back_to_connecting_edges(self):

@@ -92,7 +92,7 @@ class TestDominatingSet:
                 assert len(selected) == gamma
                 assert verify_solution(red.problem, selected)
                 assert ds_edges_to_witness(red, selected) == picked
-            sol = solve_exact(red.problem, with_certificate=False)
+            sol = solve_exact(red.problem)
             assert isinstance(sol, Solution) and sol.cost == gamma
             witness = ds_edges_to_witness(red, sol.selected)
             assert len(witness) <= gamma and dominates(n, edges, witness)
@@ -108,7 +108,7 @@ class TestDominatingSet:
             edges = random_graph(rng, n, rng.choice([0.2, 0.5]))
             red = reduce_dominating_set(StaticGraphInstance(n, edges, 0), mode)
             problem = dataclasses.replace(red.problem, requirement=Source(red.x), budget=None)
-            sol = solve_exact(problem, with_certificate=False)
+            sol = solve_exact(problem)
             assert isinstance(sol, Solution) and sol.cost == brute_dominating_min(n, edges)
 
     def test_every_minimum_unrestricted_selection_maps_back(self):
@@ -174,7 +174,7 @@ class TestHittingSet:
         for _ in range(30 if mode == MODE_SIMPLE else 120):
             inst = self.random_instance(rng)
             red = reduce_hitting_set(inst, mode)
-            sol = solve_exact(red.problem, with_certificate=False)
+            sol = solve_exact(red.problem)
             assert isinstance(sol, Solution) and sol.cost == inst.budget
             selections = [sol.selected]
             candidates = sorted(red.problem.candidates, key=lambda e: e.key)
@@ -236,7 +236,7 @@ class TestThreeSat:
                 selected = sat_witness_to_edges(red, bits)
                 assert verify_solution(red.problem, selected)
                 assert len({e.pair for e in selected}) <= red.budget
-            sol = solve_exact(red.problem, with_certificate=False)
+            sol = solve_exact(red.problem)
             assert isinstance(sol, Solution) and sol.cost <= red.budget
             assert self.satisfies(cnf, sat_edges_to_witness(red, sol.selected))
 

@@ -76,7 +76,7 @@ class TestSolver:
     @given(all_or_source_problems())
     def test_all_and_source_agree_with_the_subset_engine(self, problem):
         ours = solve_tpca_via_expansion(problem)
-        theirs = solve_exact(problem, with_certificate=False)
+        theirs = solve_exact(problem)
         assert solution_to_json(ours, problem) == solution_to_json(theirs, problem)
 
     @pytest.mark.parametrize("semantics", SEMANTICS)
@@ -87,7 +87,7 @@ class TestSolver:
         for _ in range(60):
             problem = random_pairs_problem(rng, semantics, with_budget)
             got = solve_tpca_via_expansion(problem)
-            subset = solve_exact(problem, with_certificate=False)
+            subset = solve_exact(problem)
             # both engines promise the lexicographically least cheapest selection
             assert solution_to_json(got, problem) == solution_to_json(subset, problem)
             best = brute_min_cost(problem)
@@ -137,12 +137,31 @@ class TestSolver:
                     checked += 1
         assert checked > 60
 
-    @pytest.mark.parametrize("pair", [(0, 999), (0, -1), (999, 0)])
+    # copy nodes 0..3, then the edge's gate-in 4 and gate-out 5
+    @pytest.mark.parametrize("pair", [(0, 999), (0, -1), (999, 0), (4, 5), (0, 4)])
     def test_pairs_name_nodes_of_the_expansion(self, pair):
         g = TemporalGraph.build(2, [TemporalEdge(0, 1, 1)])
         exp, _ = build_expansion(TGSteinerInstance.from_weights(g, dict.fromkeys(g.edges, 1), []))
-        with pytest.raises(ValueError, match=re.escape(f"pair ({pair[0]},{pair[1]}) out of range 0..5")):
+        with pytest.raises(ValueError, match=re.escape(f"pair ({pair[0]},{pair[1]}) out of range 0..3")):
             min_weight_connection(exp, [pair], 1)
+
+    @pytest.mark.parametrize(
+        "demand, budget, message",
+        [
+            (-1, None, "demand must lie between 0 and the number of pairs"),
+            (2, None, "demand must lie between 0 and the number of pairs"),
+            (1, -1, "budget must be non-negative"),
+        ],
+    )
+    def test_demand_and_budget_are_checked(self, demand, budget, message):
+        g = TemporalGraph.build(2, [TemporalEdge(0, 1, 1)])
+        inst = TGSteinerInstance.from_weights(g, dict.fromkeys(g.edges, 1), [(0, 1)])
+        exp, pair_map = build_expansion(inst)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            min_weight_connection(exp, pair_map, demand, budget=budget)
+        if budget is None:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                TGSteinerInstance.from_weights(g, inst.weights, inst.pairs, demand)
 
     def test_gate_cap(self):
         """The search has no size cap: 21 positive gates solve."""
