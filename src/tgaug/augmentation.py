@@ -3,20 +3,21 @@
 Models the three connectivity requirements (everything reaches everything,
 a designated source, or a list of ordered pair demands) under both journey
 semantics and both cost models, and solves them exactly by budget-bounded
-subset search.  The search starts at its largest lower bound, a paid-link
-distance floor among them (see :func:`_cheapest_subset`), and the first
-level of an edge-cost All problem over an edgeless base, a spanning tree,
-is decided in closed form (see :func:`_tree_level`).  Also contains the
-quadratic special-case algorithm for lifespan-1 graphs that may add edges
-at time 2, and the bridge that turns a spanner question into an
-augmentation instance.
+subset search.  The search starts at its largest lower bound and cuts by
+them (see :func:`_cheapest_subset`): the footprint gap, a paid-link
+distance floor, and for All over two times the two-time bound of either
+semantics (:func:`_two_time_need`).  The first level of an edge-cost All
+problem over an edgeless base, a spanning tree, is decided in closed form
+(see :func:`_tree_level`).  Also contains the quadratic special-case
+algorithm for lifespan-1 graphs that may add edges at time 2, and the
+bridge that turns a spanner question into an augmentation instance.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from typing import Callable, Iterable, Sequence
 
 from .temporal_graph import (
@@ -296,8 +297,8 @@ class _LayerSpace:
     (non-strict reachability is a function of the per-time component
     partitions); past that, the sweeps read both semantics alike.
     The free edges of the footprint (:func:`_footprint`) are the base
-    edges.  The two-time bound ``need`` applies to non-strict All with two
-    layers and one-edge units.
+    edges.  The two-time bound ``need`` (:func:`_two_time_need`) applies to
+    All with two layers and one-edge units, under either semantics.
     """
 
     def __init__(self, problem: AugmentationProblem, units: Sequence[tuple[TemporalEdge, ...]]):
@@ -312,9 +313,9 @@ class _LayerSpace:
         self.links = [patch[0][1] for patch in self.patches]  # a unit's edges share one pair
         free_pairs = [e.pair for e in base.edges]
         self.footprint, self.target = _footprint(base.n, free_pairs, self.entries, self.required)
-        two_time = len(times) == 2 and all(len(unit) == 1 for unit in units)
-        nonstrict_all = not self.strict and isinstance(problem.requirement, All)
-        self.need = _two_time_need if two_time and nonstrict_all else None
+        two_time_all = (len(times) == 2 and isinstance(problem.requirement, All)
+                        and all(len(unit) == 1 for unit in units))
+        self.need = partial(_two_time_need, n=base.n, strict=self.strict) if two_time_all else None
 
     def add(self, layers: Sequence[tuple[int, ...]], unit: int) -> list[tuple[int, ...]]:
         layers = list(layers)
@@ -404,22 +405,35 @@ class _LayerSpace:
         return _demands_met(self.entries, self.required, reach)
 
 
-def _two_time_need(layers: Sequence[tuple[int, ...]]) -> int:
-    """How many more single-edge units two non-strict sweep layers need at least.
+def _two_time_need(layers: Sequence[tuple[int, ...]], n: int, strict: bool) -> int:
+    """How many more single-edge units two sweep layers on n vertices need at least for All.
 
-    With two times, every vertex reaches every other exactly when each
-    component at the first time meets each component at the second.  Let
-    z(A) count the second-time components that component A misses.  A
-    second-time merge lowers z(A) by at most 1, and k first-time merges
-    touch at most 2k components, so some untouched A still has the
-    (2k+1)-th largest z to clear by second-time merges alone.  So at least
-    the least k + z_(2k+1) over all k is needed, and its mirror with the
-    two times swapped; the larger of the two is returned.
+    Each time order gives rows that must clear their misses.  Non-strict,
+    with two times, every vertex reaches every other exactly when each
+    component at the first time meets each component at the second; a row
+    is a first-time component and misses the second-time components it
+    does not meet.  A second-time merge lowers a row's misses by at most 1,
+    and k first-time merges touch at most 2k rows.  Strict, a journey is at
+    most a first-time hop and then a second-time hop; a row is a vertex x
+    and misses the n - |reach(x)| vertices it does not reach.  A new
+    first-time edge changes only its two endpoints' reach, and a new
+    second-time edge {a, b} adds at most one vertex to any reach: when x
+    reaches both a and b by time 1 it already reached both.  Either way,
+    some row among the 2k+1 with the most misses is untouched by k
+    first-time units and clears its misses by second-time units alone, so
+    at least the least k + misses_(2k+1) over all k is needed.  The mirror
+    order swaps the times (strict: what reaches x, read over the reversed
+    layers); the larger of the two is returned.
     """
     need = 0
-    for rows, cols in (layers, layers[::-1]):
-        misses = sorted([[r & c for c in cols].count(0) for r in rows], reverse=True) + [0]
-        p = len(rows)
+    for order in (layers, layers[::-1]):
+        if strict:
+            misses = [n - reach.bit_count() for reach in sweep_all(order, n)]
+        else:
+            rows, cols = order
+            misses = [[r & c for c in cols].count(0) for r in rows]
+        p = len(misses)
+        misses = sorted(misses, reverse=True) + [0]
         need = max(need, min([k + misses[min(2 * k, p)] for k in range(p // 2 + 2)]))
     return need
 
@@ -547,8 +561,8 @@ def _cheapest_subset(space, budget: int | None, first: int = 0) -> tuple[int, ..
       again whenever a failed ``holds`` changes that front;
     - the footprint bound's data: each unit's ``links`` mask and the root
       partitions ``footprint`` and ``target`` (see :func:`_footprint`);
-    - ``need``, None or a second bound on a state, the admissible two-time
-      bound of :func:`_two_time_need`;
+    - ``need``, None or a second bound on a state, such as the admissible
+      two-time bound of :func:`_two_time_need`;
     - ``floor``, None or ``floor(budget)``, a lower bound on the cost such
       as :meth:`_LayerSpace.floor`, which then also gives ``n``.
 
@@ -561,13 +575,16 @@ def _cheapest_subset(space, budget: int | None, first: int = 0) -> tuple[int, ..
     nothing either way.  For each size, smallest first, a depth-first
     search picks units in increasing index order, so subsets are visited
     lexicographically within a size.  Each node carries its state and its
-    footprint, and a node whose footprint, or ``need``, puts at least as
-    many units to go as are left to pick is cut, since no extension of it
-    can be accepted.  A frame with one unit left tries its units in a
-    plain loop: the footprint cut keeps those whose link joins the two
-    blocks its target has merged, if any, and ``leaf_test`` screens them
-    before a state is built; a unit it rejects would have failed ``holds``
-    at the front entry, which leaves the entry order as it was.
+    footprint, and a node whose footprint puts at least as many units to
+    go as are left to pick is cut, since no extension of it can be
+    accepted.  ``need`` makes the same cut at a node with two or more
+    units still to pick (at the root it is a start bound); the last level
+    does not ask it, since ``holds`` tests a leaf state at once.  A frame
+    with one unit left tries its units in a plain loop: the footprint cut
+    keeps those whose link joins the two blocks its target has merged, if
+    any, and ``leaf_test`` screens them before a state is built; a unit it
+    rejects would have failed ``holds`` at the front entry, which leaves
+    the entry order as it was.
     Acceptance is monotone in the subset, so the answer is the least
     accepted subset of the least accepted size, exactly as plain
     enumeration would find it.  ``Infeasible("infeasible")`` when not even
@@ -613,8 +630,6 @@ def _first_of_size(space, size: int) -> tuple[int, ...] | None:
                 if not test(j):
                     continue
                 child = add(state, j)
-                if need is not None and need(child) >= 1:
-                    continue
                 if holds(child):
                     return (*chosen, j)
                 if space.entries[:1] != front:
@@ -630,7 +645,7 @@ def _first_of_size(space, size: int) -> tuple[int, ...] | None:
         if len(child_footprint) - len(child_target) >= left:
             continue
         child = add(state, i)
-        if need is not None and need(child) >= left:
+        if left > 2 and need is not None and need(child) >= left:
             continue
         chosen.append(i)
         stack.append([child, child_footprint, child_target, i + 1])

@@ -62,6 +62,8 @@ class TGSteinerInstance:
             raise ValueError("weights must cover exactly the temporal edges of the graph")
         if any(w not in (0, 1) for w in self.weights.values()):
             raise ValueError("weights must be 0 or 1")
+        if self.budget is not None and self.budget < 0:
+            raise ValueError("budget must be non-negative")
         object.__setattr__(self, "pairs", _check_pairs(self.pairs, self.graph.n, self.demand))
 
     @classmethod

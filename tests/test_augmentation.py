@@ -233,7 +233,7 @@ def budgeted_problems(draw):
 
 @st.composite
 def two_time_problems(draw):
-    """Non-strict All edge-cost problems whose edges and candidates span times 1 and 2."""
+    """All edge-cost problems, either semantics, whose edges and candidates span times 1 and 2."""
     n = draw(st.integers(min_value=2, max_value=5))
     slots = [(u, v, t) for u in range(n) for v in range(u + 1, n) for t in (1, 2)]
     base_set = draw(st.sets(st.sampled_from(slots)))
@@ -241,7 +241,8 @@ def two_time_problems(draw):
     cand_set = draw(st.sets(st.sampled_from(rest), max_size=8)) if rest else set()
     assume({t for _, _, t in base_set | cand_set} == {1, 2})
     base = TemporalGraph.build(n, [E(*s) for s in base_set], lifespan=2)
-    return AugmentationProblem(base, frozenset(E(*s) for s in cand_set), All(), NON_STRICT)
+    semantics = draw(st.sampled_from([STRICT, NON_STRICT]))
+    return AugmentationProblem(base, frozenset(E(*s) for s in cand_set), All(), semantics)
 
 
 def _units(problem):
@@ -542,6 +543,39 @@ class TestFootprintBound:
             best = brute_min_cost(sub)
             if best is not None:
                 assert space.need(space.start) <= best
+
+    @settings(max_examples=120, deadline=None)
+    @given(two_time_problems(), st.sampled_from([None, 0, 1, 2, 3]))
+    def test_strict_two_time_search_finds_the_least_selection(self, problem, budget):
+        """The strict bound cuts only what raw enumeration would reject, budget cap included."""
+        problem = dataclasses.replace(problem, semantics=STRICT, budget=budget)
+        expected = brute_least_selection(problem)
+        out = solve_exact(problem)
+        if isinstance(expected, str):
+            assert out == Infeasible(expected)
+        else:
+            assert isinstance(out, Solution)
+            assert (out.selected, out.groups) == expected
+
+    def test_strict_bound_beats_the_other_root_bounds(self):
+        """Strict, vertex 0 misses both others and each of them misses 0: two units, not one."""
+        base = G(3, (1, 2, 2), lifespan=2)
+        cands = frozenset({E(0, 1, 1), E(0, 2, 1), E(0, 1, 2), E(0, 2, 2)})
+        problem = AugmentationProblem(base, cands, All(), STRICT)
+        space = _LayerSpace(problem, _group_items(problem))
+        assert len(space.footprint) - len(space.target) == space.floor(None) == 1
+        assert space.need(space.start) == brute_min_cost(problem) == 2
+
+    def test_expansion_engine_has_no_two_time_bound(self):
+        """The gate space gets no bound where the layer space has one, so a cross-check stays independent."""
+        base = G(3, (0, 1, 1), lifespan=2)
+        cands = frozenset({E(1, 2, 1), E(0, 2, 2), E(1, 2, 2)})
+        for semantics in (STRICT, NON_STRICT):
+            problem = AugmentationProblem(base, cands, All(), semantics)
+            assert _LayerSpace(problem, _group_items(problem)).need is not None
+            inst = problem_instance(problem)
+            exp, pair_map = build_expansion(inst, semantics)
+            assert _GateSpace(exp, pair_map, inst.demand).need is None
 
     @staticmethod
     def _count_tests(monkeypatch):

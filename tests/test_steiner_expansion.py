@@ -346,6 +346,14 @@ class TestInstance:
         with pytest.raises(ValueError, match=rf"^pair \({pair[0]},{pair[1]}\) out of range 0\.\.1$"):
             TGSteinerInstance.from_weights(g, {TemporalEdge(0, 1, 1): 1}, [pair])
 
+    def test_budget_is_non_negative(self):
+        g = TemporalGraph.build(2, [TemporalEdge(0, 1, 1)])
+        with pytest.raises(ValueError, match="^budget must be non-negative$"):
+            TGSteinerInstance.from_weights(g, {TemporalEdge(0, 1, 1): 1}, [(0, 1)], budget=-1)
+        for budget in (None, 0, 2):
+            inst = TGSteinerInstance.from_weights(g, {TemporalEdge(0, 1, 1): 1}, [(0, 1)], budget=budget)
+            assert inst.budget == budget
+
     def test_problem_instance_weighs_candidates_one(self):
         base = TemporalGraph.build(3, [TemporalEdge(0, 1, 1)])
         cand = TemporalEdge(1, 2, 1)
