@@ -306,7 +306,7 @@ class _LayerSpace:
         self.n = base.n
         self.strict = problem.semantics == STRICT
         self.entries, self.required = _demands(problem.requirement, base.n)
-        times = sorted(set(base._edge_times) | {e.t for e in problem.candidates})
+        times = sorted(set(base._edges_by_time) | {e.t for e in problem.candidates})
         slot = {t: i for i, t in enumerate(times)}
         self.start = tuple(base._layer(t, self.strict) for t in times)
         self.patches = [tuple((slot[e.t], 1 << e.u | 1 << e.v) for e in unit) for unit in units]

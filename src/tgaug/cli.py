@@ -223,6 +223,13 @@ def cmd_solve(args) -> int:
         matrix_path = Path(args.manifest).parent / _field(manifest, "matrix", str, required=True)
         matrix = octo_mod.parse_matrix(_read(matrix_path))
         result = octo_mod.solve_octo(matrix, _budget(manifest, args))
+        if result.solved:
+            try:
+                filled = octo_mod.apply_sequence(matrix, result.sequence).is_one_filled
+            except ValueError as exc:  # a step the solver wrote wrong, not bad input
+                raise RuntimeError(f"octo sequence: {exc}") from exc
+            if not filled:
+                raise RuntimeError("octo sequence does not one-fill the matrix")
         data = octo_mod.octo_result_to_json(result)
         print(_dump(data))
         return 0 if result.solved else 1

@@ -25,8 +25,8 @@ two more kernels: :func:`_components` builds one from scratch by union-find,
 masks smallest member first (the snapshot components of the non-strict
 layers, the footprint of the subset search, the spread of a dominating-set
 witness), and :func:`_joined` merges the blocks one link meets, as the subset
-search does at every node.  :func:`_journey_tree` walks the sweep layers too,
-and keeps the foremost journey into each vertex one source reaches.
+search does at every node.  :func:`_journey_tree` reads each time's edges and
+keeps the foremost journey into each vertex one source reaches.
 
 Every text format of the package shares one record grammar: :func:`_records`
 yields each line's fields once ``#`` comments go, :func:`_ints` reads
@@ -40,7 +40,7 @@ share between threads; all operations are pure functions of their inputs.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
@@ -189,20 +189,6 @@ class TemporalGraph:
         return {t: tuple(sorted(buckets[t], key=attrgetter("u", "v"))) for t in sorted(buckets)}
 
     @cached_property
-    def _edge_times(self) -> tuple[int, ...]:
-        return tuple(self._edges_by_time)  # its keys are in time order
-
-    @cached_property
-    def _adjacency(self) -> dict[int, dict[int, tuple[int, ...]]]:
-        """Per edge time: each non-isolated vertex's snapshot neighbours, sorted."""
-        adj: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
-        for t, bucket in self._edges_by_time.items():
-            for e in bucket:  # by (u, v): smaller neighbours first, then larger, each ascending
-                adj[t][e.u].append(e.v)
-                adj[t][e.v].append(e.u)
-        return {t: {x: tuple(ys) for x, ys in nbrs.items()} for t, nbrs in adj.items()}
-
-    @cached_property
     def _comp_cache(self) -> dict[int, tuple[int, ...]]:
         return {}
 
@@ -241,7 +227,7 @@ class TemporalGraph:
     def _layers(self, semantics: str) -> tuple[tuple[int, ...], ...]:
         """Sweep layers of every edge time, in time order."""
         strict = semantics == STRICT
-        return tuple(self._layer(t, strict) for t in self._edge_times)
+        return tuple(self._layer(t, strict) for t in self._edges_by_time)
 
     def reachable_set(self, source: int, semantics: str = NON_STRICT) -> frozenset[int]:
         """Vertices reachable from ``source`` by a journey (always contains it)."""
@@ -391,35 +377,29 @@ def _joined(masks: tuple[int, ...], link: int) -> tuple[int, ...]:
 def _journey_tree(g: TemporalGraph, source: int, semantics: str) -> dict[int, Hops]:
     """Hops of the foremost journey from ``source`` to every vertex it reaches.
 
-    Walks the :func:`sweep` layers under the sweep's rule: a mask that
-    meets the vertices reached before its time adds its members not yet
-    reached.  Each gets the breadth-first path within the mask, smallest
-    neighbour first, from the smallest vertex of the mask reached before,
-    appended to that vertex's journey.  A strict mask is one edge, so the
-    canonically first edge into a vertex wins.
+    One first-reach pass over the edges, times increasing and each time's
+    edges in (u, v) order: an edge with one endpoint reached extends that
+    endpoint's journey to the other.  Strict extends only from the vertices
+    reached before the edge's time; non-strict from all reached so far, and
+    goes through the time's edges again until none extends a journey.  So
+    each journey ends at the earliest time its vertex can be reached, and
+    the first edge in that order to reach the vertex wins a tie.
     """
+    strict = semantics == STRICT
     hops = {source: ()}
-    reached = 1 << source
-    for t, layer in zip(g._edge_times, g._layers(semantics)):
-        adj = g._adjacency[t]
-        before = reached
-        for m in layer:
-            inter = m & before
-            new = m & ~reached
-            if not inter or not new:
-                continue
-            anchor = (inter & -inter).bit_length() - 1
-            path = {anchor: hops[anchor]}
-            queue = deque([anchor])
-            while queue:
-                x = queue.popleft()
-                for y in adj[x]:
-                    if m >> y & 1 and y not in path:
-                        path[y] = path[x] + ((x, y, t),)
-                        queue.append(y)
-            for v in _mask_to_block(new):
-                hops[v] = path[v]
-            reached |= new
+    for t, bucket in g._edges_by_time.items():
+        tails = set(hops) if strict else hops  # the vertices the edges of t extend from
+        while True:
+            size = len(hops)
+            for e in bucket:
+                u, v = e.u, e.v
+                if u in tails:
+                    if v not in hops:
+                        hops[v] = hops[u] + ((u, v, t),)
+                elif v in tails and u not in hops:
+                    hops[u] = hops[v] + ((v, u, t),)
+            if strict or len(hops) == size:
+                break
     return hops
 
 

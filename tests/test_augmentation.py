@@ -35,6 +35,7 @@ from tgaug.augmentation import (
     _LayerSpace,
     _merging_units,
     _tree_level,
+    build_certificate,
     solution_to_json,
     solve_exact,
     solve_one_plus_one,
@@ -433,7 +434,7 @@ class TestLayerPatching:
             for i in picked:
                 state = space.add(state, i)
             augmented = base.augment(e for i in picked for e in units[i])
-            times = sorted(set(base._edge_times) | {e.t for e in candidates})
+            times = sorted(set(base._edges_by_time) | {e.t for e in candidates})
             assert len(state) == len(times)
             for layer, t in zip(state, times):
                 assert sorted(layer) == sorted(augmented._layer(t, strict))
@@ -1031,6 +1032,43 @@ class TestSolveExact:
         assert len(sol.certificate) == 12  # every ordered pair
         for u, v, hops in sol.certificate:
             assert is_journey(augmented, hops, p.semantics, u, v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(problems())
+    @example(  # B of p, with a (u, u) pair and a pair the selection need not meet
+        AugmentationProblem(
+            G(3, (0, 1, 1), lifespan=2),
+            frozenset({E(1, 2, 2)}),
+            Pairs(((1, 1), (2, 0), (0, 2)), demand=2),
+            STRICT,
+        )
+    )
+    def test_certificate_witnesses_each_met_pair_foremost(self, problem):
+        out = solve_exact(problem)
+        if not out.feasible:
+            return
+        augmented = problem.base.augment(out.selected)
+        n, req, semantics = augmented.n, problem.requirement, problem.semantics
+        if isinstance(req, All):
+            pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        elif isinstance(req, Source):
+            pairs = [(req.vertex, v) for v in range(n) if v != req.vertex]
+        else:
+            pairs = list(req.pairs)
+        # arrival[u][v]: the least t at which the edges at times <= t take u to v; the
+        # last prefix is the whole graph, so arrival[u] holds every vertex u reaches
+        arrival = {u: {u: 0} for u in range(n)}
+        for t in range(1, augmented.lifespan + 1):
+            prefix = TemporalGraph(n, frozenset(e for e in augmented.edges if e.t <= t), t)
+            for u in range(n):
+                for v in journey_reach(prefix, u, semantics):
+                    arrival[u].setdefault(v, t)
+        certificate = build_certificate(problem, out.selected)
+        met = [(u, v) for u, v in pairs if v in arrival[u]]
+        assert [(u, v) for u, v, _ in certificate] == met
+        for u, v, hops in certificate:
+            assert is_journey(augmented, hops, semantics, u, v)
+            assert (hops[-1][2] if hops else 0) == arrival[u][v]
 
     @settings(max_examples=60, deadline=None)
     @given(problems())

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tgaug import octo as octo_mod
 from tgaug import steiner_expansion as exp_mod
 from tgaug.augmentation import COST_EDGE, All, Infeasible, Solution
 from tgaug.cli import _detect_one_plus_one, _problem_from_manifest, main
-from tgaug.octo import parse_matrix
+from tgaug.octo import ROWS, MergeStep, OctoResult, parse_matrix
 from tgaug.reductions import parse_dimacs, parse_set_system, parse_static_graph
 from tgaug.temporal_graph import NON_STRICT, ParseError, TemporalEdge, parse_candidates, parse_tg
 
@@ -217,6 +218,25 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().out)["feasible"] is False
         assert main(["solve", path, "--budget", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["min_combinations"] == 1
+
+    @pytest.mark.parametrize(
+        "sequence, message",
+        [
+            ((), "octo sequence does not one-fill the matrix"),
+            ((MergeStep(ROWS, 0, 5),), "octo sequence: step "),  # 5 is no row of the 2x2 matrix
+        ],
+        ids=["not-one-filled", "bad-step"],
+    )
+    def test_octo_sequence_failing_its_check_is_3(
+        self, tmp_path, capsys, monkeypatch, sequence, message
+    ):
+        result = OctoResult("solved", len(sequence), sequence)
+        monkeypatch.setattr(octo_mod, "solve_octo", lambda matrix, budget: result)
+        path = write_bundle(tmp_path, {"kind": "octo", "matrix": "m.mat"})
+        assert main(["solve", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal: " + message)
 
 
 class TestDeclaredLifespan:

@@ -485,13 +485,9 @@ class TestJourneys:
     @pytest.mark.parametrize(
         "g, source, target, hops",
         [
-            # the time-2 component is entered from its smallest reached vertex, 1
-            (
-                G(4, (1, 3, 1), (2, 3, 1), (0, 2, 2), (1, 2, 2)),
-                3,
-                0,
-                ((3, 1, 1), (1, 2, 2), (2, 0, 2)),
-            ),
+            # the first edge in (u, v) order that meets a reached vertex wins:
+            # (0, 2) precedes (1, 2) at time 2 and 2 is reached, so 0 comes from 2
+            (G(4, (1, 3, 1), (2, 3, 1), (0, 2, 2), (1, 2, 2)), 3, 0, ((3, 2, 1), (2, 0, 2))),
             # two shortest snapshot paths: the smaller neighbour goes first
             (G(4, (0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)), 0, 3, ((0, 1, 1), (1, 3, 1))),
             # chains hops inside one time step; the later direct edge is not used
@@ -501,12 +497,13 @@ class TestJourneys:
                 3,
                 ((0, 1, 1), (1, 2, 2), (2, 3, 2)),
             ),
-            # a breadth-first path, not the first depth-first one
+            # one pass in (u, v) order reaches 1, 3, 2 and then 4 through (2, 4),
+            # before (3, 4): the first edge that reaches a vertex wins, not the shortest path
             (
                 G(5, (0, 1, 1), (1, 2, 1), (2, 4, 1), (0, 3, 1), (3, 4, 1)),
                 0,
                 4,
-                ((0, 3, 1), (3, 4, 1)),
+                ((0, 1, 1), (1, 2, 1), (2, 4, 1)),
             ),
         ],
     )
