@@ -556,9 +556,8 @@ def _cheapest_subset(space, budget: int | None, first: int = 0) -> tuple[int, ..
       test ``root_holds(state)`` for the two root tests, all units
       together and the empty subset;
     - the last level's screen ``leaf_test(state)``, a ``unit -> bool``
-      that may reject a unit only when ``holds`` would fail on the front
-      of the demand ``entries`` once the unit is added, and that is asked
-      again whenever a failed ``holds`` changes that front;
+      that may reject a unit only when ``holds`` would reject the unit's
+      child ``add(state, unit)``;
     - the footprint bound's data: each unit's ``links`` mask and the root
       partitions ``footprint`` and ``target`` (see :func:`_footprint`);
     - ``need``, None or a second bound on a state, such as the admissible
@@ -582,9 +581,8 @@ def _cheapest_subset(space, budget: int | None, first: int = 0) -> tuple[int, ..
     does not ask it, since ``holds`` tests a leaf state at once.  A frame
     with one unit left tries its units in a plain loop: the footprint cut
     keeps those whose link joins the two blocks its target has merged, if
-    any, and ``leaf_test`` screens them before a state is built; a unit it
-    rejects would have failed ``holds`` at the front entry, which leaves
-    the entry order as it was.
+    any, and one ``leaf_test`` per such frame screens them before a state
+    is built; a unit it rejects would have failed ``holds``.
     Acceptance is monotone in the subset, so the answer is the least
     accepted subset of the least accepted size, exactly as plain
     enumeration would find it.  ``Infeasible("infeasible")`` when not even
@@ -613,31 +611,24 @@ def _first_of_size(space, size: int) -> tuple[int, ...] | None:
         return () if space.root_holds(space.start) else None
     add, holds, need, links = space.add, space.holds, space.need, space.links
     count = len(links)
-    chosen: list[int] = []
-    # one frame per chosen unit plus the root: [state, footprint, target, next unit to try]
+    # one frame per chosen unit plus the root: [state, footprint, target, next unit to try];
+    # below the top frame, a frame's next unit minus one is the unit its child chose
     stack = [[space.start, space.footprint, space.target, 0]]
     while stack:
         frame = stack[-1]
         state, footprint, target, i = frame
-        left = size - len(chosen)  # units still to pick, this frame's child included
+        left = size - len(stack) + 1  # units still to pick, this frame's child included
         if left == 1:
             units = range(i, count)
             if len(footprint) > len(target):  # by one, or the parent would have been cut
                 a, b = set(footprint).difference(target)  # the blocks the last unit must join
                 units = [j for j in units if links[j] & a and links[j] & b]
-            front, test = space.entries[:1], space.leaf_test(state)
+            test = space.leaf_test(state)
             for j in units:
-                if not test(j):
-                    continue
-                child = add(state, j)
-                if holds(child):
-                    return (*chosen, j)
-                if space.entries[:1] != front:
-                    front, test = space.entries[:1], space.leaf_test(state)
+                if test(j) and holds(add(state, j)):
+                    return (*(f[3] - 1 for f in stack[:-1]), j)
         if left == 1 or i > count - left:
             stack.pop()
-            if chosen:
-                chosen.pop()
             continue
         frame[3] = i + 1
         child_footprint = _joined(footprint, links[i])
@@ -647,7 +638,6 @@ def _first_of_size(space, size: int) -> tuple[int, ...] | None:
         child = add(state, i)
         if left > 2 and need is not None and need(child) >= left:
             continue
-        chosen.append(i)
         stack.append([child, child_footprint, child_target, i + 1])
     return None
 

@@ -693,6 +693,29 @@ class TestFootprintBound:
         assert len(screened) == sum(math.comb(28, k) for k in range(1, 4))
         assert len(holds) < len(screened) / 4
 
+    def test_leaf_screen_built_once_per_state(self, monkeypatch):
+        """A failed ``holds`` that reorders the demands keeps the screen, and the answer stays the least."""
+        states = []  # every screened state stays referenced, so no id is reused
+        leaf_test = _LayerSpace.leaf_test
+
+        def recording(self, layers):
+            states.append(layers)
+            return leaf_test(self, layers)
+
+        monkeypatch.setattr(_LayerSpace, "leaf_test", recording)
+        rng = random.Random(41)
+        for _ in range(60):
+            problem = dataclasses.replace(_edgeless_all(rng, 6, 11), semantics=STRICT)
+            seen = len(states)
+            out = solve_exact(problem)
+            assert len({id(layers) for layers in states[seen:]}) == len(states) - seen
+            expected = brute_least_selection(problem)
+            if isinstance(expected, str):
+                assert out == Infeasible(expected)
+            else:
+                assert (out.selected, out.groups) == expected
+        assert len(states) > 100
+
     def test_unrestricted_ds_gadget_wall(self):
         inst = StaticGraphInstance(7, frozenset({(0, 1), (2, 3)}), 5)
         assert brute_dominating_min(inst.n, inst.edges) == 5
