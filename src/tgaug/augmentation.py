@@ -266,27 +266,6 @@ def unrestricted_candidates(g: TemporalGraph) -> frozenset[TemporalEdge]:
     ) - g.edges
 
 
-def _footprint(
-    n: int, free_pairs: Iterable[tuple[int, int]], entries: Sequence[tuple[int, int]], required: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The footprint bound's two root partitions of vertices 0..n-1.
-
-    The footprint is the static graph of the free edges plus the chosen
-    units, each of which links its endpoint pair.  When every demand entry
-    ``(source, need mask)`` must be met, an accepted selection puts each
-    entry's demand link (its source with the vertices it needs) in one
-    footprint component; a B-of-p demand links nothing.  The first
-    partition is the footprint's components, the second those of the
-    footprint joined by every demand link; extended by the same unit links,
-    their difference in size is how many more units a node needs at least,
-    since a unit joins at most two components.
-    """
-    footprint = _components(n, free_pairs)
-    if required < len(entries):
-        return footprint, footprint
-    return footprint, reduce(_joined, [1 << s | need for s, need in entries], footprint)
-
-
 class _LayerSpace:
     """The subset search's states for one problem: sweep layers patched unit by unit.
 
@@ -296,9 +275,18 @@ class _LayerSpace:
     non-strict slot gets its component masks merged by the edges
     (non-strict reachability is a function of the per-time component
     partitions); past that, the sweeps read both semantics alike.
-    The free edges of the footprint (:func:`_footprint`) are the base
-    edges.  The two-time bound ``need`` (:func:`_two_time_need`) applies to
-    All with two layers and one-edge units, under either semantics.
+
+    The footprint bound's two root partitions of the vertices: the
+    ``footprint`` is the components of the base edges, each chosen unit
+    linking its endpoint pair on top.  When every demand entry
+    ``(source, need mask)`` must be met, an accepted selection puts each
+    entry's demand link (its source with the vertices it needs) in one
+    footprint component, and ``target`` is the footprint joined by every
+    demand link; a B-of-p demand links nothing.  Extended by the same unit
+    links, their difference in size is how many more units a node needs
+    at least, since a unit joins at most two components.  The two-time
+    bound ``need`` (:func:`_two_time_need`) applies to All with two layers
+    and one-edge units, under either semantics.
     """
 
     def __init__(self, problem: AugmentationProblem, units: Sequence[tuple[TemporalEdge, ...]]):
@@ -311,8 +299,10 @@ class _LayerSpace:
         self.start = tuple(base._layer(t, self.strict) for t in times)
         self.patches = [tuple((slot[e.t], 1 << e.u | 1 << e.v) for e in unit) for unit in units]
         self.links = [patch[0][1] for patch in self.patches]  # a unit's edges share one pair
-        free_pairs = [e.pair for e in base.edges]
-        self.footprint, self.target = _footprint(base.n, free_pairs, self.entries, self.required)
+        self.footprint = self.target = _components(base.n, [e.pair for e in base.edges])
+        if self.required == len(self.entries):
+            demand_links = [1 << s | need for s, need in self.entries]
+            self.target = reduce(_joined, demand_links, self.footprint)
         two_time_all = (len(times) == 2 and isinstance(problem.requirement, All)
                         and all(len(unit) == 1 for unit in units))
         self.need = partial(_two_time_need, n=base.n, strict=self.strict) if two_time_all else None
@@ -549,44 +539,29 @@ def _tree_level(
 def _cheapest_subset(space, budget: int | None, first: int = 0) -> tuple[int, ...] | Infeasible:
     """Indices of the first unit subset of at most ``budget`` units that ``space`` accepts.
 
-    ``space`` gives:
-
-    - the search states: ``start`` and ``add(state, unit)``;
-    - the requirement test ``holds(state)`` of a search node, and the same
-      test ``root_holds(state)`` for the two root tests, all units
-      together and the empty subset;
-    - the last level's screen ``leaf_test(state)``, a ``unit -> bool``
-      that may reject a unit only when ``holds`` would reject the unit's
-      child ``add(state, unit)``;
-    - the footprint bound's data: each unit's ``links`` mask and the root
-      partitions ``footprint`` and ``target`` (see :func:`_footprint`);
-    - ``need``, None or a second bound on a state, such as the admissible
-      two-time bound of :func:`_two_time_need`;
-    - ``floor``, None or ``floor(budget)``, a lower bound on the cost such
-      as :meth:`_LayerSpace.floor`, which then also gives ``n``.
-
-    Once all units together are accepted, the sizes start at the largest
-    of the footprint gap ``len(footprint) - len(target)``, ``need(start)``,
-    ``first``, a size below which the caller knows no subset is accepted,
-    and ``floor(budget)``.  The floor is asked only when the others are
-    below both n-1 and the largest size searched: a journey with its loops
-    cut pays at most n-1 links, and a start past the budget searches
-    nothing either way.  For each size, smallest first, a depth-first
-    search picks units in increasing index order, so subsets are visited
+    ``space`` is a :class:`_LayerSpace`.  Once all units together are
+    accepted, the sizes start at the largest of the footprint gap
+    ``len(footprint) - len(target)``, ``need(start)``, ``first``, a size
+    below which the caller knows no subset is accepted, and
+    ``floor(budget)``.  The floor is asked only when the others are below
+    both n-1 and the largest size searched: a journey with its loops cut
+    pays at most n-1 links, and a start past the budget searches nothing
+    either way.  For each size, smallest first, a depth-first search picks
+    units in increasing index order, so subsets are visited
     lexicographically within a size.  Each node carries its state and its
-    footprint, and a node whose footprint puts at least as many units to
-    go as are left to pick is cut, since no extension of it can be
-    accepted.  ``need`` makes the same cut at a node with two or more
-    units still to pick (at the root it is a start bound); the last level
-    does not ask it, since ``holds`` tests a leaf state at once.  A frame
-    with one unit left tries its units in a plain loop: the footprint cut
-    keeps those whose link joins the two blocks its target has merged, if
-    any, and one ``leaf_test`` per such frame screens them before a state
-    is built; a unit it rejects would have failed ``holds``.
-    Acceptance is monotone in the subset, so the answer is the least
-    accepted subset of the least accepted size, exactly as plain
-    enumeration would find it.  ``Infeasible("infeasible")`` when not even
-    all units together are accepted.
+    footprint, and a node whose footprint puts at least as many units to go
+    as are left to pick is cut, since no extension of it can be accepted.
+    ``need`` makes the same cut at a node with two or more units still to
+    pick (at the root it is a start bound); the last level does not ask it,
+    since ``holds`` tests a leaf state at once.  A frame with one unit left
+    tries its units in a plain loop: the footprint cut keeps those whose
+    link joins the two blocks its target has merged, if any, and one
+    ``leaf_test`` per such frame screens them before a state is built; a
+    unit it rejects would have failed ``holds``.  Acceptance is monotone in
+    the subset, so the answer is the least accepted subset of the least
+    accepted size, exactly as plain enumeration would find it.
+    ``Infeasible("infeasible")`` when not even all units together are
+    accepted.
     """
     count = len(space.links)
     if not space.root_holds(reduce(space.add, range(count), space.start)):
@@ -594,7 +569,7 @@ def _cheapest_subset(space, budget: int | None, first: int = 0) -> tuple[int, ..
     max_size = count if budget is None else min(budget, count)
     need = 0 if space.need is None else space.need(space.start)
     first = max(first, len(space.footprint) - len(space.target), need)
-    if space.floor is not None and first < min(space.n - 1, max_size + 1):
+    if first < min(space.n - 1, max_size + 1):
         first = max(first, space.floor(budget))
     for size in range(first, max_size + 1):
         found = _first_of_size(space, size)
@@ -631,14 +606,14 @@ def _first_of_size(space, size: int) -> tuple[int, ...] | None:
             stack.pop()
             continue
         frame[3] = i + 1
-        child_footprint = _joined(footprint, links[i])
-        child_target = _joined(target, links[i])
-        if len(child_footprint) - len(child_target) >= left:
+        footprint_i = _joined(footprint, links[i])
+        target_i = _joined(target, links[i])
+        if len(footprint_i) - len(target_i) >= left:
             continue
         child = add(state, i)
         if left > 2 and need is not None and need(child) >= left:
             continue
-        stack.append([child, child_footprint, child_target, i + 1])
+        stack.append([child, footprint_i, target_i, i + 1])
     return None
 
 

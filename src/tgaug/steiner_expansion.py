@@ -7,9 +7,9 @@ Journeys of the temporal graph correspond to directed paths between layer
 copies.  The non-strict variant additionally links gates of same-time
 edges that share an endpoint, so a path may chain several hops inside one
 time step.  On top of the expansion sit an exact solver for pair-demand
-instances (fewest paid gates meeting B of the p demands, by the subset
-search of :mod:`tgaug.augmentation`), which takes any requirement through
-its demand pairs, and the DOT and JSON writers.
+instances (fewest paid gates meeting B of the p demands, by a plain
+enumeration of gate subsets), which takes any requirement through its
+demand pairs, and the DOT and JSON writers.
 """
 
 from __future__ import annotations
@@ -26,10 +26,8 @@ from .augmentation import (
     Solution,
     SolveOutcome,
     _check_pairs,
-    _cheapest_subset,
     _demand_pairs,
     _demands_met,
-    _footprint,
     verify_solution,
 )
 from .temporal_graph import (
@@ -190,42 +188,6 @@ class ConnectionResult:
     selected: tuple[TemporalEdge, ...]
 
 
-class _GateSpace:
-    """The subset search's states for a connection search: sets of open positive gates.
-
-    The free edges of the footprint (:func:`~tgaug.augmentation._footprint`)
-    are the zero-weight edges, and its demand entries are the pairs, which
-    name copy nodes only (:func:`min_weight_connection` checks it), with
-    each copy node mapped to its vertex (copy node x belongs to vertex
-    x // (T+1)).  There is no two-time bound and no paid-link floor, so
-    ``--cross-check`` stays independent of both.
-    """
-
-    need = floor = None
-
-    def __init__(self, exp: ExpansionGraph, pairs: Sequence[tuple[int, int]], demand: int):
-        self.exp, self.entries, self.required = exp, [(s, 1 << d) for s, d in pairs], demand
-        gates = exp.positive_gate_edges
-        positive = set(gates)
-        self.start: frozenset[int] = frozenset()
-        self.links = [1 << e.u | 1 << e.v for e in gates]
-        free_pairs = [e.pair for e in exp.edges if e not in positive]
-        layers = exp.lifespan + 1
-        entries = [(s // layers, 1 << d // layers) for s, d in pairs]
-        self.footprint, self.target = _footprint(exp.n, free_pairs, entries, demand)
-
-    def add(self, open_gates: frozenset[int], gate: int) -> frozenset[int]:
-        return open_gates | {gate}
-
-    def holds(self, open_gates: frozenset[int]) -> bool:
-        return _demands_met(
-            self.entries, self.required, lambda s: self.exp.reachable_from(s, open_gates)
-        )
-
-    root_holds = holds  # the expansion graph has no all-sources kernel
-    leaf_test = staticmethod(lambda open_gates: lambda gate: True)  # no screen before holds
-
-
 def min_weight_connection(
     exp: ExpansionGraph,
     pairs: Sequence[tuple[int, int]],
@@ -235,23 +197,31 @@ def min_weight_connection(
     """Fewest positive gates satisfying at least ``demand`` pairs of copy nodes.
 
     Gate weights are 0 or 1, so zero-weight arcs are always free to use
-    and the weight of a set of positive gates is its size.
-    :func:`~tgaug.augmentation._cheapest_subset` searches the gate subsets
-    depth first, smallest first and lexicographically least over the
-    canonical gate order within a size, and cuts a branch whose static
-    footprint (zero-weight edges plus open gates) needs more gates than are
-    left to pick before every demanded pair shares a component.  Only
-    subsets that cannot connect are skipped, so the least minimum gate set
-    is found.  Exact, and exponential in the number of positive gates.
+    and the weight of a set of positive gates is its size.  The gate
+    subsets are tried smallest first and lexicographically within a size
+    over the canonical gate order, with no bound, so the first one that
+    connects is the least minimum gate set.  Sharing no search with
+    :func:`~tgaug.augmentation.solve_exact` keeps ``--cross-check``
+    independent of its bounds.  Exact, and exponential in the number of
+    positive gates.
     """
     if budget is not None and budget < 0:
         raise ValueError("budget must be non-negative")
     pairs = _check_pairs(pairs, exp.n * (exp.lifespan + 1), demand)
+    entries = [(s, 1 << d) for s, d in pairs]
     gates = exp.positive_gate_edges
-    combo = _cheapest_subset(_GateSpace(exp, pairs, demand), budget)
-    if isinstance(combo, Infeasible):
-        return combo
-    return ConnectionResult(len(combo), tuple(gates[i] for i in combo))
+
+    def connects(open_gates: frozenset[int]) -> bool:
+        return _demands_met(entries, demand, lambda s: exp.reachable_from(s, open_gates))
+
+    if not connects(frozenset(range(len(gates)))):
+        return Infeasible("infeasible")
+    max_size = len(gates) if budget is None else min(budget, len(gates))
+    for size in range(max_size + 1):
+        for combo in itertools.combinations(range(len(gates)), size):
+            if connects(frozenset(combo)):
+                return ConnectionResult(size, tuple(gates[i] for i in combo))
+    return Infeasible("budget_exceeded")
 
 
 def problem_instance(problem: AugmentationProblem) -> TGSteinerInstance:

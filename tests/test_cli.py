@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tgaug import augmentation as aug_mod
 from tgaug import octo as octo_mod
 from tgaug import steiner_expansion as exp_mod
 from tgaug.augmentation import COST_EDGE, All, Infeasible, Solution
@@ -427,6 +428,23 @@ class TestSolutionCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: internal: engine disagreement: ")
+
+    def test_cross_check_catches_a_subset_search_fault(self, tmp_path, capsys, monkeypatch):
+        # the gate search shares no bound or level loop with the subset search
+        first_of_size = aug_mod._first_of_size
+        monkeypatch.setattr(
+            aug_mod,
+            "_first_of_size",
+            lambda space, size: None if size == 1 else first_of_size(space, size),
+        )
+        candidates = "E 0 1 1\nE 0 2 1\nE 0 1 2\nE 0 2 2\n"
+        manifest = tca(requirement={"type": "pairs", "pairs": [[0, 2]]})
+        path = write_bundle(tmp_path, manifest, candidates, graph="T 2\nV 3\nE 1 2 2\n")
+        assert main(["solve", path, "--cross-check"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith('error: internal: engine disagreement: {"cost":2,')
+        assert '!= {"cost":1,' in captured.err
 
     def test_cross_check_takes_any_one_plus_one_optimum(self, tmp_path, capsys, monkeypatch):
         # one-plus-one picks {0,1},{1,2}; the expansion engine's least optimum is {0,1},{0,2}

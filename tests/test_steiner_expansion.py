@@ -78,6 +78,11 @@ class TestSolver:
         ours = solve_tpca_via_expansion(problem)
         theirs = solve_exact(problem)
         assert solution_to_json(ours, problem) == solution_to_json(theirs, problem)
+        expected = brute_least_selection(problem)
+        if isinstance(expected, str):
+            assert ours == Infeasible(expected)
+        else:
+            assert (ours.selected, None) == expected
 
     @pytest.mark.parametrize("semantics", SEMANTICS)
     @pytest.mark.parametrize("with_budget", [False, True])
