@@ -5,9 +5,9 @@ Subcommands: ``check`` (connectivity report for a .tg file), ``solve``
 instances from classic problems), and ``expand`` (emit the temporal
 expansion of a problem manifest's demand pairs).  All output is deterministic;
 exit codes are 0 for success/feasible, 1 for infeasible/not connected,
-2 for input errors, and 3 for an internal failure: a solver's result
-failing its own check, a ``--cross-check`` disagreement between engines,
-or an exhausted search.
+2 for input errors (``ValueError``, ``OSError``), and 3 for an internal
+failure: a solver's result failing its own check, a ``--cross-check``
+disagreement between engines, an exhausted search, or any other exception.
 """
 
 from __future__ import annotations
@@ -108,12 +108,10 @@ def _requirement_to_manifest(req: aug.Requirement) -> dict:
 
 
 def _budget(manifest: dict, args) -> int | None:
-    """The ``--budget`` flag when given, else the manifest's budget; never negative."""
+    """The ``--budget`` flag when given, else the manifest's budget; the solvers check its sign."""
     budget = _field(manifest, "budget", int)
     if getattr(args, "budget", None) is not None:
         budget = args.budget
-    if budget is not None and budget < 0:
-        raise ParseError("budget must be non-negative")
     return budget
 
 
@@ -362,10 +360,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except Exception as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 3
 

@@ -84,6 +84,11 @@ class TestProblemModel:
         with pytest.raises(ValueError):
             Pairs(())
 
+    @pytest.mark.parametrize("demand", [-1, 2])
+    def test_pairs_demand_fits_the_list(self, demand):
+        with pytest.raises(ValueError, match="^demand must lie between 0 and the number of pairs$"):
+            Pairs(((0, 1),), demand)
+
     def test_candidate_outside_the_graph(self):
         with pytest.raises(InvalidCandidateError, match=r"\{1,2\}@1 has endpoints outside 0\.\.1"):
             AugmentationProblem(G(2, (0, 1, 1)), frozenset({E(1, 2, 1)}))
@@ -552,7 +557,7 @@ class TestFootprintBound:
         problem = AugmentationProblem(base, cands, All(), STRICT)
         space = _LayerSpace(problem, _group_items(problem))
         assert len(space.footprint) - len(space.target) == space.floor(None) == 1
-        assert space.need(space.start) == brute_min_cost(problem) == 2
+        assert space.need(space.start) == brute_min_cost(problem) == solve_exact(problem).cost == 2
 
     @staticmethod
     def _count_tests(monkeypatch):

@@ -32,6 +32,8 @@ CANDIDATES = "E 1 2 1\n"
 def write_bundle(tmp_path, manifest, candidates=CANDIDATES, graph=GRAPH):
     (tmp_path / "g.tg").write_text(graph)
     (tmp_path / "c.cand").write_text(candidates)
+    (tmp_path / "outside.cand").write_text("E 1 5 1\n")  # an endpoint past the graph's 0..2
+    (tmp_path / "late.cand").write_text("E 1 2 4\n")  # past a declared lifespan below 4
     (tmp_path / "m.mat").write_text("2 2\n1 0\n0 1\n")
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
@@ -67,6 +69,19 @@ class TestExitCodes:
         assert main(["solve", write_bundle(tmp_path, tca(), candidates="E -1 2 1\n")]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "line 1: endpoint must be non-negative" in captured.err
+
+    @pytest.mark.parametrize(
+        "graph, message",
+        [
+            ("V 3\nE 0 3 1\n", "line 2: endpoint out of range 0..2"),
+            ("V 3\nE 0 1 1 2\nE 1 0 2\n", "line 3: duplicate temporal edge {0,1}@2"),
+        ],
+        ids=["range", "repeat"],
+    )
+    def test_check_of_a_bad_graph_is_2(self, tmp_path, capsys, graph, message):
+        (tmp_path / "g.tg").write_text(graph)
+        assert main(["check", str(tmp_path / "g.tg")]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_deeply_nested_manifest_is_2(self, tmp_path, capsys):
         path = write_bundle(tmp_path, tca())
@@ -147,6 +162,17 @@ class TestExitCodes:
             ("solve", {"kind": "matrix"}, "unknown manifest kind 'matrix'"),
             ("solve", tca(requirement={"type": "cycle"}), "unknown requirement type 'cycle'"),
             ("expand", {"kind": "octo", "matrix": "m.mat"}, "expansion needs a tca manifest"),
+            (
+                "solve",
+                tca(requirement={"type": "pairs", "pairs": [[0, 1]], "demand": 2}),
+                "demand must lie between 0 and the number of pairs",
+            ),
+            ("solve", tca(candidates="outside.cand"), "edge {1,5}@1 has endpoints outside 0..2"),
+            (
+                "solve",
+                tca(candidates="late.cand", lifespan=2),
+                "candidate {1,2}@4 exceeds the lifespan 2",
+            ),
         ],
     )
     def test_bad_manifest_is_2(self, tmp_path, capsys, command, manifest, message):
@@ -154,20 +180,22 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize(
-        "manifest, candidates, flags, code, stdout",
+        "manifest, candidates, graph, flags, code, stdout",
         [
-            (tca(), CANDIDATES, ["--format", "text"], 0, "cost 1: {1,2}@1\n"),
+            (tca(), CANDIDATES, GRAPH, ["--format", "text"], 0, "cost 1: {1,2}@1\n"),
             (
                 tca(requirement={"type": "pairs", "pairs": [[0, 1]]}),
                 CANDIDATES,
+                GRAPH,
                 ["--format", "text"],
                 0,
                 "cost 0: (nothing to add)\n",
             ),
-            (tca(budget=0), CANDIDATES, ["--format", "text"], 1, "budget_exceeded\n"),
+            (tca(budget=0), CANDIDATES, GRAPH, ["--format", "text"], 1, "budget_exceeded\n"),
             (
                 tca(),
                 CANDIDATES,
+                GRAPH,
                 ["--cost", "group"],
                 0,
                 '{"cost":1,"engine":"subset","feasible":true,"groups":[[1,2]],"model":"group",'
@@ -176,16 +204,76 @@ class TestExitCodes:
             (
                 tca(budget=0),
                 "E 0 1 2\nE 0 2 2\nE 1 2 2\n",
+                GRAPH,
                 [],
                 1,
                 '{"engine":"one-plus-one","feasible":false,"model":"edge",'
                 '"reason":"budget_exceeded","schema":1,"semantics":"non-strict"}\n',
             ),
+            # strict All needs all three units (01@1 12@2 there, 12@2 01@3 back), past budget 2
+            (
+                tca(semantics="strict", budget=2),
+                "E 0 1 1\nE 1 2 2\nE 0 1 3\n",
+                "T 3\nV 3\n",
+                ["--cross-check"],
+                1,
+                '{"engine":"subset","feasible":false,"model":"edge","reason":"budget_exceeded",'
+                '"schema":1,"semantics":"strict"}\n',
+            ),
+            # strict All at lifespan 2: vertex 0 misses both others, so two units, past budget 1
+            (
+                tca(semantics="strict", budget=1),
+                "E 0 1 1\nE 0 2 1\nE 0 1 2\nE 0 2 2\n",
+                "T 2\nV 3\nE 1 2 2\n",
+                ["--cross-check"],
+                1,
+                '{"engine":"subset","feasible":false,"model":"edge","reason":"budget_exceeded",'
+                '"schema":1,"semantics":"strict"}\n',
+            ),
+            # a one-pair chain whose paid-link floor (3) is above its budget
+            (
+                tca(requirement={"type": "pairs", "pairs": [[0, 3]]}, budget=2),
+                "E 0 1 1\nE 1 2 2\nE 2 3 3\nE 2 3 1\n",
+                "T 3\nV 4\n",
+                ["--cross-check"],
+                1,
+                '{"engine":"subset","feasible":false,"model":"edge","reason":"budget_exceeded",'
+                '"schema":1,"semantics":"non-strict"}\n',
+            ),
+            # two of three pairs, the third (0,3) out of reach, through both engines
+            *(
+                (
+                    tca(
+                        requirement={
+                            "type": "pairs", "pairs": [[0, 1], [2, 3], [0, 3]], "demand": 2
+                        }
+                    ),
+                    "E 0 1 1\nE 2 3 1\nE 1 2 2\n",
+                    "T 2\nV 4\n",
+                    ["--engine", engine, "--cross-check"],
+                    0,
+                    f'{{"cost":2,"engine":"{engine}","feasible":true,"model":"edge","schema":1,'
+                    '"selected":[{"t":1,"u":0,"v":1},{"t":1,"u":2,"v":3}],'
+                    '"semantics":"non-strict"}\n',
+                )
+                for engine in ("subset", "expansion")
+            ),
         ],
-        ids=["text-cost", "text-nothing", "text-budget", "group-cost", "one-plus-one-budget"],
+        ids=[
+            "text-cost",
+            "text-nothing",
+            "text-budget",
+            "group-cost",
+            "one-plus-one-budget",
+            "strict-all-budget",
+            "strict-two-time-budget",
+            "floor-budget",
+            "b-of-p-subset",
+            "b-of-p-expansion",
+        ],
     )
-    def test_solve_output(self, tmp_path, capsys, manifest, candidates, flags, code, stdout):
-        assert main(["solve", write_bundle(tmp_path, manifest, candidates), *flags]) == code
+    def test_solve_output(self, tmp_path, capsys, manifest, candidates, graph, flags, code, stdout):
+        assert main(["solve", write_bundle(tmp_path, manifest, candidates, graph), *flags]) == code
         assert capsys.readouterr() == (stdout, "")
 
     def test_negative_lifespan_is_2(self, tmp_path, capsys):
@@ -216,7 +304,8 @@ class TestExitCodes:
     def test_octo_takes_the_budget_flag(self, tmp_path, capsys):
         path = write_bundle(tmp_path, {"kind": "octo", "matrix": "m.mat"})
         assert main(["solve", path, "--budget", "0"]) == 1
-        assert json.loads(capsys.readouterr().out)["feasible"] is False
+        data = json.loads(capsys.readouterr().out)
+        assert (data["status"], data["feasible"]) == ("budget_exceeded", False)
         assert main(["solve", path, "--budget", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["min_combinations"] == 1
 
@@ -238,6 +327,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: internal: " + message)
+
+
+    @pytest.mark.parametrize("error", [TypeError, KeyError])
+    def test_any_other_exception_is_3(self, tmp_path, capsys, monkeypatch, error):
+        def solve_exact(problem):
+            raise error("a fault of the solver")
+
+        monkeypatch.setattr(aug_mod, "solve_exact", solve_exact)
+        assert main(["solve", write_bundle(tmp_path, tca()), "--engine", "subset"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal: ")
+        assert "a fault of the solver" in captured.err
 
 
 class TestDeclaredLifespan:
@@ -737,6 +839,7 @@ class TestRecordReaders:
             ("matrix", "-1 2\n", 1, "row or column count must be at least 1"),
             ("matrix", "0 0\n", 1, "row or column count must be at least 1"),
             ("matrix", "2 0\n", 1, "row or column count must be at least 1"),
+            ("matrix", "2 2\n1 2\n0 1\n", 2, "entries must be 0 or 1"),
         ],
     )
     def test_keywords_and_counts_are_exact(self, reader, text, line, message):

@@ -318,6 +318,11 @@ class TestInvalidHistories:
         with pytest.raises(ValueError, match=message):
             sequence_to_edges(g, steps)
 
+    def test_sequence_to_edges_needs_lifespan_2(self):
+        g = TemporalGraph.build(3, [], lifespan=3)
+        with pytest.raises(ValueError, match="^requires lifespan exactly 2, got 3$"):
+            sequence_to_edges(g, [])
+
     def test_steps_may_name_the_larger_representative_first(self):
         b = M([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         steps = [MergeStep(COLS, 2, 0), MergeStep(ROWS, 1, 0)]

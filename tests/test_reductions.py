@@ -237,7 +237,8 @@ class TestThreeSat:
                 assert verify_solution(red.problem, selected)
                 assert len({e.pair for e in selected}) <= red.budget
             sol = solve_exact(red.problem)
-            assert isinstance(sol, Solution) and sol.cost <= red.budget
+            # every selection buys one whole branch per variable, so the optimum is the budget
+            assert isinstance(sol, Solution) and sol.cost == red.budget
             assert self.satisfies(cnf, sat_edges_to_witness(red, sol.selected))
 
 
@@ -462,6 +463,7 @@ class TestInputChecks:
             (lambda t: parse_set_system(t, 1), "U 2\nS 0 1: 1\n", "line 2: expected 'S <i>: <e> <e> ...'"),
             (lambda t: parse_set_system(t, 1), "U 2\nS 0: 0 2\n", "line 2: element outside universe 0..1"),
             (lambda t: parse_set_system(t, 1), "# none\nU 2\n", "no sets given"),
+            (lambda t: parse_set_system(t, 1), "S 0: 1\nU 2\n", "line 1: set before U record"),
             (parse_dimacs, "p cnf 3 1\n1 2 3 0 0\n", "line 2: empty clause"),
             (parse_dimacs, "p cnf 4 1\n1 2\n3 4 0\n", "line 3: clause with more than 3 literals"),
             (parse_dimacs, "p cnf 3 1\n1 2 3\n", "unterminated clause"),

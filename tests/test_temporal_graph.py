@@ -697,6 +697,8 @@ class TestFormats:
         g = parse_tg("#V 9\n\n  V 3 # three\nE 0 1 1#x\n\t\nE 1 2 2 3 #\n")
         assert g == G(3, (0, 1, 1), (1, 2, 2), (1, 2, 3))
         assert parse_candidates("# c\nE 1 0 2 # late\n\n") == (TemporalEdge(0, 1, 2),)
+        crlf = parse_tg("V 3\r\nE 0 1 1 2 # two times\r\nE 1 2 2\r\n")
+        assert crlf == G(3, (0, 1, 1), (0, 1, 2), (1, 2, 2))
 
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(ParseError) as exc:
