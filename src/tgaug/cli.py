@@ -6,8 +6,8 @@ instances from classic problems), and ``expand`` (emit the temporal
 expansion of a problem manifest's demand pairs).  All output is deterministic;
 exit codes are 0 for success/feasible, 1 for infeasible/not connected,
 2 for input errors (``ValueError``, ``OSError``), and 3 for an internal
-failure: a solver's result failing its own check, a ``--cross-check``
-disagreement between engines, an exhausted search, or any other exception.
+failure: an engine's answer failing the CLI's check (whatever it raises), a
+``--cross-check`` disagreement, an exhausted search, or any other exception.
 """
 
 from __future__ import annotations
@@ -45,10 +45,7 @@ def _dump(data: dict) -> str:
 
 
 def _read(path: str | Path) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    return Path(path).read_text(encoding="utf-8")
 
 
 _JSON_TYPES = {str: "a string", int: "an integer", dict: "an object", list: "a list"}
@@ -204,8 +201,12 @@ def _solve_tca(problem: aug.AugmentationProblem, args) -> tuple[dict, int]:
         if mine != theirs:
             raise RuntimeError(f"engine disagreement: {_dump(mine)} != {_dump(theirs)}")
 
-    if isinstance(outcome, aug.Solution) and not aug.verify_solution(problem, outcome.selected):
-        raise RuntimeError(f"{engine_used} selection does not meet the requirement")
+    if isinstance(outcome, aug.Solution):
+        try:  # an edge outside the candidates is the engine's fault too, not bad input
+            if not aug.verify_solution(problem, outcome.selected):
+                raise ValueError("does not meet the requirement")
+        except ValueError as exc:
+            raise RuntimeError(f"{engine_used} selection {exc}") from exc
     data = aug.solution_to_json(outcome, problem)
     data["engine"] = engine_used
     return data, 0 if outcome.feasible else 1
@@ -250,6 +251,8 @@ def cmd_reduce(args) -> int:
             print("note: 3sat sets its own budget; ignoring the given one", file=sys.stderr)
     elif args.budget is None:
         raise ParseError(f"reduce {args.kind} needs a budget")
+    if args.kind in ("dsc", "3sat") and args.mode != red_mod.MODE_SIMPLE:
+        print(f"note: {args.kind} has no modes; ignoring --mode {args.mode}", file=sys.stderr)
     text = _read(args.source)
     if args.kind == "dsc":
         reduction = red_mod.reduce_dsc(red_mod.parse_set_system(text, args.budget))

@@ -83,6 +83,16 @@ class TestExitCodes:
         assert main(["check", str(tmp_path / "g.tg")]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_a_missing_file_is_2(self, tmp_path, capsys, command):
+        manifest = write_bundle(tmp_path, tca(graph="none.tg"))
+        missing = str(tmp_path / "none.tg")
+        assert main([command, missing if command == "check" else manifest]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and missing in captured.err
+        assert "Traceback" not in captured.err
+
     def test_deeply_nested_manifest_is_2(self, tmp_path, capsys):
         path = write_bundle(tmp_path, tca())
         Path(path).write_text("[" * 100_000 + "]" * 100_000)
@@ -478,8 +488,8 @@ class TestSolutionCheck:
         path = write_bundle(tmp_path, tca(requirement={"type": "pairs", "pairs": [[0, 2]]}))
         script = (
             "import sys\n"
-            "import tgaug.augmentation as aug, tgaug.steiner_expansion as exp\n"
-            "aug.verify_solution = exp.verify_solution = lambda *args: False\n"
+            "import tgaug.augmentation as aug\n"
+            "aug.verify_solution = lambda *args: False\n"
             "from tgaug.cli import main\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
@@ -497,6 +507,31 @@ class TestSolutionCheck:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: internal: ")
         assert "does not meet the requirement" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "engine, module, name, answer",
+        [
+            ("subset", aug_mod, "solve_exact", Solution((TemporalEdge(0, 2, 1),), 1)),
+            (
+                "expansion",
+                exp_mod,
+                "min_weight_connection",
+                exp_mod.ConnectionResult(1, (TemporalEdge(0, 2, 1),)),
+            ),
+        ],
+        ids=["subset", "expansion"],
+    )
+    def test_an_edge_outside_the_candidates_is_an_internal_error(
+        self, tmp_path, capsys, monkeypatch, engine, module, name, answer
+    ):
+        # the check raises ValueError on the stray edge, yet the input is fine: exit 3, not 2
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: answer)
+        path = write_bundle(tmp_path, tca(requirement={"type": "pairs", "pairs": [[0, 2]]}))
+        assert main(["solve", path, "--engine", engine]) == 3
+        assert capsys.readouterr() == (
+            "",
+            f"error: internal: {engine} selection not in the candidate set: {{0,2}}@1\n",
+        )
 
     def test_engine_disagreement_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(exp_mod, "solve_tpca_via_expansion", lambda problem: Solution((), 0))
@@ -700,22 +735,36 @@ class TestSuccessiveCalls:
 
 
 class TestReduce:
-    def test_3sat_sets_its_own_budget(self, tmp_path, capsys):
-        (tmp_path / "f.cnf").write_text("p cnf 3 2\n1 -2 3 0\n-1 2 3 0\n")
+    @pytest.mark.parametrize(
+        "argv, ignored, note",
+        [
+            (["3sat", "f.cnf"], ["99"], "3sat sets its own budget; ignoring the given one"),
+            (
+                ["3sat", "f.cnf"],
+                ["--mode", "unrestricted"],
+                "3sat has no modes; ignoring --mode unrestricted",
+            ),
+            (
+                ["dsc", "sets.txt", "1"],
+                ["--mode", "unrestricted"],
+                "dsc has no modes; ignoring --mode unrestricted",
+            ),
+        ],
+        ids=["3sat-budget", "3sat-mode", "dsc-mode"],
+    )
+    def test_an_ignored_input_gets_a_note(self, tmp_path, capsys, monkeypatch, argv, ignored, note):
+        monkeypatch.chdir(tmp_path)
+        Path("f.cnf").write_text("p cnf 3 2\n1 -2 3 0\n-1 2 3 0\n")
+        Path("sets.txt").write_text("U 2\nS 0: 0 1\nS 1: 0\nS 2: 1\n")
         runs = []
-        for budget in ([], ["99"]):
-            out = tmp_path / f"out{len(runs)}"
-            argv = ["reduce", "3sat", str(tmp_path / "f.cnf"), *budget, "--out", str(out)]
-            assert main(argv) == 0
+        for extra in ([], ignored):
+            out = Path(f"out{len(runs)}")
+            assert main(["reduce", *argv, *extra, "--out", str(out)]) == 0
             captured = capsys.readouterr()
             bundle = {f.name: f.read_bytes() for f in out.iterdir()}
             runs.append((captured.out, bundle, captured.err))
         assert runs[0][:2] == runs[1][:2]
-        assert b'"budget":6' in runs[0][1]["manifest.json"]
-        assert [err for _, _, err in runs] == [
-            "",
-            "note: 3sat sets its own budget; ignoring the given one\n",
-        ]
+        assert [err for _, _, err in runs] == ["", f"note: {note}\n"]
 
     @pytest.mark.parametrize("kind", ["ds", "hs", "dsc"])
     def test_other_gadgets_need_a_budget(self, tmp_path, capsys, kind):

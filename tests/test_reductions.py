@@ -14,13 +14,22 @@ from oracles import (
     brute_max_disjoint_covers,
     brute_sat,
 )
-from tgaug.augmentation import Solution, Source, solve_exact, verify_solution
+from tgaug.augmentation import (
+    All,
+    AugmentationProblem,
+    Solution,
+    Source,
+    solve_exact,
+    unrestricted_candidates,
+    verify_solution,
+)
 from tgaug.octo import (
     COLS,
     ROWS,
     MergeStep,
     apply_sequence,
     component_intersection_matrix,
+    matrix_to_graph,
     sequence_to_edges,
     solve_octo,
 )
@@ -273,6 +282,24 @@ class TestDisjointSetCovers:
                 assert apply_sequence(red.matrix, steps).is_one_filled
                 expected = sorted(tuple(sorted(p)) for p in partition)
                 assert list(dsc_steps_to_witness(inst, red, steps)) == expected
+
+    def test_covers_as_unrestricted_tca_without_octo(self):
+        # the DSC matrix read as a lifespan-2 graph and solved by the subset search alone
+        rng = random.Random(53)
+        solved = 0
+        for _ in range(40):
+            universe, m = rng.randint(1, 2), rng.randint(1, 3)
+            system = random_system(rng, universe, m)
+            if not all(system.subsets) or not covers(system, range(m)):
+                continue  # a zero column or a zero row of the matrix
+            best = brute_max_disjoint_covers(system.subsets, universe)
+            graph = matrix_to_graph(reduce_dsc(system).matrix)
+            candidates = unrestricted_candidates(graph)
+            for k in range(1, m + 1):
+                problem = AugmentationProblem(graph, candidates, All(), NON_STRICT, budget=m - k)
+                assert solve_exact(problem).feasible == (k <= best)
+                solved += 1
+        assert solved >= 30  # 24 feasible, 7 not
 
     def test_row_merges(self):
         inst = SetSystemInstance(2, (frozenset({0, 1}), frozenset({0}), frozenset({1})), 1)

@@ -20,7 +20,14 @@ def test_public_names_resolve():
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_assert_statements(path):
-    # `python -O` strips assert statements, so a check written as one silently vanishes
+    # `python -O` strips assert statements and `if __debug__:` blocks, so a check written as
+    # either silently vanishes
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    assert not lines, f"{path.name} uses assert on lines {lines}; raise an exception instead"
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert) or isinstance(node, ast.Name) and node.id == "__debug__"
+    ]
+    assert not lines, (
+        f"{path.name} uses assert or __debug__ on lines {lines}; raise an exception instead"
+    )
